@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from .complex_core import Complex, DualGraph, diameter_exact, is_pseudomanifold, ridges_of
+from .complex_core import Complex, DualGraph, diameter_exact, is_pseudomanifold
 from .errors import DimensionTooSmall, NotPseudomanifold, NotRegular
 
 E = Fraction("2.7182818284590452353602874713526624977572")
@@ -82,10 +82,9 @@ def check_regular_graph_bound(g: DualGraph, method: str = "auto") -> RegularBoun
 
 def pm_fvector_check(c: Complex) -> bool:
     """Consistency identity d * (#facets) == 2 * (#ridges) for pseudomanifolds."""
-    incidences = ridges_of(c)
-    if any(len(fids) != 2 for _, fids in incidences):
+    if not is_pseudomanifold(c):
         raise NotPseudomanifold("some ridge is not in exactly two facets")
-    return c.dim_facet * len(c.facets) == 2 * len(incidences)
+    return c.dim_facet * len(c.facets) == 2 * len(c.incidence.ridges)
 
 
 def bound_report(n: int, d: int) -> dict:

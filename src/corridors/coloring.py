@@ -25,7 +25,7 @@ from math import comb
 from pathlib import Path
 
 from .bounds import E
-from .complex_core import Complex, ridges_of
+from .complex_core import Complex
 from .errors import (
     IncompleteColoring,
     NoLegalColor,
@@ -151,7 +151,7 @@ def greedy_window_coloring(c: Complex, p: FirstColoringParams) -> Coloring:
 
 
 def _require_total(c: Complex, f: Coloring):
-    if f.n_vertices < c.n_vertices:
+    if f.n_vertices != c.n_vertices:
         raise IncompleteColoring(
             f"coloring covers {f.n_vertices} vertices, complex has {c.n_vertices}"
         )
@@ -163,9 +163,14 @@ def pattern_of(f: Coloring, face) -> PatternKey:
 
 
 def faces_of_codim(c: Complex, k: int):
-    """Deduplicated (d-k)-subsets of facets, lexicographically sorted."""
+    """Deduplicated (d-k)-subsets of facets, lexicographically sorted.
+
+    Codimension 1 returns the ridges of the complex's cached incidence.
+    """
     if not 0 <= k < c.dim_facet:
         raise ValueError(f"codimension {k} out of range for facet size {c.dim_facet}")
+    if k == 1:
+        return c.incidence.ridges
     size = c.dim_facet - k
     faces = set()
     for F in c.facets:
@@ -173,15 +178,22 @@ def faces_of_codim(c: Complex, k: int):
     return sorted(faces)
 
 
-def first_stage_class_cap(
+def _first_stage_class_bound(
     n_vertices: int, dim_facet: int, c1: int, codim: int, epsilon
-) -> int:
-    """Integer cap floor((1+eps) N C(d-1,k) / C(c1,d-k)) on codim-k class sizes."""
+) -> Fraction:
+    """Exact (1+eps) N C(d-1,k) / C(c1,d-k); the class cap is its floor."""
     denom = comb(c1, dim_facet - codim)
     if denom == 0:
         raise ValueError(f"{c1} colors cannot fill faces of size {dim_facet - codim}")
     slack = 1 + Fraction(str(epsilon))
-    return int(slack * n_vertices * comb(dim_facet - 1, codim) / denom)
+    return slack * n_vertices * comb(dim_facet - 1, codim) / denom
+
+
+def first_stage_class_cap(
+    n_vertices: int, dim_facet: int, c1: int, codim: int, epsilon
+) -> int:
+    """Integer cap floor((1+eps) N C(d-1,k) / C(c1,d-k)) on codim-k class sizes."""
+    return int(_first_stage_class_bound(n_vertices, dim_facet, c1, codim, epsilon))
 
 
 @dataclass(frozen=True)
@@ -198,8 +210,9 @@ def pattern_class_histogram(
 ) -> PatternHistogram:
     """Exact per-pattern counts over all codimension-k faces.
 
-    The reported bound is the stage-one cap (1+eps) N C(d-1,k) / C(f.c,d-k),
-    meaningful when f is a stage-one coloring; it is None when f has fewer
+    The reported bound is the stage-one cap (1+eps) N C(d-1,k) / C(f.c,d-k):
+    the exact value that first_stage_class_cap floors, as a float.  It is
+    meaningful when f is a stage-one coloring, and None when f has fewer
     colors than a face needs.
     """
     _require_total(c, f)
@@ -207,13 +220,9 @@ def pattern_class_histogram(
     counts: Counter[PatternKey] = Counter()
     for face in faces_of_codim(c, codim):
         counts[tuple(sorted(colors[v - 1] for v in face))] += 1
-    size = c.dim_facet - codim
-    if f.c >= size:
-        bound = (
-            (1 + epsilon)
-            * c.n_vertices
-            * comb(c.dim_facet - 1, codim)
-            / comb(f.c, size)
+    if f.c >= c.dim_facet - codim:
+        bound = float(
+            _first_stage_class_bound(c.n_vertices, c.dim_facet, f.c, codim, epsilon)
         )
     else:
         bound = None
@@ -275,7 +284,7 @@ def verify_unique_ridge_patterns(c: Complex, f: Coloring):
     _require_total(c, f)
     colors = f.colors
     seen: dict[PatternKey, tuple[int, ...]] = {}
-    for ridge, _ in ridges_of(c):
+    for ridge in c.incidence.ridges:
         key = tuple(sorted(colors[v - 1] for v in ridge))
         if key in seen:
             return False, (seen[key], ridge)
@@ -288,6 +297,20 @@ class RefineResult:
     coloring: Coloring
     g: Coloring
     resamples: int
+
+
+def _require_refinable(ridges, by_vertex, colors, S):
+    """Stage-one patterns must separate intersecting ridges and classes fit S."""
+    f_keys = [tuple(sorted(colors[v - 1] for v in r)) for r in ridges]
+    for rids in by_vertex.values():
+        for a, b in itertools.combinations(rids, 2):
+            if f_keys[a] == f_keys[b]:
+                raise PreconditionViolated(
+                    f"intersecting ridges {ridges[a]} and {ridges[b]} share a pattern"
+                )
+    worst = max(Counter(f_keys).values(), default=0)
+    if worst > S:
+        raise PreconditionViolated(f"a ridge class has size {worst} > S = {S}")
 
 
 def moser_tardos_refine(
@@ -312,25 +335,13 @@ def moser_tardos_refine(
     if not verify_proper(c, f):
         raise PreconditionViolated("stage-one coloring is not proper")
 
-    incidences = ridges_of(c)
-    ridges = [r for r, _ in incidences]
+    ridges = c.incidence.ridges
     colors = f.colors
-    f_keys = [tuple(sorted(colors[v - 1] for v in r)) for r in ridges]
-
     by_vertex: dict[int, list[int]] = {}
     for rid, r in enumerate(ridges):
         for v in r:
             by_vertex.setdefault(v, []).append(rid)
-    for rids in by_vertex.values():
-        for a, b in itertools.combinations(rids, 2):
-            if f_keys[a] == f_keys[b]:
-                raise PreconditionViolated(
-                    f"intersecting ridges {ridges[a]} and {ridges[b]} share a pattern"
-                )
-    class_sizes = Counter(f_keys)
-    worst = max(class_sizes.values(), default=0)
-    if worst > p.S:
-        raise PreconditionViolated(f"a ridge class has size {worst} > S = {p.S}")
+    _require_refinable(ridges, by_vertex, colors, p.S)
 
     rng = random.Random(p.seed)
     c2 = p.c2
@@ -340,15 +351,20 @@ def moser_tardos_refine(
         _require_total(c, initial_g)
         if initial_g.c != c2:
             raise ValueError(f"initial refinement uses {initial_g.c} colors, expected {c2}")
-        g = list(initial_g.colors[: c.n_vertices])
+        g = list(initial_g.colors)
+
+    # product color of every vertex, kept current as g is resampled
+    h = [(colors[i] - 1) * c2 + g[i] for i in range(c.n_vertices)]
 
     def combined_key(rid):
-        return tuple(sorted((colors[v - 1] - 1) * c2 + g[v - 1] for v in ridges[rid]))
+        return tuple(sorted(h[v - 1] for v in ridges[rid]))
 
     keys = [combined_key(rid) for rid in range(len(ridges))]
-    buckets: dict[PatternKey, set[int]] = {}
+    # a ridge's bucket is a list: it holds each ridge at most once, and the
+    # winners are read through sorted(), so membership order never matters
+    buckets: dict[PatternKey, list[int]] = {}
     for rid, key in enumerate(keys):
-        buckets.setdefault(key, set()).add(rid)
+        buckets.setdefault(key, []).append(rid)
     violating = {key for key, rids in buckets.items() if len(rids) > 1}
 
     resamples = 0
@@ -362,30 +378,28 @@ def moser_tardos_refine(
         vertices = sorted(set(ridges[first]) | set(ridges[second]))
         for v in vertices:
             g[v - 1] = _draw_index(rng, c2) + 1
+            h[v - 1] = (colors[v - 1] - 1) * c2 + g[v - 1]
         touched = set()
         for v in vertices:
             touched.update(by_vertex.get(v, ()))
         for rid in touched:
             old = keys[rid]
             bucket = buckets[old]
-            bucket.discard(rid)
+            bucket.remove(rid)
             if len(bucket) < 2:
                 violating.discard(old)
             if not bucket:
                 del buckets[old]
             new = combined_key(rid)
             keys[rid] = new
-            bucket = buckets.setdefault(new, set())
-            bucket.add(rid)
+            bucket = buckets.setdefault(new, [])
+            bucket.append(rid)
             if len(bucket) > 1:
                 violating.add(new)
         resamples += 1
 
-    product = tuple(
-        (colors[i] - 1) * c2 + g[i] for i in range(c.n_vertices)
-    )
     return RefineResult(
-        coloring=Coloring(product, f.c * c2),
+        coloring=Coloring(tuple(h), f.c * c2),
         g=Coloring(tuple(g), c2),
         resamples=resamples,
     )

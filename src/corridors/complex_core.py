@@ -4,13 +4,23 @@ A complex is stored as its facet list only; ridges and lower faces are the
 implied subsets.  Vertices are 1-based integers and facets are sorted tuples,
 so every derived object (ridge lists, dual graphs, GF(2) boundary matrices)
 has a canonical form and equality is structural.
+
+Each complex enumerates its ridges once: `Complex.incidence` runs
+`ridges_of` on first use and keeps the result as an immutable `Incidence`
+(sorted ridges and, in parallel, the ascending ids of the facets containing
+each).  Dual graphs, boundary matrices, the pseudomanifold test and the
+coloring and quotient stages all read that one index.  An index is only ever
+built from its own complex's facets; a quotient gets its own on first use,
+never one derived from its source, so comparing the two stays a real check.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 from .errors import DisconnectedGraph
@@ -67,6 +77,27 @@ class Complex:
     def facet_count(self):
         return len(self.facets)
 
+    @cached_property
+    def incidence(self) -> Incidence:
+        """Ridge-facet incidence, enumerated by ridges_of on first use."""
+        pairs = ridges_of(self)
+        return Incidence(
+            tuple(r for r, _ in pairs), tuple(tuple(fids) for _, fids in pairs)
+        )
+
+
+@dataclass(frozen=True)
+class Incidence:
+    """Ridges of one complex in lexicographic order, with their facets.
+
+    facets_of[i] lists, ascending, the indices into Complex.facets of the
+    facets containing ridges[i].  Two parallel tuples rather than pairs keep
+    the index small, since it lives as long as its complex.
+    """
+
+    ridges: tuple[Ridge, ...]
+    facets_of: tuple[tuple[int, ...], ...]
+
 
 @dataclass(frozen=True)
 class DualGraph:
@@ -86,10 +117,13 @@ class DualGraph:
                     raise ValueError(f"self-loop at node {u}")
                 if not 0 <= v < self.n_nodes:
                     raise ValueError(f"neighbor {v} out of range at node {u}")
-        nbr_sets = [set(nbrs) for nbrs in self.adjacency]
-        for u, nbrs in enumerate(self.adjacency):
+        # neighbor tuples are sorted, so a binary search finds each back edge
+        adj = self.adjacency
+        for u, nbrs in enumerate(adj):
             for v in nbrs:
-                if u not in nbr_sets[v]:
+                back = adj[v]
+                i = bisect_left(back, u)
+                if i == len(back) or back[i] != u:
                     raise ValueError(f"edge {u}->{v} is not symmetric")
 
     @classmethod
@@ -161,12 +195,13 @@ def ridges_of(c: Complex):
 
 def dual_graph(c: Complex) -> DualGraph:
     """Facets become adjacent exactly when they share a full ridge."""
-    nbrs = [set() for _ in c.facets]
-    for _, fids in ridges_of(c):
+    # two distinct facets share at most one ridge, so no edge repeats
+    nbrs = [[] for _ in c.facets]
+    for fids in c.incidence.facets_of:
         if len(fids) > 1:
             for a, b in itertools.combinations(fids, 2):
-                nbrs[a].add(b)
-                nbrs[b].add(a)
+                nbrs[a].append(b)
+                nbrs[b].append(a)
     return DualGraph(len(c.facets), tuple(tuple(sorted(s)) for s in nbrs))
 
 
@@ -174,17 +209,17 @@ def boundary_matrix_gf2(c: Complex) -> BoundaryMatrixGF2:
     """Top boundary matrix over GF(2): entry 1 iff the ridge lies in the facet."""
     cols = tuple(sorted(c.facets))
     col_of = {F: j for j, F in enumerate(cols)}
-    rows = []
-    support = []
-    for ridge, fids in ridges_of(c):
-        rows.append(ridge)
-        support.append(tuple(sorted(col_of[c.facets[fi]] for fi in fids)))
-    return BoundaryMatrixGF2(tuple(rows), cols, tuple(support))
+    col_of_facet = [col_of[F] for F in c.facets]
+    inc = c.incidence
+    support = tuple(
+        tuple(sorted(col_of_facet[fi] for fi in fids)) for fids in inc.facets_of
+    )
+    return BoundaryMatrixGF2(inc.ridges, cols, support)
 
 
 def is_pseudomanifold(c: Complex) -> bool:
     """True iff every ridge lies in exactly two facets."""
-    return all(len(fids) == 2 for _, fids in ridges_of(c))
+    return all(len(fids) == 2 for fids in c.incidence.facets_of)
 
 
 def is_strongly_connected(c: Complex) -> bool:

@@ -16,11 +16,9 @@ from dataclasses import dataclass
 from .complex_core import (
     Complex,
     Ridge,
-    boundary_matrix_gf2,
     diameter_exact,
     dual_graph,
     is_pseudomanifold,
-    ridges_of,
 )
 from .coloring import Coloring, _require_total, verify_proper
 from .errors import ImproperColoring, MissingBijection
@@ -96,7 +94,7 @@ def pattern_complex(c: Complex, f: Coloring) -> QuotientResult:
     ridge_map: dict[Ridge, Ridge] = {}
     seen_ridge: dict = {}
     ridge_collision = None
-    for ridge, _ in ridges_of(c):
+    for ridge in c.incidence.ridges:
         pat = tuple(sorted(color_to_vertex[colors[v - 1]] for v in ridge))
         if pat in seen_ridge:
             ridge_collision = (seen_ridge[pat], ridge)
@@ -120,39 +118,32 @@ def pattern_complex(c: Complex, f: Coloring) -> QuotientResult:
 def verify_boundary_preservation(c: Complex, q: QuotientResult) -> bool:
     """Entry-exact equality of the GF(2) boundary matrices through the bijections.
 
-    Permutes rows via the ridge bijection and columns via the facet bijection
-    and compares supports; requires both bijections (MissingBijection
-    otherwise).  Any count mismatch is a failure, not an error.
+    Reads the ridge-facet incidences of c and of the quotient, the latter
+    enumerated from the quotient's own facets.  Rows are matched through
+    ridge_map, which must hit every quotient ridge exactly once, and each
+    row's facets, sent through facet_map, must be exactly the facets of its
+    image.  Requires both bijections (MissingBijection otherwise); any count
+    mismatch is a failure, not an error.
     """
     if not (q.facets_injective and q.ridges_injective) or q.ridge_map is None:
         raise MissingBijection("quotient has a facet or ridge pattern collision")
-    src = boundary_matrix_gf2(c)
-    dst = boundary_matrix_gf2(q.quotient)
-    if len(src.rows) != len(dst.rows) or len(src.cols) != len(dst.cols):
+    src, dst = c.incidence, q.quotient.incidence
+    if len(src.ridges) != len(dst.ridges) or len(c.facets) != len(q.quotient.facets):
         return False
 
-    src_col_facet = {j: F for j, F in enumerate(src.cols)}
-    src_facet_index = {F: i for i, F in enumerate(c.facets)}
-    dst_col_of_facet = {F: j for j, F in enumerate(dst.cols)}
-    dst_row_of_ridge = {r: i for i, r in enumerate(dst.rows)}
-    qfacets = q.quotient.facets
-
-    mapped_rows = set()
-    for i, ridge in enumerate(src.rows):
-        image = q.ridge_map.get(ridge)
-        if image is None or image not in dst_row_of_ridge:
+    ridge_map, facet_map = q.ridge_map, q.facet_map
+    dst_row_of_ridge = {r: i for i, r in enumerate(dst.ridges)}
+    hit = bytearray(len(dst.ridges))
+    for ridge, fids in zip(src.ridges, src.facets_of):
+        di = dst_row_of_ridge.get(ridge_map.get(ridge))
+        if di is None or hit[di]:
             return False
-        di = dst_row_of_ridge[image]
-        if di in mapped_rows:
+        hit[di] = 1
+        image = [facet_map.get(fi) for fi in fids]
+        if None in image or tuple(sorted(image)) != dst.facets_of[di]:
             return False
-        mapped_rows.add(di)
-        mapped_support = set()
-        for j in src.row_support[i]:
-            fi = src_facet_index[src_col_facet[j]]
-            mapped_support.add(dst_col_of_facet[qfacets[q.facet_map[fi]]])
-        if mapped_support != set(dst.row_support[di]):
-            return False
-    return len(mapped_rows) == len(dst.rows)
+    # equal row counts and an injective row map: every quotient row was hit
+    return True
 
 
 def quotient_report(

@@ -51,6 +51,37 @@ def ref_boundary_dense(c):
     )
 
 
+def ref_boundary_preserved(c, q):
+    """Dense boundary matrices of c and its quotient agree after relabeling.
+
+    Source ridge r becomes quotient ridge q.ridge_map[r] and source facet i
+    becomes quotient facet q.facet_map[i]; both relabelings must be
+    bijections, and the permuted source matrix must equal the quotient's.
+    """
+    rows, cols, dense = ref_boundary_dense(c)
+    qrows, qcols, qdense = ref_boundary_dense(q.quotient)
+    if len(rows) != len(qrows) or len(cols) != len(qcols):
+        return False
+    qrow = {r: i for i, r in enumerate(qrows)}
+    qcol = {F: j for j, F in enumerate(qcols)}
+    try:
+        row_to = [qrow[q.ridge_map[r]] for r in rows]
+        col_to = [
+            qcol[q.quotient.facets[q.facet_map[c.facets.index(F)]]] for F in cols
+        ]
+    except (KeyError, IndexError):
+        return False
+    if sorted(row_to) != list(range(len(qrows))):
+        return False
+    if sorted(col_to) != list(range(len(qcols))):
+        return False
+    permuted = [[0] * len(qcols) for _ in qrows]
+    for i, ti in enumerate(row_to):
+        for j, tj in enumerate(col_to):
+            permuted[ti][tj] = dense[i][j]
+    return permuted == qdense
+
+
 def ref_is_pseudomanifold(c):
     return all(len(containing) == 2 for _, containing in ref_ridges(c))
 

@@ -116,6 +116,19 @@ class TestColoringCommands:
         )
         assert code == 2
 
+    def test_verify_rejects_overlong_coloring(self, built, capsys):
+        tmp_path, sc_path = built
+        f_path = tmp_path / "long.coloring"
+        lines = ["colors 13"] + [f"{v} {(v - 1) % 13 + 1}" for v in range(1, 62)]
+        f_path.write_text("\n".join(lines) + "\n")
+        code, _, err = run(
+            capsys, "verify", "--in", str(sc_path), "--coloring", str(f_path),
+        )
+        assert code == 2
+        assert err.splitlines() == [
+            "error: coloring covers 61 vertices, complex has 60"
+        ]
+
     def test_refine_rejects_bad_first_stage(self, built, capsys):
         tmp_path, sc_path = built
         f_path = tmp_path / "bad.coloring"

@@ -150,6 +150,12 @@ class TestPatternHistogram:
         with pytest.raises(IncompleteColoring):
             pattern_class_histogram(c, identity_coloring(5), 1)
 
+    def test_bound_is_the_exact_cap_as_float(self):
+        for n, d, c1, codim, eps in [(200, 3, 13, 1, 0.2), (10**4, 3, 13, 1, 0.1)]:
+            f = periodic_coloring(n, c1)
+            hist = pattern_class_histogram(sc(n, d), f, codim, eps)
+            assert int(hist.bound) == first_stage_class_cap(n, d, c1, codim, eps)
+
     def test_class_cap_values(self):
         assert first_stage_class_cap(200, 3, 13, 1, 0.2) == 6
         assert first_stage_class_cap(1000, 4, 13, 2, 0.2) == 46
@@ -208,6 +214,10 @@ class TestVerifiers:
     def test_incomplete_coloring_rejected(self):
         with pytest.raises(IncompleteColoring):
             verify_proper(sc(5, 3), identity_coloring(4))
+
+    def test_overlong_coloring_rejected(self):
+        with pytest.raises(IncompleteColoring, match="covers 6 vertices, complex has 5"):
+            verify_proper(sc(5, 3), identity_coloring(6))
 
 
 class TestMoserTardosRefine:

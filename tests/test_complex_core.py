@@ -25,6 +25,7 @@ from corridors import (
     straight_corridor,
     write_complex,
 )
+from conftest import random_complex
 from naive_reference import (
     ref_boundary_dense,
     ref_diameter,
@@ -226,10 +227,16 @@ def test_diameter_methods_agree_on_random_graphs(seed):
     assert double_sweep_lower_bound(g) <= exact
 
 
+def incidence_pairs(c):
+    inc = c.incidence
+    return [(r, list(fids)) for r, fids in zip(inc.ridges, inc.facets_of)]
+
+
 class TestNaiveReferenceAgreement:
     def test_ridges(self, corpus):
         for c in corpus:
             assert [(r, f) for r, f in ridges_of(c)] == ref_ridges(c)
+            assert incidence_pairs(c) == ref_ridges(c)
 
     def test_dual_edges(self, corpus):
         for c in corpus:
@@ -250,6 +257,28 @@ class TestNaiveReferenceAgreement:
     def test_pseudomanifold(self, corpus):
         for c in corpus:
             assert is_pseudomanifold(c) == ref_is_pseudomanifold(c)
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=80, deadline=None)
+def test_incidence_matches_reference_on_random_complexes(seed):
+    c = random_complex(random.Random(seed))
+    assert incidence_pairs(c) == ref_ridges(c)
+    assert is_pseudomanifold(c) == ref_is_pseudomanifold(c)
+    g = dual_graph(c)
+    edges = {(u, v) for u, nbrs in enumerate(g.adjacency) for v in nbrs if u < v}
+    assert edges == ref_dual_edges(c)
+
+
+class TestIncidence:
+    def test_built_once_and_kept(self):
+        c = sc(6, 3)
+        assert c.incidence is c.incidence
+
+    def test_equal_complexes_build_their_own(self):
+        a, b = sc(6, 3), sc(6, 3)
+        assert a == b and a.incidence is not b.incidence
+        assert a.incidence == b.incidence
 
 
 def test_dual_graph_matches_gram_matrix_support(corpus):

@@ -1,5 +1,8 @@
+import sys
+
 import pytest
 
+from corridors import complex_core
 from corridors import (
     InvalidSpec,
     ResampleCapExceeded,
@@ -9,6 +12,25 @@ from corridors import (
     run_pipeline,
     strip_volatile,
 )
+
+
+@pytest.mark.parametrize("mode", ["simplicial", "pseudomanifold"])
+def test_each_complex_enumerates_its_ridges_once(monkeypatch, mode):
+    # one enumeration for the target, one for the quotient's own facets
+    original = complex_core.ridges_of
+    enumerated = []
+
+    def counting(c):
+        enumerated.append(c)
+        return original(c)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("corridors") and getattr(mod, "ridges_of", None) is original:
+            monkeypatch.setattr(mod, "ridges_of", counting)
+    report = run_pipeline(mode, 3, 200, 13, 0.2, 0)
+    assert report["ok"]
+    assert len(enumerated) == 2
+    assert enumerated[0] != enumerated[1]
 
 
 class TestSimplicialMode:

@@ -1,5 +1,12 @@
-import pytest
+import dataclasses
+import itertools
+import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import small_complex_corpus
 from corridors import (
     Coloring,
     Complex,
@@ -24,6 +31,9 @@ from corridors import (
     straight_corridor,
     verify_boundary_preservation,
 )
+from naive_reference import ref_boundary_preserved
+
+CORPUS = small_complex_corpus()
 
 
 def sc(n, d):
@@ -43,6 +53,35 @@ def refined_quotient(c, c1, shape, seed):
     c2 = lll_target_colors(t, s, c.dim_facet)
     result = moser_tardos_refine(c, f, RefinementParams(t, s, c2, seed))
     return pattern_complex(c, result.coloring)
+
+
+def random_proper_coloring(c, rng):
+    """Proper coloring on a random palette of at least one facet's size."""
+    palette = rng.randint(c.dim_facet, max(c.dim_facet, c.n_vertices))
+    nbrs = {v: set() for v in range(1, c.n_vertices + 1)}
+    for F in c.facets:
+        for u, v in itertools.combinations(F, 2):
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+    colors = {}
+    order = list(range(1, c.n_vertices + 1))
+    rng.shuffle(order)
+    for v in order:
+        used = {colors[u] for u in nbrs[v] if u in colors}
+        free = [col for col in range(1, palette + 1) if col not in used]
+        if not free:  # the palette is too small for this vertex: widen it
+            palette += 1
+            free = [palette]
+        colors[v] = rng.choice(free)
+    return Coloring(tuple(colors[v] for v in range(1, c.n_vertices + 1)), palette)
+
+
+def swap_two_images(mapping, rng):
+    """Copy of mapping with the images of two distinct keys exchanged."""
+    a, b = rng.sample(sorted(mapping), 2)
+    swapped = dict(mapping)
+    swapped[a], swapped[b] = mapping[b], mapping[a]
+    return swapped
 
 
 class TestPatternComplex:
@@ -136,6 +175,36 @@ class TestBoundaryPreservation:
             ridge_collision=None,
         )
         assert not verify_boundary_preservation(c, broken)
+
+    def test_swapped_facet_map_detected(self):
+        c = sc(5, 3)
+        q = pattern_complex(c, identity_coloring(5))
+        swapped = dict(q.facet_map)
+        swapped[0], swapped[1] = q.facet_map[1], q.facet_map[0]
+        broken = dataclasses.replace(q, facet_map=swapped)
+        assert not verify_boundary_preservation(c, broken)
+        assert not ref_boundary_preserved(c, broken)
+
+    @given(st.integers(0, len(CORPUS) - 1), st.integers(0, 10_000))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_dense_oracle(self, index, seed):
+        c = CORPUS[index]
+        rng = random.Random(seed)
+        q = pattern_complex(c, random_proper_coloring(c, rng))
+        if not (q.facets_injective and q.ridges_injective):
+            with pytest.raises(MissingBijection):
+                verify_boundary_preservation(c, q)
+            return
+        assert verify_boundary_preservation(c, q)
+        assert ref_boundary_preserved(c, q)
+        for field in ("facet_map", "ridge_map"):
+            mapping = getattr(q, field)
+            if len(mapping) > 1:
+                broken = dataclasses.replace(
+                    q, **{field: swap_two_images(mapping, rng)}
+                )
+                fast = verify_boundary_preservation(c, broken)
+                assert fast == ref_boundary_preserved(c, broken)
 
     def test_missing_bijection_raises(self):
         c = sc(6, 3)
