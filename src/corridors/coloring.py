@@ -157,9 +157,12 @@ def _require_total(c: Complex, f: Coloring):
         )
 
 
-def pattern_of(f: Coloring, face) -> PatternKey:
-    """Sorted tuple of the colors on a face's vertices."""
-    return tuple(sorted(f.colors[v - 1] for v in face))
+def pattern_keys(colors, faces) -> list[PatternKey]:
+    """Pattern of each face: the sorted tuple of its vertices' colors.
+
+    colors[v - 1] is the color of vertex v, as in Coloring.colors.
+    """
+    return [tuple(sorted(colors[v - 1] for v in face)) for face in faces]
 
 
 def faces_of_codim(c: Complex, k: int):
@@ -216,10 +219,7 @@ def pattern_class_histogram(
     colors than a face needs.
     """
     _require_total(c, f)
-    colors = f.colors
-    counts: Counter[PatternKey] = Counter()
-    for face in faces_of_codim(c, codim):
-        counts[tuple(sorted(colors[v - 1] for v in face))] += 1
+    counts = Counter(pattern_keys(f.colors, faces_of_codim(c, codim)))
     if f.c >= c.dim_facet - codim:
         bound = float(
             _first_stage_class_bound(c.n_vertices, c.dim_facet, f.c, codim, epsilon)
@@ -282,10 +282,9 @@ def verify_unique_ridge_patterns(c: Complex, f: Coloring):
     colliding pair in lexicographic ridge order.
     """
     _require_total(c, f)
-    colors = f.colors
+    ridges = c.incidence.ridges
     seen: dict[PatternKey, tuple[int, ...]] = {}
-    for ridge in c.incidence.ridges:
-        key = tuple(sorted(colors[v - 1] for v in ridge))
+    for ridge, key in zip(ridges, pattern_keys(f.colors, ridges)):
         if key in seen:
             return False, (seen[key], ridge)
         seen[key] = ridge
@@ -301,7 +300,7 @@ class RefineResult:
 
 def _require_refinable(ridges, by_vertex, colors, S):
     """Stage-one patterns must separate intersecting ridges and classes fit S."""
-    f_keys = [tuple(sorted(colors[v - 1] for v in r)) for r in ridges]
+    f_keys = pattern_keys(colors, ridges)
     for rids in by_vertex.values():
         for a, b in itertools.combinations(rids, 2):
             if f_keys[a] == f_keys[b]:
@@ -356,10 +355,7 @@ def moser_tardos_refine(
     # product color of every vertex, kept current as g is resampled
     h = [(colors[i] - 1) * c2 + g[i] for i in range(c.n_vertices)]
 
-    def combined_key(rid):
-        return tuple(sorted(h[v - 1] for v in ridges[rid]))
-
-    keys = [combined_key(rid) for rid in range(len(ridges))]
+    keys = pattern_keys(h, ridges)
     # a ridge's bucket is a list: it holds each ridge at most once, and the
     # winners are read through sorted(), so membership order never matters
     buckets: dict[PatternKey, list[int]] = {}
@@ -379,10 +375,9 @@ def moser_tardos_refine(
         for v in vertices:
             g[v - 1] = _draw_index(rng, c2) + 1
             h[v - 1] = (colors[v - 1] - 1) * c2 + g[v - 1]
-        touched = set()
-        for v in vertices:
-            touched.update(by_vertex.get(v, ()))
-        for rid in touched:
+        touched = list({rid for v in vertices for rid in by_vertex.get(v, ())})
+        new_keys = pattern_keys(h, [ridges[rid] for rid in touched])
+        for rid, new in zip(touched, new_keys):
             old = keys[rid]
             bucket = buckets[old]
             bucket.remove(rid)
@@ -390,7 +385,6 @@ def moser_tardos_refine(
                 violating.discard(old)
             if not bucket:
                 del buckets[old]
-            new = combined_key(rid)
             keys[rid] = new
             bucket = buckets.setdefault(new, [])
             bucket.append(rid)

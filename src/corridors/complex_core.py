@@ -2,16 +2,17 @@
 
 A complex is stored as its facet list only; ridges and lower faces are the
 implied subsets.  Vertices are 1-based integers and facets are sorted tuples,
-so every derived object (ridge lists, dual graphs, GF(2) boundary matrices)
-has a canonical form and equality is structural.
+so every derived object (ridge lists, dual graphs) has a canonical form and
+equality is structural.
 
 Each complex enumerates its ridges once: `Complex.incidence` runs
 `ridges_of` on first use and keeps the result as an immutable `Incidence`
 (sorted ridges and, in parallel, the ascending ids of the facets containing
-each).  Dual graphs, boundary matrices, the pseudomanifold test and the
-coloring and quotient stages all read that one index.  An index is only ever
-built from its own complex's facets; a quotient gets its own on first use,
-never one derived from its source, so comparing the two stays a real check.
+each), which is the ridge-by-facet GF(2) boundary matrix in sparse form.
+Dual graphs, the pseudomanifold test and the coloring and quotient stages
+all read that one index.  An index is only ever built from its own complex's
+facets; a quotient gets its own on first use, never one derived from its
+source, so comparing the two stays a real check.
 """
 
 from __future__ import annotations
@@ -142,44 +143,6 @@ class DualGraph:
         return [len(nbrs) for nbrs in self.adjacency]
 
 
-@dataclass(frozen=True)
-class BoundaryMatrixGF2:
-    """Sparse ridge-by-facet incidence matrix mod 2, in canonical order.
-
-    Rows and columns are sorted lexicographically by vertex tuple, so two
-    matrices are equal iff the underlying incidence structures are.
-    row_support[i] lists the column indices whose facet contains row i's ridge.
-    """
-
-    rows: tuple[Ridge, ...]
-    cols: tuple[Facet, ...]
-    row_support: tuple[tuple[int, ...], ...]
-
-    @property
-    def shape(self):
-        return (len(self.rows), len(self.cols))
-
-    def entry(self, i, j):
-        return 1 if j in self.row_support[i] else 0
-
-    def column_weights(self):
-        weights = [0] * len(self.cols)
-        for support in self.row_support:
-            for j in support:
-                weights[j] += 1
-        return weights
-
-    def row_weights(self):
-        return [len(support) for support in self.row_support]
-
-    def to_dense(self):
-        dense = [[0] * len(self.cols) for _ in self.rows]
-        for i, support in enumerate(self.row_support):
-            for j in support:
-                dense[i][j] = 1
-        return dense
-
-
 def ridges_of(c: Complex):
     """All (d-1)-subsets of facets, deduplicated and in lexicographic order.
 
@@ -203,18 +166,6 @@ def dual_graph(c: Complex) -> DualGraph:
                 nbrs[a].append(b)
                 nbrs[b].append(a)
     return DualGraph(len(c.facets), tuple(tuple(sorted(s)) for s in nbrs))
-
-
-def boundary_matrix_gf2(c: Complex) -> BoundaryMatrixGF2:
-    """Top boundary matrix over GF(2): entry 1 iff the ridge lies in the facet."""
-    cols = tuple(sorted(c.facets))
-    col_of = {F: j for j, F in enumerate(cols)}
-    col_of_facet = [col_of[F] for F in c.facets]
-    inc = c.incidence
-    support = tuple(
-        tuple(sorted(col_of_facet[fi] for fi in fids)) for fids in inc.facets_of
-    )
-    return BoundaryMatrixGF2(inc.ridges, cols, support)
 
 
 def is_pseudomanifold(c: Complex) -> bool:

@@ -4,7 +4,7 @@ A run report is a plain JSON-ready dict with a stable field order; everything
 in it except the "timing" section is a pure function of the parameters and
 seed.  Every verification flag is recomputed from the finished artifacts
 (never trusted from a stage's own post-conditions), and the quotient diameter
-is re-measured by BFS whenever the facet count makes that affordable.
+is always re-measured by BFS on the quotient's own dual graph.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from .quotient import pattern_complex, verify_boundary_preservation
 
 DEFAULT_RETRIES = 10
 DEFAULT_MAX_RESAMPLES = 10 ** 6
-DIAMETER_RECOMPUTE_LIMIT = 200_000
 
 
 def lemma8_floor(n_vertices: int, dim_facet: int) -> int:
@@ -66,7 +65,6 @@ def run_pipeline(
     max_resamples: int = DEFAULT_MAX_RESAMPLES,
     retries: int = DEFAULT_RETRIES,
     s_policy: str = "adaptive",
-    diameter_limit: int = DIAMETER_RECOMPUTE_LIMIT,
 ) -> dict:
     """One full randomized construction at the given scale, fully verified.
 
@@ -154,19 +152,11 @@ def run_pipeline(
         preserved = False
 
     qgraph = dual_graph(quotient)
-    connected = True
-    diameter = None
-    diameter_method = None
     try:
-        if len(quotient.facets) <= diameter_limit:
-            diameter = diameter_exact(qgraph)
-            diameter_method = "recomputed"
-        elif preserved:
-            src_graph = dual_graph(target)
-            diameter = diameter_exact(src_graph)
-            diameter_method = "source-bfs+boundary-preservation"
+        diameter, diameter_method = diameter_exact(qgraph), "recomputed"
     except DisconnectedGraph:
-        connected = False
+        diameter = diameter_method = None
+    connected = diameter is not None
 
     pm_source = is_pseudomanifold(target)
     pm_quotient = is_pseudomanifold(quotient)
@@ -325,8 +315,11 @@ def run_bench(
     """Grid of pipeline runs with per-cell status and per-parameter aggregates.
 
     Cells own independent seeds (the grid enumerates them explicitly), so any
-    execution order, including the parallel one, yields the same table.
+    execution order, including the parallel one, yields the same table.  At
+    most `jobs` worker processes run, and never more than there are cells.
     """
+    if jobs < 1:
+        raise InvalidSpec(f"need at least one job, got {jobs}")
     cells = []
     index = 0
     for d in dims:
@@ -338,7 +331,7 @@ def run_bench(
                     )
                     index += 1
     if jobs > 1 and len(cells) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(cells))) as pool:
             rows = list(pool.map(_bench_cell, cells))
     else:
         rows = [_bench_cell(cell) for cell in cells]

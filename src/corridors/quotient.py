@@ -4,8 +4,8 @@ Collapsing each vertex to its color turns facets into their patterns; when no
 two ridges share a pattern, the collapse is a bijection on facets and ridges,
 and the GF(2) boundary matrices of source and quotient agree entry for entry.
 Everything downstream of the boundary matrix (dual graph, diameter,
-pseudomanifold-ness) then transfers for free, but is still re-verified
-directly wherever that is affordable.
+pseudomanifold-ness) then transfers for free, but is still re-measured
+directly on the quotient's own facets.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .complex_core import (
     dual_graph,
     is_pseudomanifold,
 )
-from .coloring import Coloring, _require_total, verify_proper
+from .coloring import Coloring, _require_total, pattern_keys, verify_proper
 from .errors import ImproperColoring, MissingBijection
 
 
@@ -47,9 +47,30 @@ class QuotientResult:
     def facet_bijection(self):
         return self.facet_map if self.facets_injective else None
 
-    @property
-    def ridge_bijection(self):
-        return self.ridge_map
+
+def _facet_correspondence(facet_patterns, qfacets):
+    """Map of the facets whose pattern is unique, and the first collision.
+
+    A function of its own so that its pattern tables are freed before
+    pattern_complex builds ridge_map; holding both set the peak memory of
+    large runs.
+    """
+    qfacet_index = {F: i for i, F in enumerate(qfacets)}
+    pattern_count = Counter(facet_patterns)
+    first_with_pattern: dict = {}
+    facet_collision = None
+    for fi, pat in enumerate(facet_patterns):
+        if pat in first_with_pattern:
+            if facet_collision is None:
+                facet_collision = (first_with_pattern[pat], fi)
+        else:
+            first_with_pattern[pat] = fi
+    facet_map = {
+        fi: qfacet_index[pat]
+        for fi, pat in enumerate(facet_patterns)
+        if pattern_count[pat] == 1
+    }
+    return facet_map, facet_collision
 
 
 def pattern_complex(c: Complex, f: Coloring) -> QuotientResult:
@@ -67,35 +88,20 @@ def pattern_complex(c: Complex, f: Coloring) -> QuotientResult:
 
     used = sorted({colors[v - 1] for F in c.facets for v in F})
     color_to_vertex = {col: i for i, col in enumerate(used, start=1)}
+    # renumbering is monotone, so sorting renumbered colors keeps the order
+    qcolors = [color_to_vertex.get(col) for col in colors]
 
-    facet_patterns = [
-        tuple(sorted(color_to_vertex[colors[v - 1]] for v in F)) for F in c.facets
-    ]
+    facet_patterns = pattern_keys(qcolors, c.facets)
     qfacets = tuple(sorted(set(facet_patterns)))
     quotient = Complex(c.dim_facet, len(used), qfacets)
-    qfacet_index = {F: i for i, F in enumerate(qfacets)}
-
-    pattern_count = Counter(facet_patterns)
-    first_with_pattern: dict = {}
-    facet_collision = None
-    for fi, pat in enumerate(facet_patterns):
-        if pat in first_with_pattern:
-            if facet_collision is None:
-                facet_collision = (first_with_pattern[pat], fi)
-        else:
-            first_with_pattern[pat] = fi
+    facet_map, facet_collision = _facet_correspondence(facet_patterns, qfacets)
     facets_injective = facet_collision is None
-    facet_map = {
-        fi: qfacet_index[pat]
-        for fi, pat in enumerate(facet_patterns)
-        if pattern_count[pat] == 1
-    }
 
     ridge_map: dict[Ridge, Ridge] = {}
     seen_ridge: dict = {}
     ridge_collision = None
-    for ridge in c.incidence.ridges:
-        pat = tuple(sorted(color_to_vertex[colors[v - 1]] for v in ridge))
+    ridges = c.incidence.ridges
+    for ridge, pat in zip(ridges, pattern_keys(qcolors, ridges)):
         if pat in seen_ridge:
             ridge_collision = (seen_ridge[pat], ridge)
             break
@@ -146,19 +152,16 @@ def verify_boundary_preservation(c: Complex, q: QuotientResult) -> bool:
     return True
 
 
-def quotient_report(
-    c: Complex, q: QuotientResult, diameter_limit: int = 200_000
-) -> dict:
+def quotient_report(c: Complex, q: QuotientResult) -> dict:
     """Summary fragment comparing source and quotient.
 
-    Diameters are recomputed by BFS on both sides up to `diameter_limit`
-    facets; beyond that the quotient diameter is taken from the source via
-    the preservation check, and the report says so.
+    Diameters are always re-measured by BFS on both sides, each from its
+    own dual graph; DisconnectedGraph propagates.
     """
     preserved = None
     if q.facets_injective and q.ridges_injective:
         preserved = verify_boundary_preservation(c, q)
-    fragment = {
+    return {
         "n_prime": q.quotient.n_vertices,
         "source_vertices": c.n_vertices,
         "facet_count": len(q.quotient.facets),
@@ -168,20 +171,7 @@ def quotient_report(
         "boundary_preserved": preserved,
         "pseudomanifold_source": is_pseudomanifold(c),
         "pseudomanifold_quotient": is_pseudomanifold(q.quotient),
+        "diameter_source": diameter_exact(dual_graph(c)),
+        "diameter_quotient": diameter_exact(dual_graph(q.quotient)),
+        "diameter_method": "recomputed-both",
     }
-    if len(c.facets) <= diameter_limit:
-        src_diam = diameter_exact(dual_graph(c))
-        quo_diam = diameter_exact(dual_graph(q.quotient))
-        fragment["diameter_source"] = src_diam
-        fragment["diameter_quotient"] = quo_diam
-        fragment["diameter_method"] = "recomputed-both"
-    elif preserved:
-        quo_diam = diameter_exact(dual_graph(q.quotient))
-        fragment["diameter_source"] = quo_diam
-        fragment["diameter_quotient"] = quo_diam
-        fragment["diameter_method"] = "quotient-bfs+boundary-preservation"
-    else:
-        fragment["diameter_source"] = None
-        fragment["diameter_quotient"] = None
-        fragment["diameter_method"] = "skipped"
-    return fragment

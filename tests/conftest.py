@@ -16,6 +16,26 @@ def random_complex(rng, max_vertices=12, max_dim=4):
     return Complex(d, n, tuple(sorted(pool)))
 
 
+def incidence_dense(c):
+    """c.incidence as (rows, cols, dense) in the layout of ref_boundary_dense.
+
+    Rows are the incidence's ridges, columns the facets in sorted order, and
+    dense[i][j] is 1 iff facet cols[j] is listed for ridge rows[i].
+    """
+    inc = c.incidence
+    cols = sorted(c.facets)
+    col_of = {F: j for j, F in enumerate(cols)}
+    dense = [[0] * len(cols) for _ in inc.ridges]
+    for row, fids in zip(dense, inc.facets_of):
+        for fi in fids:
+            row[col_of[c.facets[fi]]] = 1
+    return list(inc.ridges), cols, dense
+
+
+def column_weights(dense):
+    return [sum(col) for col in zip(*dense)]
+
+
 def small_complex_corpus():
     """Deterministic mix of structured and random complexes, <= 12 vertices."""
     corpus = [

@@ -7,12 +7,12 @@ calibration.
 
 import math
 
+from conftest import incidence_dense
 from corridors import (
     CorridorSpec,
     FirstColoringParams,
     RefinementParams,
     boundary_corridor,
-    boundary_matrix_gf2,
     check_regular_graph_bound,
     diameter_exact,
     dual_graph,
@@ -202,9 +202,7 @@ def test_criterion_8_oracle_equivalence(corpus):
         edges = {(u, v) for u, nbrs in enumerate(g.adjacency) for v in nbrs if u < v}
         if edges != ref_dual_edges(c):
             ok = False
-        m = boundary_matrix_gf2(c)
-        rows, cols, dense = ref_boundary_dense(c)
-        if m.rows != tuple(rows) or m.cols != tuple(cols) or m.to_dense() != dense:
+        if incidence_dense(c) != ref_boundary_dense(c):
             ok = False
         if is_pseudomanifold(c) != ref_is_pseudomanifold(c):
             ok = False

@@ -233,3 +233,9 @@ class TestBenchCommand:
         table = json.loads(out_path.read_text())
         assert len(table["rows"]) == 2
         assert all(r["status"] == "ok" for r in table["rows"])
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_exit_2(self, capsys, jobs):
+        code, _, err = run(capsys, "bench", "--seeds", "0,1", "--jobs", jobs)
+        assert code == 2
+        assert err.splitlines() == [f"error: need at least one job, got {jobs}"]

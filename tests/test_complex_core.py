@@ -11,7 +11,6 @@ from corridors import (
     DisconnectedGraph,
     DualGraph,
     boundary_corridor,
-    boundary_matrix_gf2,
     complex_from_text,
     complex_to_text,
     diameter_exact,
@@ -25,7 +24,7 @@ from corridors import (
     straight_corridor,
     write_complex,
 )
-from conftest import random_complex
+from conftest import column_weights, incidence_dense, random_complex
 from naive_reference import (
     ref_boundary_dense,
     ref_diameter,
@@ -108,11 +107,11 @@ class TestDualGraph:
 
 class TestBoundaryMatrix:
     def test_corridor_4_3_entries(self):
-        m = boundary_matrix_gf2(sc(4, 3))
-        assert m.shape == (5, 2)
-        assert m.rows == ((1, 2), (1, 3), (2, 3), (2, 4), (3, 4))
-        assert m.cols == ((1, 2, 3), (2, 3, 4))
-        dense = {row: tuple(vals) for row, vals in zip(m.rows, m.to_dense())}
+        rows, cols, matrix = incidence_dense(sc(4, 3))
+        assert (len(rows), len(cols)) == (5, 2)
+        assert rows == [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)]
+        assert cols == [(1, 2, 3), (2, 3, 4)]
+        dense = {row: tuple(vals) for row, vals in zip(rows, matrix)}
         assert dense[(2, 3)] == (1, 1)
         assert dense[(1, 2)] == (1, 0)
         assert dense[(1, 3)] == (1, 0)
@@ -120,19 +119,19 @@ class TestBoundaryMatrix:
         assert dense[(3, 4)] == (0, 1)
 
     def test_single_facet_column(self):
-        m = boundary_matrix_gf2(Complex(4, 4, ((1, 2, 3, 4),)))
-        assert m.shape == (4, 1)
-        assert m.column_weights() == [4]
+        rows, cols, dense = incidence_dense(Complex(4, 4, ((1, 2, 3, 4),)))
+        assert (len(rows), len(cols)) == (4, 1)
+        assert column_weights(dense) == [4]
 
     def test_corridor_5_3_column_weights(self):
-        m = boundary_matrix_gf2(sc(5, 3))
-        assert m.shape == (7, 3)
-        assert m.column_weights() == [3, 3, 3]
+        rows, cols, dense = incidence_dense(sc(5, 3))
+        assert (len(rows), len(cols)) == (7, 3)
+        assert column_weights(dense) == [3, 3, 3]
 
     def test_every_column_weight_is_d(self, corpus):
         for c in corpus:
-            m = boundary_matrix_gf2(c)
-            assert all(w == c.dim_facet for w in m.column_weights())
+            _, _, dense = incidence_dense(c)
+            assert all(w == c.dim_facet for w in column_weights(dense))
 
 
 class TestPseudomanifold:
@@ -147,7 +146,7 @@ class TestPseudomanifold:
 
     def test_matches_row_weights(self, corpus):
         for c in corpus:
-            weights = boundary_matrix_gf2(c).row_weights()
+            weights = [len(fids) for fids in c.incidence.facets_of]
             assert is_pseudomanifold(c) == all(w == 2 for w in weights)
 
 
@@ -248,11 +247,11 @@ class TestNaiveReferenceAgreement:
 
     def test_boundary_matrix(self, corpus):
         for c in corpus:
-            m = boundary_matrix_gf2(c)
-            rows, cols, dense = ref_boundary_dense(c)
-            assert m.rows == tuple(rows)
-            assert m.cols == tuple(cols)
-            assert m.to_dense() == dense
+            rows, cols, dense = incidence_dense(c)
+            ref_rows, ref_cols, ref_dense = ref_boundary_dense(c)
+            assert rows == ref_rows
+            assert cols == ref_cols
+            assert dense == ref_dense
 
     def test_pseudomanifold(self, corpus):
         for c in corpus:
@@ -284,10 +283,9 @@ class TestIncidence:
 def test_dual_graph_matches_gram_matrix_support(corpus):
     # adjacency must equal the off-diagonal support of B^T B over the integers
     for c in corpus:
-        m = boundary_matrix_gf2(c)
-        a = np.array(m.to_dense(), dtype=np.int64)
+        _, col_facets, dense = incidence_dense(c)
+        a = np.array(dense, dtype=np.int64)
         gram = a.T @ a
-        col_facets = m.cols
         index_of = {F: i for i, F in enumerate(c.facets)}
         g = dual_graph(c)
         n = len(col_facets)

@@ -2,7 +2,7 @@ import sys
 
 import pytest
 
-from corridors import complex_core
+from corridors import complex_core, pipeline
 from corridors import (
     InvalidSpec,
     ResampleCapExceeded,
@@ -38,6 +38,7 @@ class TestSimplicialMode:
         report = run_pipeline("simplicial", 3, 40, 13, 0.2, 7)
         assert report["ok"]
         assert report["results"]["diameter"] == 37
+        assert report["results"]["diameter_method"] == "recomputed"
         assert report["results"]["facet_count"] == 38
         assert report["results"]["n_prime"] <= 13 * report["params"]["c2"]
         assert all(report["verification"].values())
@@ -72,6 +73,7 @@ class TestPseudomanifoldMode:
         report = run_pipeline("pseudomanifold", 3, 40, 13, 0.2, 0)
         assert report["ok"]
         assert report["results"]["facet_count"] == (40 - 3) * 2 + 2
+        assert report["results"]["diameter_method"] == "recomputed"
         assert report["verification"]["pseudomanifold_quotient"]
         assert report["verification"]["fvector_identity"]
         assert report["results"]["dist_alpha_omega"] >= lemma8_floor(40, 3)
@@ -147,3 +149,31 @@ class TestBench:
         serial = run_bench("simplicial", [3], [30], [13], [0, 1], jobs=1)
         parallel = run_bench("simplicial", [3], [30], [13], [0, 1], jobs=2)
         assert serial["rows"] == parallel["rows"]
+
+    def test_workers_capped_at_cell_count(self, monkeypatch):
+        # a pool may start all max_workers processes at its first submit, so
+        # this stand-in records the request and runs the cells inline
+        requested = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, cells):
+                return map(fn, cells)
+
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", InlinePool)
+        table = run_bench("simplicial", [3], [30], [13], [0, 1], jobs=5000)
+        assert requested == [2]
+        assert [row["status"] for row in table["rows"]] == ["ok", "ok"]
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected(self, jobs):
+        with pytest.raises(InvalidSpec):
+            run_bench("simplicial", [3], [30], [13], [0, 1], jobs=jobs)

@@ -76,6 +76,12 @@ def random_proper_coloring(c, rng):
     return Coloring(tuple(colors[v] for v in range(1, c.n_vertices + 1)), palette)
 
 
+def assert_diameters_recomputed(fragment, c, q):
+    assert fragment["diameter_method"] == "recomputed-both"
+    assert fragment["diameter_source"] == diameter_exact(dual_graph(c))
+    assert fragment["diameter_quotient"] == diameter_exact(dual_graph(q.quotient))
+
+
 def swap_two_images(mapping, rng):
     """Copy of mapping with the images of two distinct keys exchanged."""
     a, b = rng.sample(sorted(mapping), 2)
@@ -244,6 +250,7 @@ class TestQuotientReport:
         assert fragment["n_prime"] == 5
         assert fragment["boundary_preserved"] is True
         assert fragment["diameter_source"] == fragment["diameter_quotient"] == 2
+        assert_diameters_recomputed(fragment, c, q)
 
     def test_pipeline_fragment_sc_40(self):
         c = sc(40, 3)
@@ -253,6 +260,7 @@ class TestQuotientReport:
         assert fragment["diameter_quotient"] == 37
         assert fragment["facet_count"] == 38
         assert fragment["n_prime"] <= 40
+        assert_diameters_recomputed(fragment, c, q)
 
     def test_boundary_fragment_is_pseudomanifold_both_sides(self):
         b = boundary_corridor(40, 3)
@@ -260,6 +268,7 @@ class TestQuotientReport:
         fragment = quotient_report(b, q)
         assert fragment["pseudomanifold_source"] is True
         assert fragment["pseudomanifold_quotient"] is True
+        assert_diameters_recomputed(fragment, b, q)
 
     def test_collision_fragment_skips_bijection_claims(self):
         c = sc(6, 3)
@@ -267,3 +276,4 @@ class TestQuotientReport:
         fragment = quotient_report(c, q)
         assert fragment["boundary_preserved"] is None
         assert fragment["facets_injective"] is False
+        assert_diameters_recomputed(fragment, c, q)
