@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from .complex_core import Complex, DualGraph, diameter_exact, is_pseudomanifold
+from .complex_core import Complex, DualGraph, is_pseudomanifold
 from .errors import DimensionTooSmall, NotPseudomanifold, NotRegular
 
 E = Fraction("2.7182818284590452353602874713526624977572")
@@ -67,15 +67,18 @@ class RegularBoundCheck:
     ok: bool
 
 
-def check_regular_graph_bound(g: DualGraph, method: str = "auto") -> RegularBoundCheck:
-    """Compare a regular graph's exact diameter against 3n/(k+1)."""
+def check_regular_graph_bound(g: DualGraph, actual: int) -> RegularBoundCheck:
+    """Compare a regular graph's exact diameter `actual` against 3n/(k+1).
+
+    The caller measures the diameter (diameter_exact) and passes it in, so a
+    graph whose diameter is already known is not searched a second time.
+    """
     degrees = g.degrees()
     if not degrees:
         raise NotRegular("empty graph has no degree")
     k = degrees[0]
     if any(deg != k for deg in degrees):
         raise NotRegular(f"degrees range over {sorted(set(degrees))}")
-    actual = diameter_exact(g, method=method)
     bound = regular_graph_diameter_bound(g.n_nodes, k)
     return RegularBoundCheck(actual, bound, actual <= bound)
 

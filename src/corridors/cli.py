@@ -14,6 +14,7 @@ from . import bounds as bounds_mod
 from .coloring import (
     FirstColoringParams,
     RefinementParams,
+    default_window,
     first_stage_class_cap,
     greedy_window_coloring,
     intersecting_ridge_bound,
@@ -39,8 +40,6 @@ from .constructions import CorridorSpec, boundary_corridor, facet_labels, straig
 from .errors import EXHAUSTION_ERRORS, CorridorsError, InvalidSpec
 from .pipeline import run_bench, run_pipeline
 from .quotient import pattern_complex, quotient_report, verify_boundary_preservation
-
-ALL_SOURCES_CLI_LIMIT = 200_000
 
 
 def _say(args, message):
@@ -82,7 +81,7 @@ def cmd_color(args):
         "c1": args.c1,
         "epsilon": args.epsilon,
         "seed": args.seed,
-        "window": params.window if params.window is not None else 2 * (c.dim_facet - 1),
+        "window": params.window if params.window is not None else default_window(c),
         "codim": args.codim,
         "face_count": hist.face_count,
         "class_count": len(hist.counts),
@@ -186,17 +185,8 @@ def cmd_diameter(args):
         value = double_sweep_lower_bound(g)
         label = "diameter lower bound (double sweep)"
     else:
-        if (
-            args.method == "all-sources"
-            and g.n_nodes > ALL_SOURCES_CLI_LIMIT
-            and not args.force
-        ):
-            raise InvalidSpec(
-                f"{g.n_nodes} nodes exceed the all-sources limit; pass --force "
-                "or use --method ifub / double-sweep"
-            )
-        value = diameter_exact(g, args.method)
-        label = f"diameter ({args.method})"
+        value = diameter_exact(g)
+        label = "diameter (ifub)"
     if args.json:
         _emit_json({"nodes": g.n_nodes, "value": value, "mode": label})
     else:
@@ -266,7 +256,8 @@ def cmd_bench(args):
             _say(args, json.dumps(agg))
         for row in table["rows"]:
             if row["status"] != "ok":
-                _say(args, f"cell {row['cell']}: {row['status']}")
+                error = f": {row['error']}" if "error" in row else ""
+                _say(args, f"cell {row['cell']}: {row['status']}{error}")
     return 0
 
 
@@ -327,11 +318,11 @@ def build_parser():
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument(
         "--method",
-        choices=["auto", "all-sources", "ifub", "double-sweep"],
-        default="auto",
+        choices=["ifub", "double-sweep"],
+        default="ifub",
+        help="exact fringe-pruned search, or a double-sweep lower bound",
     )
     p.add_argument("--pair", type=int, nargs=2, default=None, metavar=("U", "V"))
-    p.add_argument("--force", action="store_true", help="all-sources on huge graphs")
     p.set_defaults(func=cmd_diameter)
 
     p = sub.add_parser("bounds", parents=[common], help="evaluate bound formulas")

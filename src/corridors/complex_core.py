@@ -13,6 +13,9 @@ Dual graphs, the pseudomanifold test and the coloring and quotient stages
 all read that one index.  An index is only ever built from its own complex's
 facets; a quotient gets its own on first use, never one derived from its
 source, so comparing the two stays a real check.
+
+Exact diameters come from one algorithm, the fringe-pruned BFS search in
+`diameter_exact`.
 """
 
 from __future__ import annotations
@@ -28,10 +31,6 @@ from .errors import DisconnectedGraph
 
 Facet = tuple[int, ...]
 Ridge = tuple[int, ...]
-
-# all-sources BFS is quadratic; above this node count diameter_exact("auto")
-# switches to the fringe-pruned exact search
-ALL_SOURCES_AUTO_LIMIT = 1024
 
 
 @dataclass(frozen=True)
@@ -178,24 +177,11 @@ def is_strongly_connected(c: Complex) -> bool:
     g = dual_graph(c)
     if g.n_nodes <= 1:
         return True
-    return min(_bfs_distances(g.adjacency, 0)) >= 0
+    return min(_bfs(g.adjacency, 0)[0]) >= 0
 
 
-def _bfs_distances(adj, src):
-    dist = [-1] * len(adj)
-    dist[src] = 0
-    queue = deque([src])
-    while queue:
-        u = queue.popleft()
-        du = dist[u] + 1
-        for v in adj[u]:
-            if dist[v] < 0:
-                dist[v] = du
-                queue.append(v)
-    return dist
-
-
-def _bfs_with_parents(adj, src):
+def _bfs(adj, src):
+    """BFS distances from src (-1 where unreached) and BFS-tree parents."""
     dist = [-1] * len(adj)
     parent = [-1] * len(adj)
     dist[src] = 0
@@ -214,7 +200,7 @@ def _bfs_with_parents(adj, src):
 def _require_connected(g: DualGraph):
     if g.n_nodes == 0:
         raise DisconnectedGraph("graph has no nodes")
-    dist = _bfs_distances(g.adjacency, 0)
+    dist, _ = _bfs(g.adjacency, 0)
     if min(dist) < 0:
         raise DisconnectedGraph("graph is not connected")
     return dist
@@ -225,72 +211,59 @@ def _argmax(values):
     return max(range(len(values)), key=values.__getitem__)
 
 
-def _fringe_pruned_diameter(adj, dist0):
-    """Exact diameter via eccentricity search pruned by BFS fringes.
+def diameter_exact(g: DualGraph) -> int:
+    """Exact diameter of a connected graph, by fringe-pruned BFS (iFUB).
 
-    Roots a BFS at the midpoint of a double-sweep path and processes fringe
-    sets in decreasing depth; any pair realizing a distance above 2(i-1) has
-    an endpoint at depth >= i, so the scan can stop once the certified lower
-    bound reaches that threshold.  Output equals the all-sources diameter.
+    Roots a BFS at the midpoint of a double-sweep path and processes its
+    fringe sets in decreasing depth; any pair realizing a distance above
+    2(i-1) has an endpoint at depth >= i, so the scan stops once the
+    certified lower bound reaches that threshold (Crescenzi et al., "On
+    computing the diameter of real-world undirected graphs", TCS 2013).
+    Long thin graphs such as corridor duals need only a few BFS passes.
+    Raises DisconnectedGraph.
     """
-    a = _argmax(dist0)
-    dist_a, parent = _bfs_with_parents(adj, a)
+    adj = g.adjacency
+    a = _argmax(_require_connected(g))
+    dist_a, parent = _bfs(adj, a)
     b = _argmax(dist_a)
     mid = b
     for _ in range(dist_a[b] // 2):
         mid = parent[mid]
-    dist_mid = _bfs_distances(adj, mid)
+    dist_mid, _ = _bfs(adj, mid)
     ecc_mid = max(dist_mid)
     levels = [[] for _ in range(ecc_mid + 1)]
     for v, dv in enumerate(dist_mid):
         levels[dv].append(v)
     lower = max(dist_a[b], ecc_mid)
     i = ecc_mid
-    upper = 2 * ecc_mid
-    while upper > lower:
+    # 2i bounds the diameter once every node deeper than i is scanned
+    while 2 * i > lower:
         best = lower
         for v in levels[i]:
-            ecc = max(_bfs_distances(adj, v))
+            ecc = max(_bfs(adj, v)[0])
             if ecc > best:
                 best = ecc
         if best > 2 * (i - 1):
             return best
         lower = best
-        upper = 2 * (i - 1)
         i -= 1
     return lower
-
-
-def diameter_exact(g: DualGraph, method: str = "auto") -> int:
-    """Exact diameter of a connected graph.
-
-    method "all-sources" takes the max BFS eccentricity over every node;
-    "ifub" runs the fringe-pruned search (same result, few BFS passes on
-    long thin graphs); "auto" picks by size.  Raises DisconnectedGraph.
-    """
-    dist0 = _require_connected(g)
-    if method == "auto":
-        method = "all-sources" if g.n_nodes <= ALL_SOURCES_AUTO_LIMIT else "ifub"
-    if method == "all-sources":
-        return max(max(_bfs_distances(g.adjacency, s)) for s in range(g.n_nodes))
-    if method == "ifub":
-        return _fringe_pruned_diameter(g.adjacency, dist0)
-    raise ValueError(f"unknown diameter method {method!r}")
 
 
 def pair_distance(g: DualGraph, u: int, v: int) -> int:
     """BFS distance between two nodes of a connected graph."""
     if not (0 <= u < g.n_nodes and 0 <= v < g.n_nodes):
         raise ValueError(f"nodes {u}, {v} out of range 0..{g.n_nodes - 1}")
-    _require_connected(g)
-    return _bfs_distances(g.adjacency, u)[v]
+    dist, _ = _bfs(g.adjacency, u)
+    if min(dist) < 0:
+        raise DisconnectedGraph("graph is not connected")
+    return dist[v]
 
 
 def double_sweep_lower_bound(g: DualGraph) -> int:
     """Certified diameter lower bound: eccentricity of a farthest-from-0 node."""
-    dist0 = _require_connected(g)
-    a = _argmax(dist0)
-    return max(_bfs_distances(g.adjacency, a))
+    a = _argmax(_require_connected(g))
+    return max(_bfs(g.adjacency, a)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
-from math import factorial
+from math import factorial, inf
 
 from . import bounds as bounds_mod
 from .coloring import (
@@ -219,7 +219,7 @@ def run_pipeline(
             qo = q.facet_map[index_of[omega]]
             dist_ao = pair_distance(qgraph, qa, qo)
             try:
-                check = bounds_mod.check_regular_graph_bound(qgraph)
+                check = bounds_mod.check_regular_graph_bound(qgraph, diameter)
                 regular_ok = check.ok
                 regular_bound = float(check.bound)
             except bounds_mod.NotRegular:
@@ -317,9 +317,13 @@ def run_bench(
     Cells own independent seeds (the grid enumerates them explicitly), so any
     execution order, including the parallel one, yields the same table.  At
     most `jobs` worker processes run, and never more than there are cells.
+    A `jobs` below one or an epsilon that is not finite and positive raises
+    InvalidSpec before any cell runs.
     """
     if jobs < 1:
         raise InvalidSpec(f"need at least one job, got {jobs}")
+    if not 0 < epsilon < inf:
+        raise InvalidSpec(f"need a finite positive epsilon, got {epsilon}")
     cells = []
     index = 0
     for d in dims:

@@ -181,7 +181,8 @@ def test_criterion_7_pseudomanifold_pipeline():
     quotient = q.quotient
     pm_ok = is_pseudomanifold(quotient)
     fvec_ok = pm_ok and pm_fvector_check(quotient)
-    check = check_regular_graph_bound(dual_graph(quotient))
+    qgraph = dual_graph(quotient)
+    check = check_regular_graph_bound(qgraph, diameter_exact(qgraph))
     preserved = verify_boundary_preservation(target, q)
     ok = pm_ok and fvec_ok and check.ok and preserved
     detail = (

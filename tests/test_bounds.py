@@ -103,14 +103,14 @@ class TestPseudomanifoldBounds:
 class TestRegularGraphBound:
     def test_eight_cycle(self):
         g = DualGraph.from_edges(8, [(i, (i + 1) % 8) for i in range(8)])
-        check = check_regular_graph_bound(g)
+        check = check_regular_graph_bound(g, diameter_exact(g))
         assert check.bound == 8
         assert check.actual == 4
         assert check.ok
 
     def test_boundary_6_4(self):
         g = dual_graph(boundary_corridor(6, 3))
-        check = check_regular_graph_bound(g)
+        check = check_regular_graph_bound(g, diameter_exact(g))
         assert check.bound == 6
         assert check.actual == 3
         assert check.ok
@@ -118,7 +118,7 @@ class TestRegularGraphBound:
     def test_non_regular_rejected(self):
         g = dual_graph(straight_corridor(CorridorSpec(6, 3)))
         with pytest.raises(NotRegular):
-            check_regular_graph_bound(g)
+            check_regular_graph_bound(g, diameter_exact(g))
 
     def test_formula(self):
         assert regular_graph_diameter_bound(8, 2) == 8

@@ -239,3 +239,18 @@ class TestBenchCommand:
         code, _, err = run(capsys, "bench", "--seeds", "0,1", "--jobs", jobs)
         assert code == 2
         assert err.splitlines() == [f"error: need at least one job, got {jobs}"]
+
+    @pytest.mark.parametrize("epsilon", ["0", "-0.5", "nan", "inf"])
+    def test_bad_epsilon_exit_2(self, capsys, epsilon):
+        code, out, err = run(capsys, "bench", "--seeds", "0", "--epsilon", epsilon)
+        assert code == 2 and out == ""
+        assert err.splitlines() == [
+            f"error: need a finite positive epsilon, got {float(epsilon)}"
+        ]
+
+    def test_failed_cell_prints_its_error(self, capsys):
+        code, out, _ = run(
+            capsys, "bench", "--dims", "3", "--ns", "40", "--c1s", "12", "--seeds", "0",
+        )
+        assert code == 0
+        assert out.splitlines()[-1] == "cell 0: precondition-failed: need c1 > 12, got 12"

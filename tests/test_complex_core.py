@@ -187,20 +187,21 @@ class TestDiameter:
 
     def test_single_node(self):
         g = DualGraph(1, ((),))
-        assert diameter_exact(g) == 0
-        assert diameter_exact(g, "ifub") == 0
+        assert diameter_exact(g) == ref_diameter(g.adjacency) == 0
 
     def test_modes_agree_on_corridors(self):
-        for n in range(3, 30, 4):
-            g = dual_graph(sc(n, 3))
-            exact = diameter_exact(g, "all-sources")
-            assert diameter_exact(g, "ifub") == exact
+        # straight corridors, and the boundary spheres every pseudomanifold
+        # run measures
+        complexes = [sc(n, 3) for n in range(3, 30, 4)]
+        complexes += [
+            boundary_corridor(n, d) for d in (3, 4) for n in range(d + 2, 30, 5)
+        ]
+        for c in complexes:
+            g = dual_graph(c)
+            exact = ref_diameter(g.adjacency)
+            assert diameter_exact(g) == exact
             assert double_sweep_lower_bound(g) <= exact
             assert pair_distance(g, 0, g.n_nodes - 1) <= exact
-
-    def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            diameter_exact(CYCLE8, "magic")
 
 
 def random_connected_graph(rng, max_nodes=24):
@@ -220,9 +221,8 @@ def random_connected_graph(rng, max_nodes=24):
 @settings(max_examples=60, deadline=None)
 def test_diameter_methods_agree_on_random_graphs(seed):
     g = random_connected_graph(random.Random(seed))
-    exact = diameter_exact(g, "all-sources")
-    assert exact == ref_diameter(g.adjacency)
-    assert diameter_exact(g, "ifub") == exact
+    exact = ref_diameter(g.adjacency)
+    assert diameter_exact(g) == exact
     assert double_sweep_lower_bound(g) <= exact
 
 

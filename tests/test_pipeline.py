@@ -14,23 +14,41 @@ from corridors import (
 )
 
 
+def record_calls(monkeypatch, name):
+    """Rebind complex_core's `name` in every corridors module that imports it.
+
+    Returns the list to which each call appends its first argument.
+    """
+    original = getattr(complex_core, name)
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("corridors") and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, recording)
+    return calls
+
+
 @pytest.mark.parametrize("mode", ["simplicial", "pseudomanifold"])
 def test_each_complex_enumerates_its_ridges_once(monkeypatch, mode):
     # one enumeration for the target, one for the quotient's own facets
-    original = complex_core.ridges_of
-    enumerated = []
-
-    def counting(c):
-        enumerated.append(c)
-        return original(c)
-
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("corridors") and getattr(mod, "ridges_of", None) is original:
-            monkeypatch.setattr(mod, "ridges_of", counting)
+    enumerated = record_calls(monkeypatch, "ridges_of")
     report = run_pipeline(mode, 3, 200, 13, 0.2, 0)
     assert report["ok"]
     assert len(enumerated) == 2
     assert enumerated[0] != enumerated[1]
+
+
+@pytest.mark.parametrize("mode", ["simplicial", "pseudomanifold"])
+def test_quotient_diameter_is_measured_once(monkeypatch, mode):
+    # the regular-graph bound reuses the pipeline's own measurement
+    measured = record_calls(monkeypatch, "diameter_exact")
+    report = run_pipeline(mode, 3, 200, 13, 0.2, 0)
+    assert report["ok"]
+    assert [g.n_nodes for g in measured] == [report["results"]["facet_count"]]
 
 
 class TestSimplicialMode:
@@ -177,3 +195,11 @@ class TestBench:
     def test_jobs_below_one_rejected(self, jobs):
         with pytest.raises(InvalidSpec):
             run_bench("simplicial", [3], [30], [13], [0, 1], jobs=jobs)
+
+    @pytest.mark.parametrize("epsilon", [0, -0.5, float("nan"), float("inf")])
+    def test_bad_epsilon_rejected_before_any_cell(self, monkeypatch, epsilon):
+        monkeypatch.setattr(
+            pipeline, "run_pipeline", lambda *a, **k: pytest.fail("a cell ran")
+        )
+        with pytest.raises(InvalidSpec):
+            run_bench("simplicial", [3], [30], [13], [0, 1], epsilon=epsilon)
