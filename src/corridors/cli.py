@@ -84,7 +84,7 @@ def cmd_color(args):
         "window": params.window if params.window is not None else default_window(c),
         "codim": args.codim,
         "face_count": hist.face_count,
-        "class_count": len(hist.counts),
+        "class_count": hist.class_count,
         "max_class_size": hist.max_class_size,
         "class_cap": first_stage_class_cap(
             c.n_vertices, c.dim_facet, args.c1, args.codim, args.epsilon

@@ -18,14 +18,16 @@ from __future__ import annotations
 
 import itertools
 import random
+from bisect import insort
 from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, inf
+from operator import add
 from pathlib import Path
 
 from .bounds import E
-from .complex_core import Complex
+from .complex_core import Complex, _int_fields
 from .errors import (
     IncompleteColoring,
     NoLegalColor,
@@ -76,8 +78,8 @@ class FirstColoringParams:
     def __post_init__(self):
         if self.c1 < 1:
             raise ValueError(f"need at least one color, got {self.c1}")
-        if self.epsilon <= 0:
-            raise ValueError(f"slack must be positive, got {self.epsilon}")
+        if not 0 < self.epsilon < inf:
+            raise ValueError(f"need a finite positive epsilon, got {self.epsilon}")
         if self.window is not None and self.window < 0:
             raise ValueError(f"window must be nonnegative, got {self.window}")
 
@@ -135,18 +137,17 @@ def greedy_window_coloring(c: Complex, p: FirstColoringParams) -> Coloring:
     if p.c1 <= window:
         raise NoLegalColor(f"window {window} excludes all {p.c1} colors")
     rng = random.Random(p.seed)
+    # free holds the unblocked colors in ascending order, so the draw indexes
+    # the same list as "every color not in the window" would be
+    free = list(range(1, p.c1 + 1))
     recent: deque[int] = deque()
-    blocked: set[int] = set()
     out = []
     for _ in range(c.n_vertices):
-        allowed = [col for col in range(1, p.c1 + 1) if col not in blocked]
-        pick = allowed[_draw_index(rng, len(allowed))]
+        pick = free.pop(_draw_index(rng, len(free)))
         out.append(pick)
-        if window > 0:
-            recent.append(pick)
-            blocked.add(pick)
-            if len(recent) > window:
-                blocked.discard(recent.popleft())
+        recent.append(pick)
+        if len(recent) > window:
+            insort(free, recent.popleft())
     return Coloring(tuple(out), p.c1)
 
 
@@ -160,7 +161,8 @@ def _require_total(c: Complex, f: Coloring):
 def pattern_keys(colors, faces) -> list[PatternKey]:
     """Pattern of each face: the sorted tuple of its vertices' colors.
 
-    colors[v - 1] is the color of vertex v, as in Coloring.colors.
+    colors[v - 1] is the color of vertex v, as in Coloring.colors.  This is
+    the one ordered key; class_sizes counts classes without building it.
     """
     return [tuple(sorted(colors[v - 1] for v in face)) for face in faces]
 
@@ -199,10 +201,46 @@ def first_stage_class_cap(
     return int(_first_stage_class_bound(n_vertices, dim_facet, c1, codim, epsilon))
 
 
+def class_sizes(colors, n_colors: int, columns) -> Counter:
+    """Number of faces in each pattern class, keyed by an opaque integer.
+
+    The faces come as vertex columns, list(zip(*faces)): columns[j][i] is
+    vertex j of face i.  Color col weighs W[col] = sum_k col^k M^(k-1) for
+    k = 1..s, with s the face size and M = s n_colors^s + 1.  A face's key is
+    the sum of its vertices' weights, whose base-M digits are the power sums
+    p_1..p_s of its colors (each below M); by Newton's identities those fix
+    the color multiset, so two faces share a key exactly when they share a
+    pattern.  No face is sorted; pattern_keys stays the ordered key.
+    """
+    if not columns:
+        return Counter()
+    s = len(columns)
+    m = s * n_colors ** s + 1
+    weight = [0] + [
+        sum(col ** k * m ** (k - 1) for k in range(1, s + 1))
+        for col in range(1, n_colors + 1)
+    ]
+    # of_vertex[v] is the weight of vertex v's color
+    of_vertex = [0]
+    of_vertex += map(weight.__getitem__, colors)
+    first, *rest = columns
+    keys = map(of_vertex.__getitem__, first)
+    for column in rest:
+        keys = map(add, keys, map(of_vertex.__getitem__, column))
+    return Counter(keys)
+
+
 @dataclass(frozen=True)
 class PatternHistogram:
-    counts: dict
+    """Pattern-class statistics of one coloring over all codim-k faces.
+
+    class_count is the number of distinct patterns and max_class_size the
+    size of the largest class; bound is described in pattern_class_histogram.
+    The classes themselves are not kept: pattern_keys names a face's pattern.
+    """
+
     max_class_size: int
+    class_count: int
     face_count: int
     codim: int
     bound: float | None
@@ -211,7 +249,7 @@ class PatternHistogram:
 def pattern_class_histogram(
     c: Complex, f: Coloring, codim: int = 1, epsilon: float = 0.0
 ) -> PatternHistogram:
-    """Exact per-pattern counts over all codimension-k faces.
+    """Exact pattern-class statistics over all codimension-k faces.
 
     The reported bound is the stage-one cap (1+eps) N C(d-1,k) / C(f.c,d-k):
     the exact value that first_stage_class_cap floors, as a float.  It is
@@ -219,7 +257,7 @@ def pattern_class_histogram(
     colors than a face needs.
     """
     _require_total(c, f)
-    counts = Counter(pattern_keys(f.colors, faces_of_codim(c, codim)))
+    sizes = class_sizes(f.colors, f.c, list(zip(*faces_of_codim(c, codim))))
     if f.c >= c.dim_facet - codim:
         bound = float(
             _first_stage_class_bound(c.n_vertices, c.dim_facet, f.c, codim, epsilon)
@@ -227,9 +265,9 @@ def pattern_class_histogram(
     else:
         bound = None
     return PatternHistogram(
-        counts=dict(counts),
-        max_class_size=max(counts.values(), default=0),
-        face_count=sum(counts.values()),
+        max_class_size=max(sizes.values(), default=0),
+        class_count=len(sizes),
+        face_count=sum(sizes.values()),
         codim=codim,
         bound=bound,
     )
@@ -412,18 +450,20 @@ def coloring_to_text(f: Coloring) -> str:
 def coloring_from_text(text: str) -> Coloring:
     c = None
     pairs = []
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if c is None:
             parts = line.split()
             if len(parts) != 2 or parts[0] != "colors":
-                raise ValueError(f"bad header line: {line!r}")
-            c = int(parts[1])
+                raise ValueError(f"line {lineno}: bad header line: {line!r}")
+            (c,) = _int_fields(parts[1:], lineno, line)
             continue
-        v, col = line.split()
-        pairs.append((int(v), int(col)))
+        pair = _int_fields(line.split(), lineno, line)
+        if len(pair) != 2:
+            raise ValueError(f"line {lineno}: expected 'vertex color', got {line!r}")
+        pairs.append(pair)
     if c is None:
         raise ValueError("missing header line")
     expected = list(range(1, len(pairs) + 1))

@@ -277,20 +277,28 @@ def complex_to_text(c: Complex) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _int_fields(tokens, lineno: int, line: str) -> tuple[int, ...]:
+    """Tokens of a text-format line as integers; a bad one names the line."""
+    try:
+        return tuple(map(int, tokens))
+    except ValueError:
+        raise ValueError(f"line {lineno}: expected integers, got {line!r}") from None
+
+
 def complex_from_text(text: str) -> Complex:
     header = None
     facets = []
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if header is None:
             parts = line.split()
             if len(parts) != 4 or parts[0] != "dim" or parts[2] != "vertices":
-                raise ValueError(f"bad header line: {line!r}")
-            header = (int(parts[1]), int(parts[3]))
+                raise ValueError(f"line {lineno}: bad header line: {line!r}")
+            header = _int_fields(parts[1::2], lineno, line)
             continue
-        facets.append(tuple(int(tok) for tok in line.split()))
+        facets.append(_int_fields(line.split(), lineno, line))
     if header is None:
         raise ValueError("missing header line")
     return Complex(header[0], header[1], tuple(facets))

@@ -20,12 +20,13 @@ from .coloring import (
     PRNG_ID,
     FirstColoringParams,
     RefinementParams,
+    class_sizes,
+    faces_of_codim,
     first_stage_class_cap,
     greedy_window_coloring,
     intersecting_ridge_bound,
     lll_target_colors,
     moser_tardos_refine,
-    pattern_class_histogram,
     verify_proper,
     verify_unique_ridge_patterns,
 )
@@ -51,6 +52,36 @@ def lemma8_floor(n_vertices: int, dim_facet: int) -> int:
 
 def _derive_seed(master: random.Random) -> int:
     return master.getrandbits(63)
+
+
+def _require_epsilon(epsilon) -> None:
+    if not 0 < epsilon < inf:
+        raise InvalidSpec(f"need a finite positive epsilon, got {epsilon}")
+
+
+def _first_stage(carrier, codim, c1, epsilon, window, master, retries, cap):
+    """Greedy attempts until one's largest codim-k class fits the cap.
+
+    Returns (largest class, coloring, seed) of the best attempt, the first
+    one to fit or else the smallest, and the seeds of all attempts.  The
+    carrier's faces are enumerated once and dropped on return, before the
+    refinement stage allocates its own structures.
+    """
+    columns = list(zip(*faces_of_codim(carrier, codim)))
+    seeds = []
+    best = None
+    for _ in range(retries):
+        gseed = _derive_seed(master)
+        seeds.append(gseed)
+        f = greedy_window_coloring(
+            carrier, FirstColoringParams(c1, epsilon, gseed, window)
+        )
+        largest = max(class_sizes(f.colors, c1, columns).values(), default=0)
+        if best is None or largest < best[0]:
+            best = (largest, f, gseed)
+        if largest <= cap:
+            break
+    return best, seeds
 
 
 def run_pipeline(
@@ -87,6 +118,7 @@ def run_pipeline(
         raise InvalidSpec(f"unknown s_policy {s_policy!r}")
     if retries < 1:
         raise InvalidSpec("need at least one greedy attempt")
+    _require_epsilon(epsilon)
 
     if mode == "simplicial":
         carrier = straight_corridor(CorridorSpec(n_corridor, dim))
@@ -104,31 +136,20 @@ def run_pipeline(
     )
 
     master = random.Random(seed)
-    greedy_seeds = []
-    best = None  # (max_class, attempt_index, coloring, seed)
-    attempts = 0
-    s_source = "formula"
-    for attempt in range(retries):
-        gseed = _derive_seed(master)
-        greedy_seeds.append(gseed)
-        f = greedy_window_coloring(
-            carrier, FirstColoringParams(c1, epsilon, gseed, window)
+    best, greedy_seeds = _first_stage(
+        carrier, codim, c1, epsilon, window, master, retries, s_formula
+    )
+    histogram_max, first_coloring, greedy_seed_used = best
+    attempts = len(greedy_seeds)
+    if histogram_max <= s_formula:
+        s_source, s_used = "formula", s_formula
+    elif s_policy == "strict":
+        raise RetriesExhausted(
+            f"best class size {histogram_max} > cap {s_formula} "
+            f"after {retries} attempts"
         )
-        hist = pattern_class_histogram(carrier, f, codim, epsilon)
-        attempts = attempt + 1
-        if best is None or hist.max_class_size < best[0]:
-            best = (hist.max_class_size, attempt, f, gseed)
-        if hist.max_class_size <= s_formula:
-            break
     else:
-        if s_policy == "strict":
-            raise RetriesExhausted(
-                f"best class size {best[0]} > cap {s_formula} "
-                f"after {retries} attempts"
-            )
-        s_source = "observed"
-    histogram_max, _, first_coloring, greedy_seed_used = best
-    s_used = s_formula if s_source == "formula" else histogram_max
+        s_source, s_used = "observed", histogram_max
 
     refine_seed = _derive_seed(master)
     c2_used = c2 if c2 is not None else lll_target_colors(t_bound, s_used, dim)
@@ -322,8 +343,7 @@ def run_bench(
     """
     if jobs < 1:
         raise InvalidSpec(f"need at least one job, got {jobs}")
-    if not 0 < epsilon < inf:
-        raise InvalidSpec(f"need a finite positive epsilon, got {epsilon}")
+    _require_epsilon(epsilon)
     cells = []
     index = 0
     for d in dims:

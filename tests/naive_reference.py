@@ -6,6 +6,7 @@ boundary matrix is dense.  Used as the oracle for small complexes.
 """
 
 import itertools
+import random
 from collections import deque
 
 
@@ -115,3 +116,36 @@ def ref_boundary_corridor(n, d):
         for r in itertools.combinations(F, d):
             counts[r] = counts.get(r, 0) + 1
     return tuple(sorted(r for r, k in counts.items() if k == 1))
+
+
+def _ref_draw_index(rng, k):
+    # the documented draw: rejection on the smallest sufficient bit width
+    if k == 1:
+        return 0
+    bits = (k - 1).bit_length()
+    while True:
+        r = rng.getrandbits(bits)
+        if r < k:
+            return r
+
+
+def ref_greedy_window_coloring(n, c1, seed, window):
+    """Colors of vertices 1..n, each drawn from an explicit list of allowed colors.
+
+    Every vertex rebuilds the ascending list of colors outside the trailing
+    window and draws an index into it.
+    """
+    rng = random.Random(seed)
+    recent = deque()
+    blocked = set()
+    out = []
+    for _ in range(n):
+        allowed = [col for col in range(1, c1 + 1) if col not in blocked]
+        pick = allowed[_ref_draw_index(rng, len(allowed))]
+        out.append(pick)
+        if window > 0:
+            recent.append(pick)
+            blocked.add(pick)
+            if len(recent) > window:
+                blocked.discard(recent.popleft())
+    return tuple(out)

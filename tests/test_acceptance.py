@@ -122,7 +122,7 @@ def test_criterion_4_pattern_concentration():
         f = greedy_window_coloring(target, FirstColoringParams(c1, epsilon, seed))
         hist = pattern_class_histogram(target, f, 1, epsilon)
         maxima.append(hist.max_class_size)
-        means.append(hist.face_count / len(hist.counts))
+        means.append(hist.face_count / hist.class_count)
         if hist.max_class_size <= cap:
             hits += 1
     detail = (

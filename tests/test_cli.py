@@ -141,6 +141,45 @@ class TestColoringCommands:
         assert code == 2 and "proper" in err
 
 
+    @pytest.mark.parametrize("epsilon", ["nan", "inf"])
+    def test_color_bad_epsilon_exit_2(self, built, capsys, epsilon):
+        tmp_path, sc_path = built
+        code, out, err = run(
+            capsys, "color", "--in", str(sc_path), "--c1", "13",
+            "--epsilon", epsilon, "--out", str(tmp_path / "f.coloring"),
+        )
+        assert code == 2 and out == ""
+        assert err.splitlines() == [
+            f"error: need a finite positive epsilon, got {float(epsilon)}"
+        ]
+
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ("2", "line 4: expected 'vertex color', got '2'"),
+            ("2 1 3", "line 4: expected 'vertex color', got '2 1 3'"),
+            ("2 one", "line 4: expected integers, got '2 one'"),
+        ],
+    )
+    def test_bad_vertex_line_names_it(self, built, capsys, line, message):
+        tmp_path, sc_path = built
+        f_path = tmp_path / "bad.coloring"
+        body = [f"{v} {(v - 1) % 13 + 1}" for v in range(3, 61)]
+        f_path.write_text("\n".join(["colors 13", "# first two", "1 1", line] + body) + "\n")
+        code, out, err = run(
+            capsys, "verify", "--in", str(sc_path), "--coloring", str(f_path),
+        )
+        assert code == 2 and out == ""
+        assert err.splitlines() == [f"error: {message}"]
+
+    def test_bad_facet_token_names_its_line(self, tmp_path, capsys):
+        path = tmp_path / "bad.cplx"
+        path.write_text("dim 3 vertices 5\n1 2 3\n\n2 x 4\n3 4 5\n")
+        code, out, err = run(capsys, "diameter", "--in", str(path))
+        assert code == 2 and out == ""
+        assert err.splitlines() == ["error: line 4: expected integers, got '2 x 4'"]
+
+
 class TestDiameterCommand:
     def test_default(self, built, capsys):
         _, sc_path = built
@@ -199,6 +238,17 @@ class TestPipelineCommand:
             "--c1", "13", "--seed", "0",
         )
         assert code == 2
+
+    @pytest.mark.parametrize("epsilon", ["nan", "inf"])
+    def test_bad_epsilon_exit_2(self, capsys, epsilon):
+        code, out, err = run(
+            capsys, "pipeline", "--mode", "simplicial", "--dim", "3", "--n", "40",
+            "--c1", "13", "--epsilon", epsilon,
+        )
+        assert code == 2 and out == ""
+        assert err.splitlines() == [
+            f"error: need a finite positive epsilon, got {float(epsilon)}"
+        ]
 
     def test_exhaustion_exit_3(self, capsys):
         code, _, _ = run(

@@ -1,5 +1,8 @@
+import hashlib
 import itertools
 import math
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -8,6 +11,7 @@ from hypothesis import strategies as st
 
 from corridors import (
     Coloring,
+    Complex,
     CorridorSpec,
     E,
     FirstColoringParams,
@@ -33,6 +37,8 @@ from corridors import (
     verify_unique_ridge_patterns,
     write_coloring,
 )
+from conftest import random_complex
+from naive_reference import all_faces, ref_greedy_window_coloring
 
 
 def sc(n, d):
@@ -41,6 +47,14 @@ def sc(n, d):
 
 def periodic_coloring(n, period):
     return Coloring(tuple((v - 1) % period + 1 for v in range(1, n + 1)), period)
+
+
+@st.composite
+def greedy_cases(draw):
+    """(n, c1, seed, window), with the windows 0 and c1 - 1 drawn often."""
+    c1 = draw(st.integers(1, 30))
+    window = draw(st.one_of(st.just(0), st.just(c1 - 1), st.integers(0, c1 - 1)))
+    return draw(st.integers(3, 80)), c1, draw(st.integers(0, 2**63 - 1)), window
 
 
 class TestGreedyWindowColoring:
@@ -70,6 +84,19 @@ class TestGreedyWindowColoring:
         f = greedy_window_coloring(sc(12, 3), FirstColoringParams(13, 0.2, 42))
         assert f.colors == (11, 2, 1, 7, 6, 8, 4, 2, 13, 3, 10, 1)
 
+    def test_frozen_long_stream(self):
+        # 10^4 draws pinned by digest, so drift late in a long stream shows too
+        f = greedy_window_coloring(sc(10**4, 4), FirstColoringParams(19, 0.2, 7))
+        digest = hashlib.sha256(coloring_to_text(f).encode()).hexdigest()
+        assert digest == "143d2067b9e52cf7216845d939851d80ba2d2249b2406727eca54f351e9f2a8b"
+
+    @given(greedy_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_allowed_list_reference(self, case):
+        n, c1, seed, window = case
+        f = greedy_window_coloring(sc(n, 3), FirstColoringParams(c1, 0.2, seed, window))
+        assert f.colors == ref_greedy_window_coloring(n, c1, seed, window)
+
     def test_output_is_proper(self):
         c = sc(200, 3)
         f = greedy_window_coloring(c, FirstColoringParams(13, 0.2, 1))
@@ -80,6 +107,9 @@ class TestGreedyWindowColoring:
             FirstColoringParams(0, 0.2, 0)
         with pytest.raises(ValueError):
             FirstColoringParams(13, 0.0, 0)
+        for epsilon in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="epsilon"):
+                FirstColoringParams(13, epsilon, 0)
         with pytest.raises(ValueError):
             FirstColoringParams(13, 0.2, 0, window=-1)
 
@@ -118,12 +148,12 @@ class TestPatternHistogram:
         c = sc(9, 3)
         hist = pattern_class_histogram(c, identity_coloring(9), 1)
         assert hist.max_class_size == 1
-        assert all(v == 1 for v in hist.counts.values())
+        assert hist.class_count == hist.face_count == 15
 
     def test_identity_on_sc_5_3(self):
         hist = pattern_class_histogram(sc(5, 3), identity_coloring(5), 1)
         assert hist.face_count == 7
-        assert len(hist.counts) == 7
+        assert hist.class_count == 7
 
     def test_expected_class_size_arithmetic(self):
         # N (d-1) / C(13, 2) at N = 10^4 with zero slack
@@ -156,10 +186,64 @@ class TestPatternHistogram:
             hist = pattern_class_histogram(sc(n, d), f, codim, eps)
             assert int(hist.bound) == first_stage_class_cap(n, d, c1, codim, eps)
 
+    def test_identity_coloring_with_a_large_palette(self):
+        c = sc(10**4, 4)
+        f = identity_coloring(10**4)
+        for codim in range(4):
+            oracle = sorted_pattern_classes(c, f, codim)
+            hist = pattern_class_histogram(c, f, codim)
+            assert hist.face_count == hist.class_count == len(oracle)
+            assert hist.max_class_size == 1
+
     def test_class_cap_values(self):
         assert first_stage_class_cap(200, 3, 13, 1, 0.2) == 6
         assert first_stage_class_cap(1000, 4, 13, 2, 0.2) == 46
         assert first_stage_class_cap(10**5, 3, 13, 1, 0.1) == 2820
+
+
+def sorted_pattern_classes(c, f, codim):
+    size = c.dim_facet - codim
+    faces = [face for face in all_faces(c) if len(face) == size]
+    return Counter(tuple(sorted(f.of(v) for v in face)) for face in faces)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4])
+@pytest.mark.parametrize("palette", [(1, 2, 3, 4, 5, 6, 7), (1, 2, 9998, 9999, 10**4)])
+def test_every_color_multiset_is_its_own_class(size, palette):
+    # vertex i * size + j + 1 is the j-th copy of palette[i], and each
+    # multiset of palette colors colors exactly one facet
+    copies = {}
+    facets = []
+    for multiset in itertools.combinations_with_replacement(range(len(palette)), size):
+        for i in multiset:
+            copies[i] = 0
+        face = []
+        for i in multiset:
+            face.append(i * size + copies[i] + 1)
+            copies[i] += 1
+        facets.append(tuple(face))
+    colors = tuple(col for col in palette for _ in range(size))
+    c = Complex(size, len(colors), tuple(facets))
+    hist = pattern_class_histogram(c, Coloring(colors, palette[-1]), 0)
+    assert hist.class_count == hist.face_count == math.comb(len(palette) + size - 1, size)
+    assert hist.max_class_size == 1
+
+
+@given(st.integers(0, 10_000), st.sampled_from([1, 2, 3, 7, 10**4]))
+@settings(max_examples=120, deadline=None)
+def test_class_statistics_match_sorted_patterns(seed, palette):
+    # improper colorings from a few colors of a possibly huge palette, so
+    # faces repeat colors and classes collide
+    rng = random.Random(seed)
+    c = random_complex(rng)
+    pool = [rng.randint(1, palette) for _ in range(rng.randint(1, 4))]
+    f = Coloring(tuple(rng.choice(pool) for _ in range(c.n_vertices)), palette)
+    for codim in range(c.dim_facet):
+        oracle = sorted_pattern_classes(c, f, codim)
+        hist = pattern_class_histogram(c, f, codim)
+        assert hist.max_class_size == max(oracle.values())
+        assert hist.class_count == len(oracle)
+        assert hist.face_count == sum(oracle.values())
 
 
 class TestIntersectingRidgeBound:

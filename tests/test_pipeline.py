@@ -1,8 +1,10 @@
+import hashlib
+import json
 import sys
 
 import pytest
 
-from corridors import complex_core, pipeline
+from corridors import coloring, complex_core, pipeline
 from corridors import (
     InvalidSpec,
     ResampleCapExceeded,
@@ -14,12 +16,12 @@ from corridors import (
 )
 
 
-def record_calls(monkeypatch, name):
-    """Rebind complex_core's `name` in every corridors module that imports it.
+def record_calls(monkeypatch, name, module=complex_core):
+    """Rebind module's `name` in every corridors module that imports it.
 
     Returns the list to which each call appends its first argument.
     """
-    original = getattr(complex_core, name)
+    original = getattr(module, name)
     calls = []
 
     def recording(*args, **kwargs):
@@ -49,6 +51,60 @@ def test_quotient_diameter_is_measured_once(monkeypatch, mode):
     report = run_pipeline(mode, 3, 200, 13, 0.2, 0)
     assert report["ok"]
     assert [g.n_nodes for g in measured] == [report["results"]["facet_count"]]
+
+
+def test_carrier_faces_are_enumerated_once(monkeypatch):
+    # all ten greedy attempts count classes over one enumeration
+    enumerated = record_calls(monkeypatch, "faces_of_codim", coloring)
+    report = run_pipeline("pseudomanifold", 3, 500, 13, 0.2, 0)
+    assert report["ok"]
+    assert report["results"]["greedy_attempts"] == 10
+    assert [c.dim_facet for c in enumerated] == [4]
+
+
+class StageOneDone(Exception):
+    pass
+
+
+@pytest.mark.parametrize("mode,sorts", [("simplicial", 0), ("pseudomanifold", 1)])
+def test_retry_loop_sorts_no_face(monkeypatch, mode, sorts):
+    # classes are counted by an additive key: neither pattern_keys nor a
+    # per-face sort runs, only faces_of_codim's one sort of the codim-2 faces
+    keyed = record_calls(monkeypatch, "pattern_keys", coloring)
+    sorted_calls = []
+
+    def counting_sorted(*args, **kwargs):
+        sorted_calls.append(args[0])
+        return sorted(*args, **kwargs)
+
+    def stop(*args, **kwargs):
+        raise StageOneDone
+
+    for mod in (coloring, pipeline):
+        monkeypatch.setattr(mod, "sorted", counting_sorted, raising=False)
+    monkeypatch.setattr(pipeline, "moser_tardos_refine", stop)
+    with pytest.raises(StageOneDone):
+        run_pipeline(mode, 3, 500, 13, 0.2, 0)
+    assert keyed == []
+    assert len(sorted_calls) == sorts
+
+
+# sha256 of the compact JSON of strip_volatile(run_pipeline(mode, d, 250, c1,
+# 0.2, 0)) for each grid-small configuration: any change to a draw schedule,
+# a class key or a report field shows here
+GOLDEN_REPORTS = [
+    ("simplicial", 3, 13, "1ead3ad4e2798d8f4b492092068b7353756c17a23fce74cfab3947c3122ce638"),
+    ("simplicial", 4, 19, "174cf6e6e6fecdac51078b3cdd75e9d0d1195027d138831c3023581b8b42648e"),
+    ("pseudomanifold", 3, 13, "e883795755fac339512c6eb1e272184c50d21ce7600e993c63eed7ce0321821d"),
+    ("pseudomanifold", 4, 19, "060887bdc9a250d7c0c9fa8844138389270fdc58dce7c8ab3817e81f9687993e"),
+]
+
+
+@pytest.mark.parametrize("mode,d,c1,digest", GOLDEN_REPORTS)
+def test_golden_report(mode, d, c1, digest):
+    report = strip_volatile(run_pipeline(mode, d, 250, c1, 0.2, 0))
+    data = json.dumps(report, separators=(",", ":")).encode()
+    assert hashlib.sha256(data).hexdigest() == digest
 
 
 class TestSimplicialMode:
@@ -120,6 +176,11 @@ class TestParameterGuards:
     def test_policy_checked(self):
         with pytest.raises(InvalidSpec):
             run_pipeline("simplicial", 3, 40, 13, 0.2, 0, s_policy="hope")
+
+    @pytest.mark.parametrize("epsilon", [0, float("nan"), float("inf")])
+    def test_epsilon_checked(self, epsilon):
+        with pytest.raises(InvalidSpec, match="epsilon"):
+            run_pipeline("simplicial", 3, 40, 13, epsilon, 0)
 
     def test_retry_budget_checked(self):
         with pytest.raises(InvalidSpec):
