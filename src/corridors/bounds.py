@@ -87,7 +87,7 @@ def pm_fvector_check(c: Complex) -> bool:
     """Consistency identity d * (#facets) == 2 * (#ridges) for pseudomanifolds."""
     if not is_pseudomanifold(c):
         raise NotPseudomanifold("some ridge is not in exactly two facets")
-    return c.dim_facet * len(c.facets) == 2 * len(c.incidence.ridges)
+    return c.dim_facet * len(c.facets) == 2 * len(c.incidence)
 
 
 def bound_report(n: int, d: int) -> dict:

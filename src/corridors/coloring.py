@@ -18,16 +18,18 @@ from __future__ import annotations
 
 import itertools
 import random
-from bisect import insort
+from array import array
+from bisect import bisect_left, insort
 from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, compress, islice, repeat
 from math import comb, inf
-from operator import add
+from operator import add, mod, mul, sub
 from pathlib import Path
 
 from .bounds import E
-from .complex_core import Complex, _int_fields
+from .complex_core import Complex, Incidence, _decode_codes, _int_fields
 from .errors import (
     IncompleteColoring,
     NoLegalColor,
@@ -158,13 +160,15 @@ def _require_total(c: Complex, f: Coloring):
         )
 
 
-def pattern_keys(colors, faces) -> list[PatternKey]:
+def pattern_keys(colors, columns) -> list[PatternKey]:
     """Pattern of each face: the sorted tuple of its vertices' colors.
 
-    colors[v - 1] is the color of vertex v, as in Coloring.colors.  This is
-    the one ordered key; class_sizes counts classes without building it.
+    colors[v - 1] is the color of vertex v, as in Coloring.colors.  The
+    faces come as nonempty vertex columns, as for class_sizes.  This is the
+    one ordered key; class_sizes counts classes without building it.
     """
-    return [tuple(sorted(colors[v - 1] for v in face)) for face in faces]
+    looked_up = [map(colors.__getitem__, map(sub, col, repeat(1))) for col in columns]
+    return list(map(tuple, map(sorted, zip(*looked_up))))
 
 
 def faces_of_codim(c: Complex, k: int):
@@ -181,6 +185,16 @@ def faces_of_codim(c: Complex, k: int):
     for F in c.facets:
         faces.update(itertools.combinations(F, size))
     return sorted(faces)
+
+
+def face_columns(c: Complex, k: int) -> list:
+    """list(zip(*faces_of_codim(c, k))): the codim-k faces as vertex columns.
+
+    Codimension 1 decodes the cached incidence, building no tuple per ridge.
+    """
+    if k == 1 and c.dim_facet > 1:
+        return c.incidence.columns()
+    return list(zip(*faces_of_codim(c, k)))
 
 
 def _first_stage_class_bound(
@@ -257,7 +271,7 @@ def pattern_class_histogram(
     colors than a face needs.
     """
     _require_total(c, f)
-    sizes = class_sizes(f.colors, f.c, list(zip(*faces_of_codim(c, codim))))
+    sizes = class_sizes(f.colors, f.c, face_columns(c, codim))
     if f.c >= c.dim_facet - codim:
         bound = float(
             _first_stage_class_bound(c.n_vertices, c.dim_facet, f.c, codim, epsilon)
@@ -313,6 +327,17 @@ def verify_proper(c: Complex, f: Coloring) -> bool:
     return True
 
 
+def _first_repeat(values):
+    """(i, j) for the first j whose value already stood at i; None if all differ."""
+    if len(set(values)) == len(values):
+        return None
+    first_at: dict = {}
+    for j, value in enumerate(values):
+        i = first_at.setdefault(value, j)
+        if i != j:
+            return i, j
+
+
 def verify_unique_ridge_patterns(c: Complex, f: Coloring):
     """Exhaustive pattern-collision check over all ridges.
 
@@ -320,13 +345,11 @@ def verify_unique_ridge_patterns(c: Complex, f: Coloring):
     colliding pair in lexicographic ridge order.
     """
     _require_total(c, f)
-    ridges = c.incidence.ridges
-    seen: dict[PatternKey, tuple[int, ...]] = {}
-    for ridge, key in zip(ridges, pattern_keys(f.colors, ridges)):
-        if key in seen:
-            return False, (seen[key], ridge)
-        seen[key] = ridge
-    return True, None
+    inc = c.incidence
+    pair = _first_repeat(pattern_keys(f.colors, inc.columns()))
+    if pair is None:
+        return True, None
+    return False, tuple(map(inc.ridge, pair))
 
 
 @dataclass(frozen=True)
@@ -336,18 +359,70 @@ class RefineResult:
     resamples: int
 
 
-def _require_refinable(ridges, by_vertex, colors, S):
+def _ridges_by_vertex(columns, n_ridges: int, n_vertices: int):
+    """Vertex-ridge incidence in CSR form, from the ridges' vertex columns.
+
+    The ridges containing vertex v, ascending, are rids[starts[v]:starts[v + 1]].
+    """
+    keys = sorted(
+        chain.from_iterable(
+            map(add, map(mul, col, repeat(n_ridges)), range(n_ridges)) for col in columns
+        )
+    )
+    rids = array("q", map(mod, keys, repeat(n_ridges)))
+    starts = list(
+        map(bisect_left, repeat(keys), map(mul, range(n_vertices + 2), repeat(n_ridges)))
+    )
+    return starts, rids
+
+
+def _require_refinable(inc: Incidence, columns, starts, rids, colors, S):
     """Stage-one patterns must separate intersecting ridges and classes fit S."""
-    f_keys = pattern_keys(colors, ridges)
-    for rids in by_vertex.values():
-        for a, b in itertools.combinations(rids, 2):
-            if f_keys[a] == f_keys[b]:
-                raise PreconditionViolated(
-                    f"intersecting ridges {ridges[a]} and {ridges[b]} share a pattern"
-                )
-    worst = max(Counter(f_keys).values(), default=0)
+    f_keys = pattern_keys(colors, columns)
+    class_of = {key: i for i, key in enumerate(dict.fromkeys(f_keys))}
+    classes = list(map(class_of.__getitem__, f_keys))
+    # ridges through one vertex must lie in distinct classes, so the
+    # (vertex, class) pairs of all vertex-ridge incidences are distinct
+    vertex_of = chain.from_iterable(
+        map(repeat, range(len(starts) - 1), map(sub, islice(starts, 1, None), starts))
+    )
+    pairs = map(add, map(mul, vertex_of, repeat(len(class_of))), map(classes.__getitem__, rids))
+    if len(set(pairs)) < len(rids):
+        # name the first clash, scanning vertices as the ridge order meets them
+        for v in dict.fromkeys(chain.from_iterable(zip(*columns))):
+            for a, b in itertools.combinations(rids[starts[v]:starts[v + 1]], 2):
+                if f_keys[a] == f_keys[b]:
+                    raise PreconditionViolated(
+                        f"intersecting ridges {inc.ridge(a)} and {inc.ridge(b)} "
+                        "share a pattern"
+                    )
+    worst = max(Counter(classes).values(), default=0)
     if worst > S:
         raise PreconditionViolated(f"a ridge class has size {worst} > S = {S}")
+
+
+def _move_ridge(alone, crowds, rid, old, new):
+    """Move ridge rid from the class of pattern old to that of pattern new.
+
+    A pattern held by one ridge maps to it in `alone`; a pattern held by two
+    or more maps to the list of them in `crowds`, whose keys are therefore
+    exactly the colliding patterns.
+    """
+    crowd = crowds.get(old)
+    if crowd is None:
+        del alone[old]
+    else:
+        crowd.remove(rid)
+        if len(crowd) == 1:
+            alone[old] = crowd.pop()
+            del crowds[old]
+    crowd = crowds.get(new)
+    if crowd is not None:
+        crowd.append(rid)
+    elif new in alone:
+        crowds[new] = [alone.pop(new), rid]
+    else:
+        alone[new] = rid
 
 
 def moser_tardos_refine(
@@ -372,13 +447,11 @@ def moser_tardos_refine(
     if not verify_proper(c, f):
         raise PreconditionViolated("stage-one coloring is not proper")
 
-    ridges = c.incidence.ridges
+    inc = c.incidence
+    columns = inc.columns()
     colors = f.colors
-    by_vertex: dict[int, list[int]] = {}
-    for rid, r in enumerate(ridges):
-        for v in r:
-            by_vertex.setdefault(v, []).append(rid)
-    _require_refinable(ridges, by_vertex, colors, p.S)
+    starts, rids = _ridges_by_vertex(columns, len(inc), c.n_vertices)
+    _require_refinable(inc, columns, starts, rids, colors, p.S)
 
     rng = random.Random(p.seed)
     c2 = p.c2
@@ -391,43 +464,38 @@ def moser_tardos_refine(
         g = list(initial_g.colors)
 
     # product color of every vertex, kept current as g is resampled
-    h = [(colors[i] - 1) * c2 + g[i] for i in range(c.n_vertices)]
+    h = list(map(add, map(mul, map(sub, colors, repeat(1)), repeat(c2)), g))
 
-    keys = pattern_keys(h, ridges)
-    # a ridge's bucket is a list: it holds each ridge at most once, and the
+    keys = pattern_keys(h, columns)
+    del columns
+    # per-ridge state is flat: only colliding patterns keep a list, and the
     # winners are read through sorted(), so membership order never matters
-    buckets: dict[PatternKey, list[int]] = {}
-    for rid, key in enumerate(keys):
-        buckets.setdefault(key, []).append(rid)
-    violating = {key for key, rids in buckets.items() if len(rids) > 1}
+    alone = dict(zip(keys, range(len(keys))))
+    crowds: dict[PatternKey, list[int]] = {}
+    if len(alone) < len(keys):
+        crowds = {key: [] for key, k in Counter(keys).items() if k > 1}
+        for rid in compress(range(len(keys)), map(crowds.__contains__, keys)):
+            crowds[keys[rid]].append(rid)
+        for key in crowds:
+            del alone[key]
 
     resamples = 0
-    while violating:
+    while crowds:
         if resamples >= p.max_resamples:
-            raise ResampleCapExceeded(
-                f"{len(violating)} colliding patterns left after {resamples} resamples"
-            )
-        key = min(violating)
-        first, second = sorted(buckets[key])[:2]
-        vertices = sorted(set(ridges[first]) | set(ridges[second]))
+            raise ResampleCapExceeded(len(crowds), resamples)
+        key = min(crowds)
+        first, second = sorted(crowds[key])[:2]
+        vertices = sorted(set(inc.ridge(first)) | set(inc.ridge(second)))
         for v in vertices:
             g[v - 1] = _draw_index(rng, c2) + 1
             h[v - 1] = (colors[v - 1] - 1) * c2 + g[v - 1]
-        touched = list({rid for v in vertices for rid in by_vertex.get(v, ())})
-        new_keys = pattern_keys(h, [ridges[rid] for rid in touched])
+        touched = list({rid for v in vertices for rid in rids[starts[v]:starts[v + 1]]})
+        new_keys = pattern_keys(
+            h, _decode_codes([inc.codes[rid] for rid in touched], inc.n_vertices, inc.size)
+        )
         for rid, new in zip(touched, new_keys):
-            old = keys[rid]
-            bucket = buckets[old]
-            bucket.remove(rid)
-            if len(bucket) < 2:
-                violating.discard(old)
-            if not bucket:
-                del buckets[old]
+            _move_ridge(alone, crowds, rid, keys[rid], new)
             keys[rid] = new
-            bucket = buckets.setdefault(new, [])
-            bucket.append(rid)
-            if len(bucket) > 1:
-                violating.add(new)
         resamples += 1
 
     return RefineResult(

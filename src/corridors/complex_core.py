@@ -6,13 +6,18 @@ so every derived object (ridge lists, dual graphs) has a canonical form and
 equality is structural.
 
 Each complex enumerates its ridges once: `Complex.incidence` runs
-`ridges_of` on first use and keeps the result as an immutable `Incidence`
-(sorted ridges and, in parallel, the ascending ids of the facets containing
-each), which is the ridge-by-facet GF(2) boundary matrix in sparse form.
-Dual graphs, the pseudomanifold test and the coloring and quotient stages
-all read that one index.  An index is only ever built from its own complex's
-facets; a quotient gets its own on first use, never one derived from its
-source, so comparing the two stays a real check.
+`ridges_of` on first use and keeps the result as an immutable `Incidence`,
+the ridge-by-facet GF(2) boundary matrix in compressed sparse row (CSR)
+form.  It holds flat integers only, no container per ridge.  A sorted face
+(v1 < ... < vs) on vertices 1..n is packed into the code
+sum_j vj (n+1)^(s-j), the base-(n+1) number whose digits are its vertices.
+For faces of one size, numeric order of codes is lexicographic order of the
+tuples, so sorting codes orders ridges exactly as sorting tuples would, and
+every order built on the ridge order is unchanged.  Dual graphs, the
+pseudomanifold test and the coloring and quotient stages all read that one
+index.  An index is only ever built from its own complex's facets; a
+quotient gets its own on first use, never one derived from its source, so
+comparing the two stays a real check.
 
 Exact diameters come from one algorithm, the fringe-pruned BFS search in
 `diameter_exact`.
@@ -20,11 +25,13 @@ Exact diameters come from one algorithm, the fringe-pruned BFS search in
 
 from __future__ import annotations
 
-import itertools
+from array import array
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, combinations, compress, islice, repeat
+from operator import add, eq, floordiv, lt, mod, mul, ne, sub
 from pathlib import Path
 
 from .errors import DisconnectedGraph
@@ -51,6 +58,28 @@ class Complex:
             raise ValueError(f"facet size must be at least 1, got {d}")
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
+        # whole columns at C level first; only a failure pays for the
+        # per-facet scan, which names the first offending facet
+        facets = self.facets
+        try:
+            valid = all(map(isinstance, facets, repeat(tuple))) and all(
+                map(eq, map(len, facets), repeat(d))
+            )
+            if valid and facets:
+                columns = list(zip(*facets))
+                valid = (
+                    min(columns[0]) >= 1
+                    and max(columns[-1]) <= n
+                    and all(all(map(lt, a, b)) for a, b in zip(columns, columns[1:]))
+                    and len(set(facets)) == len(facets)
+                )
+        except TypeError:
+            valid = False
+        if not valid:
+            self._reject_first_bad_facet()
+
+    def _reject_first_bad_facet(self):
+        d, n = self.dim_facet, self.n_vertices
         seen = set()
         for F in self.facets:
             if not isinstance(F, tuple) or len(F) != d:
@@ -80,23 +109,58 @@ class Complex:
     @cached_property
     def incidence(self) -> Incidence:
         """Ridge-facet incidence, enumerated by ridges_of on first use."""
-        pairs = ridges_of(self)
-        return Incidence(
-            tuple(r for r, _ in pairs), tuple(tuple(fids) for _, fids in pairs)
-        )
+        return ridges_of(self)
 
 
 @dataclass(frozen=True)
 class Incidence:
-    """Ridges of one complex in lexicographic order, with their facets.
+    """Ridges of one complex in lexicographic order, with their facets, in CSR.
 
-    facets_of[i] lists, ascending, the indices into Complex.facets of the
-    facets containing ridges[i].  Two parallel tuples rather than pairs keep
-    the index small, since it lives as long as its complex.
+    codes[i] is the packed code of ridge i (see the module docstring): base
+    n_vertices + 1, `size` digits, ascending.  Its facets, as ascending
+    indices into Complex.facets, are fids[offsets[i]:offsets[i + 1]].
+    offsets and fids are array('q'); codes is too when every code fits in 64
+    bits, and a plain int list otherwise.  Nothing per ridge is a container,
+    so the index costs a few machine words per entry and the garbage
+    collector never walks it.  `ridges`, `ridge(i)` and iteration decode
+    vertex tuples on demand, for witnesses and tests.
     """
 
-    ridges: tuple[Ridge, ...]
-    facets_of: tuple[tuple[int, ...], ...]
+    n_vertices: int
+    size: int
+    codes: array | list
+    offsets: array
+    fids: array
+
+    def __len__(self):
+        return len(self.codes)
+
+    def __iter__(self):
+        """Decoded (ridge, list of facet ids) rows, in ridge order."""
+        offsets, fids = self.offsets, self.fids
+        for i, ridge in enumerate(self.ridges):
+            yield ridge, fids[offsets[i]:offsets[i + 1]].tolist()
+
+    def columns(self) -> list:
+        """Decoded vertex columns: columns[j][i] is vertex j of ridge i."""
+        return _decode_codes(self.codes, self.n_vertices, self.size)
+
+    @property
+    def ridges(self) -> list[Ridge]:
+        """Every ridge as a sorted vertex tuple, decoded afresh on each access."""
+        if not self.size:
+            return [()] * len(self)
+        return list(zip(*self.columns()))
+
+    def ridge(self, i: int) -> Ridge:
+        """Ridge i as a sorted vertex tuple."""
+        code, base = self.codes[i], self.n_vertices + 1
+        return tuple(code // base ** p % base for p in reversed(range(self.size)))
+
+    def widths(self) -> list[int]:
+        """Number of facets containing each ridge, in ridge order."""
+        offsets = self.offsets
+        return list(map(sub, islice(offsets, 1, None), offsets))
 
 
 @dataclass(frozen=True)
@@ -142,34 +206,94 @@ class DualGraph:
         return [len(nbrs) for nbrs in self.adjacency]
 
 
-def ridges_of(c: Complex):
+def _encode_columns(columns, n_vertices: int):
+    """Code of each row of nonempty vertex columns, as an iterator.
+
+    Row i is the sorted face (columns[0][i], columns[1][i], ...), and its
+    code is that face read as a base-(n_vertices + 1) number, by Horner's
+    rule over whole columns.
+    """
+    base = n_vertices + 1
+    first, *rest = columns
+    codes = iter(first)
+    for column in rest:
+        codes = map(add, map(mul, codes, repeat(base)), column)
+    return codes
+
+
+def _decode_codes(codes, n_vertices: int, size: int) -> list[list[int]]:
+    """Vertex columns of the size-vertex faces whose codes are given."""
+    base = n_vertices + 1
+    columns = []
+    for p in reversed(range(size)):
+        # the leading digit needs no mod, the last one no division
+        digits = map(floordiv, codes, repeat(base ** p)) if p else iter(codes)
+        if p < size - 1:
+            digits = map(mod, digits, repeat(base))
+        columns.append(list(digits))
+    return columns
+
+
+def _store_codes(codes, n_vertices: int, size: int):
+    """Size-vertex face codes as array('q') if every such code fits in 64
+    bits, and as an int list otherwise."""
+    if (n_vertices + 1) ** size < 2 ** 63:
+        return array("q", codes)
+    return list(codes)
+
+
+def ridges_of(c: Complex) -> Incidence:
     """All (d-1)-subsets of facets, deduplicated and in lexicographic order.
 
-    Returns a list of (ridge, containing_facet_indices) pairs; facet indices
-    refer to positions in c.facets and come out ascending.
+    Drops each facet column in turn and packs the rest into ridge codes, so
+    the d passes run over whole columns at C level.  One sort of the keys
+    code * m + facet id (m facets) orders rows by ridge and, within a row,
+    facet ids ascending; grouping equal codes gives the CSR offsets.
+    len() of the result is the number of ridges.
     """
-    by_ridge: dict[Ridge, list[int]] = {}
-    for fi, F in enumerate(c.facets):
-        for r in itertools.combinations(F, len(F) - 1):
-            by_ridge.setdefault(r, []).append(fi)
-    return sorted(by_ridge.items())
+    m, n = len(c.facets), c.n_vertices
+    columns = list(zip(*c.facets))
+    keys = []
+    for j in range(c.dim_facet):
+        rest = columns[:j] + columns[j + 1:]
+        codes = _encode_columns(rest, n) if rest else repeat(0, m)
+        keys += map(add, map(mul, codes, repeat(m)), range(m))
+    keys.sort()
+    row_codes = list(map(floordiv, keys, repeat(m)))
+    fids = array("q", map(mod, keys, repeat(m)))
+    del keys
+    new_row = list(map(ne, islice(row_codes, 1, None), row_codes))
+    offsets = array("q", [0])
+    if row_codes:
+        offsets.extend(compress(range(1, len(row_codes)), new_row))
+        offsets.append(len(row_codes))
+    size = c.dim_facet - 1
+    codes = _store_codes(compress(row_codes, chain((True,), new_row)), n, size)
+    return Incidence(n, size, codes, offsets, fids)
 
 
 def dual_graph(c: Complex) -> DualGraph:
     """Facets become adjacent exactly when they share a full ridge."""
+    inc = c.incidence
+    fids, widths = inc.fids, inc.widths()
     # two distinct facets share at most one ridge, so no edge repeats
     nbrs = [[] for _ in c.facets]
-    for fids in c.incidence.facets_of:
-        if len(fids) > 1:
-            for a, b in itertools.combinations(fids, 2):
-                nbrs[a].append(b)
-                nbrs[b].append(a)
+    for w in set(widths) - {1}:
+        # the first entry of every row of width w, then each pair of columns
+        starts = list(compress(inc.offsets, map(eq, widths, repeat(w))))
+        for a, b in combinations(range(w), 2):
+            left = map(fids.__getitem__, map(add, starts, repeat(a)))
+            right = map(fids.__getitem__, map(add, starts, repeat(b)))
+            for u, v in zip(left, right):
+                nbrs[u].append(v)
+                nbrs[v].append(u)
     return DualGraph(len(c.facets), tuple(tuple(sorted(s)) for s in nbrs))
 
 
 def is_pseudomanifold(c: Complex) -> bool:
     """True iff every ridge lies in exactly two facets."""
-    return all(len(fids) == 2 for fids in c.incidence.facets_of)
+    widths = c.incidence.widths()
+    return widths.count(2) == len(widths)
 
 
 def is_strongly_connected(c: Complex) -> bool:

@@ -38,7 +38,23 @@ class PreconditionViolated(CorridorsError):
 
 
 class ResampleCapExceeded(CorridorsError):
-    """Resampling hit its safety cap; retry with a new seed or more colors."""
+    """Resampling hit its safety cap; retry with a new seed or more colors.
+
+    violating is the number of patterns still colliding and resamples the
+    number of resamples used.
+    """
+
+    def __init__(self, violating: int, resamples: int):
+        # the fields are the args, so a pickled copy rebuilds the same error
+        super().__init__(violating, resamples)
+        self.violating = violating
+        self.resamples = resamples
+
+    def __str__(self):
+        return (
+            f"{self.violating} colliding patterns left "
+            f"after {self.resamples} resamples"
+        )
 
 
 class ImproperColoring(CorridorsError):
@@ -62,7 +78,24 @@ class NotPseudomanifold(CorridorsError):
 
 
 class RetriesExhausted(CorridorsError):
-    """First-stage coloring never met its class-size cap within the retry budget."""
+    """First-stage coloring never met its class-size cap within the retry budget.
+
+    best is the smallest largest-class size seen, cap the class-size cap and
+    attempts the number of greedy attempts used.
+    """
+
+    def __init__(self, best: int, cap: int, attempts: int):
+        # the fields are the args, so a pickled copy rebuilds the same error
+        super().__init__(best, cap, attempts)
+        self.best = best
+        self.cap = cap
+        self.attempts = attempts
+
+    def __str__(self):
+        return (
+            f"best class size {self.best} > cap {self.cap} "
+            f"after {self.attempts} attempts"
+        )
 
 
 # errors that signal "ran out of randomized attempts" rather than bad input

@@ -21,7 +21,7 @@ from .coloring import (
     FirstColoringParams,
     RefinementParams,
     class_sizes,
-    faces_of_codim,
+    face_columns,
     first_stage_class_cap,
     greedy_window_coloring,
     intersecting_ridge_bound,
@@ -67,7 +67,7 @@ def _first_stage(carrier, codim, c1, epsilon, window, master, retries, cap):
     carrier's faces are enumerated once and dropped on return, before the
     refinement stage allocates its own structures.
     """
-    columns = list(zip(*faces_of_codim(carrier, codim)))
+    columns = face_columns(carrier, codim)
     seeds = []
     best = None
     for _ in range(retries):
@@ -144,10 +144,7 @@ def run_pipeline(
     if histogram_max <= s_formula:
         s_source, s_used = "formula", s_formula
     elif s_policy == "strict":
-        raise RetriesExhausted(
-            f"best class size {histogram_max} > cap {s_formula} "
-            f"after {retries} attempts"
-        )
+        raise RetriesExhausted(histogram_max, s_formula, attempts)
     else:
         s_source, s_used = "observed", histogram_max
 

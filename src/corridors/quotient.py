@@ -6,21 +6,37 @@ and the GF(2) boundary matrices of source and quotient agree entry for entry.
 Everything downstream of the boundary matrix (dual graph, diameter,
 pseudomanifold-ness) then transfers for free, but is still re-measured
 directly on the quotient's own facets.
+
+Both sides are flat integer incidences (see complex_core): the ridge map is
+one quotient ridge code per source ridge row, and the preservation check
+compares the two CSR matrices entry by entry as integer codes.  Codes order
+faces as tuples do, so the first-collision witnesses are the pairs a tuple
+scan would find.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, repeat
+from operator import add, mul
 
 from .complex_core import (
     Complex,
-    Ridge,
+    _encode_columns,
+    _store_codes,
     diameter_exact,
     dual_graph,
     is_pseudomanifold,
 )
-from .coloring import Coloring, _require_total, pattern_keys, verify_proper
+from .coloring import (
+    Coloring,
+    _first_repeat,
+    _require_total,
+    pattern_keys,
+    verify_proper,
+)
 from .errors import ImproperColoring, MissingBijection
 
 
@@ -30,14 +46,17 @@ class QuotientResult:
 
     facet_map sends a source facet index to a quotient facet index and only
     contains facets whose pattern is unique; it is total exactly when
-    facets_injective.  ridge_map is None as soon as two ridges collide.
-    Collision witnesses hold the first offending pair in scan order.
+    facets_injective.  ridge_map[i] is the code, in the quotient's own
+    incidence base, of the quotient ridge that source ridge row i becomes;
+    it is an array('q'), or an int list when codes outgrow 64 bits, and None
+    as soon as two ridges collide.  Collision witnesses hold the first
+    offending pair in scan order, as vertex tuples.
     """
 
     quotient: Complex
     color_to_vertex: dict
     facet_map: dict
-    ridge_map: dict | None
+    ridge_map: array | list | None
     facets_injective: bool
     ridges_injective: bool
     facet_collision: tuple | None
@@ -91,22 +110,23 @@ def pattern_complex(c: Complex, f: Coloring) -> QuotientResult:
     # renumbering is monotone, so sorting renumbered colors keeps the order
     qcolors = [color_to_vertex.get(col) for col in colors]
 
-    facet_patterns = pattern_keys(qcolors, c.facets)
+    facet_patterns = pattern_keys(qcolors, list(zip(*c.facets)))
     qfacets = tuple(sorted(set(facet_patterns)))
     quotient = Complex(c.dim_facet, len(used), qfacets)
     facet_map, facet_collision = _facet_correspondence(facet_patterns, qfacets)
     facets_injective = facet_collision is None
+    del facet_patterns
 
-    ridge_map: dict[Ridge, Ridge] = {}
-    seen_ridge: dict = {}
-    ridge_collision = None
-    ridges = c.incidence.ridges
-    for ridge, pat in zip(ridges, pattern_keys(qcolors, ridges)):
-        if pat in seen_ridge:
-            ridge_collision = (seen_ridge[pat], ridge)
-            break
-        seen_ridge[pat] = ridge
-        ridge_map[ridge] = pat
+    inc = c.incidence
+    n_prime, size = len(used), inc.size
+    # a proper coloring keeps each ridge's colors distinct, so its sorted
+    # pattern is a face of the quotient with a code in the quotient's base
+    patterns = list(zip(*pattern_keys(qcolors, inc.columns())))
+    codes = _encode_columns(patterns, n_prime) if size else repeat(0, len(inc))
+    ridge_map = _store_codes(codes, n_prime, size)
+    del patterns
+    pair = _first_repeat(ridge_map)
+    ridge_collision = None if pair is None else tuple(map(inc.ridge, pair))
     ridges_injective = ridge_collision is None
 
     return QuotientResult(
@@ -125,31 +145,34 @@ def verify_boundary_preservation(c: Complex, q: QuotientResult) -> bool:
     """Entry-exact equality of the GF(2) boundary matrices through the bijections.
 
     Reads the ridge-facet incidences of c and of the quotient, the latter
-    enumerated from the quotient's own facets.  Rows are matched through
-    ridge_map, which must hit every quotient ridge exactly once, and each
-    row's facets, sent through facet_map, must be exactly the facets of its
-    image.  Requires both bijections (MissingBijection otherwise); any count
-    mismatch is a failure, not an error.
+    enumerated from the quotient's own facets.  Each entry of a matrix is
+    coded as (ridge code) * (facet count) + facet.  Source row i takes the
+    ridge code ridge_map[i] and its facets their images under facet_map; the
+    moved entries must then be exactly the quotient's.  Both sides hold the
+    same number of entries and the quotient's are distinct, so equal sets
+    mean equal matrices; every quotient row holds a facet, so they also make
+    the row map a bijection onto the quotient's ridges.  Requires both
+    bijections (MissingBijection otherwise); any count mismatch is a
+    failure, not an error.
     """
     if not (q.facets_injective and q.ridges_injective) or q.ridge_map is None:
         raise MissingBijection("quotient has a facet or ridge pattern collision")
     src, dst = c.incidence, q.quotient.incidence
-    if len(src.ridges) != len(dst.ridges) or len(c.facets) != len(q.quotient.facets):
+    m = len(q.quotient.facets)
+    if (
+        not len(q.ridge_map) == len(src) == len(dst)
+        or len(c.facets) != m
+        or len(src.fids) != len(dst.fids)
+    ):
         return False
-
-    ridge_map, facet_map = q.ridge_map, q.facet_map
-    dst_row_of_ridge = {r: i for i, r in enumerate(dst.ridges)}
-    hit = bytearray(len(dst.ridges))
-    for ridge, fids in zip(src.ridges, src.facets_of):
-        di = dst_row_of_ridge.get(ridge_map.get(ridge))
-        if di is None or hit[di]:
-            return False
-        hit[di] = 1
-        image = [facet_map.get(fi) for fi in fids]
-        if None in image or tuple(sorted(image)) != dst.facets_of[di]:
-            return False
-    # equal row counts and an injective row map: every quotient row was hit
-    return True
+    try:
+        image = list(map(q.facet_map.__getitem__, src.fids))
+    except KeyError:
+        return False
+    moved_codes = chain.from_iterable(map(repeat, q.ridge_map, src.widths()))
+    moved = set(map(add, map(mul, moved_codes, repeat(m)), image))
+    dst_codes = chain.from_iterable(map(repeat, dst.codes, dst.widths()))
+    return moved == set(map(add, map(mul, dst_codes, repeat(m)), dst.fids))
 
 
 def quotient_report(c: Complex, q: QuotientResult) -> dict:

@@ -1,8 +1,10 @@
+import dataclasses
 import random
 
 import pytest
 
 from corridors import Complex, CorridorSpec, boundary_corridor, straight_corridor
+from naive_reference import ref_ridges
 
 
 def random_complex(rng, max_vertices=12, max_dim=4):
@@ -22,14 +24,36 @@ def incidence_dense(c):
     Rows are the incidence's ridges, columns the facets in sorted order, and
     dense[i][j] is 1 iff facet cols[j] is listed for ridge rows[i].
     """
-    inc = c.incidence
+    pairs = list(c.incidence)
     cols = sorted(c.facets)
     col_of = {F: j for j, F in enumerate(cols)}
-    dense = [[0] * len(cols) for _ in inc.ridges]
-    for row, fids in zip(dense, inc.facets_of):
+    dense = [[0] * len(cols) for _ in pairs]
+    for row, (_, fids) in zip(dense, pairs):
         for fi in fids:
             row[col_of[c.facets[fi]]] = 1
-    return list(inc.ridges), cols, dense
+    return [r for r, _ in pairs], cols, dense
+
+
+def decode_code(code, n_vertices, size):
+    """The sorted size-vertex face whose base-(n_vertices + 1) code is given."""
+    digits = []
+    for _ in range(size):
+        code, v = divmod(code, n_vertices + 1)
+        digits.append(v)
+    return tuple(reversed(digits))
+
+
+def tuple_ridge_map(c, q):
+    """q with ridge_map decoded to the dict {source ridge: quotient ridge}.
+
+    Row i of the per-row ridge_map belongs to the i-th source ridge in
+    lexicographic order, here taken from the naive enumeration, and holds a
+    quotient ridge code; this is the layout naive_reference reads.
+    """
+    rows = [r for r, _ in ref_ridges(c)]
+    n, size = q.quotient.n_vertices, c.dim_facet - 1
+    decoded = {r: decode_code(code, n, size) for r, code in zip(rows, q.ridge_map)}
+    return dataclasses.replace(q, ridge_map=decoded)
 
 
 def column_weights(dense):

@@ -149,3 +149,73 @@ def ref_greedy_window_coloring(n, c1, seed, window):
             if len(recent) > window:
                 blocked.discard(recent.popleft())
     return tuple(out)
+
+
+def ref_first_pattern_collision(c, colors):
+    """First pair of ridges, in lexicographic ridge order, sharing a pattern.
+
+    colors[v - 1] is the color of vertex v; returns None when every ridge
+    pattern is unique.
+    """
+    first_with = {}
+    for r, _ in ref_ridges(c):
+        pattern = tuple(sorted(colors[v - 1] for v in r))
+        if pattern in first_with:
+            return first_with[pattern], r
+        first_with[pattern] = r
+    return None
+
+
+def ref_facet_error(d, n, facets):
+    """Message of the first defect of a facet list, scanning facet by facet.
+
+    Checks each facet in turn for shape, vertex range (at its two ends),
+    strict increase and repetition of an earlier facet; None when the list
+    is valid.
+    """
+    seen = []
+    for F in facets:
+        if not isinstance(F, tuple) or len(F) != d:
+            return f"facet {F!r} does not have {d} vertices"
+        if F[0] < 1 or F[-1] > n:
+            return f"facet {F} leaves the vertex range 1..{n}"
+        if list(F) != sorted(set(F)):
+            return f"facet {F} is not strictly increasing"
+        if F in seen:
+            return f"duplicate facet {F}"
+        seen.append(F)
+    return None
+
+
+def ref_refine(c, colors, c2, seed, max_resamples):
+    """Resampling refinement with one bucket list per pattern.
+
+    Follows the documented schedule: draw the refinement color of every
+    vertex in order, then, while patterns collide, take the smallest
+    colliding pattern, its two smallest ridges, and redraw their vertices in
+    ascending order.  Returns (product colors, refinement colors,
+    resamples), or None when max_resamples rounds do not suffice.
+    """
+    rng = random.Random(seed)
+    ridges = [r for r, _ in ref_ridges(c)]
+    g = [_ref_draw_index(rng, c2) + 1 for _ in range(c.n_vertices)]
+
+    def product(v):
+        return (colors[v - 1] - 1) * c2 + g[v - 1]
+
+    resamples = 0
+    while True:
+        buckets = {}
+        for rid, r in enumerate(ridges):
+            buckets.setdefault(tuple(sorted(map(product, r))), []).append(rid)
+        colliding = [key for key, rids in buckets.items() if len(rids) > 1]
+        if not colliding:
+            break
+        if resamples >= max_resamples:
+            return None
+        first, second = sorted(buckets[min(colliding)])[:2]
+        for v in sorted(set(ridges[first]) | set(ridges[second])):
+            g[v - 1] = _ref_draw_index(rng, c2) + 1
+        resamples += 1
+    h = tuple(product(v) for v in range(1, c.n_vertices + 1))
+    return h, tuple(g), resamples

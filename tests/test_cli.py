@@ -264,6 +264,22 @@ class TestPipelineCommand:
         )
         assert code == 3
 
+    def test_exhaustion_prints_its_state(self, capsys):
+        code, out, err = run(
+            capsys, "pipeline", "--mode", "simplicial", "--dim", "3", "--n", "200",
+            "--c1", "13", "--seed", "0", "--c2", "2", "--max-resamples", "1",
+        )
+        assert code == 3 and out == ""
+        assert err.splitlines() == ["error: 118 colliding patterns left after 1 resamples"]
+
+    def test_strict_policy_prints_its_state(self, capsys):
+        code, out, err = run(
+            capsys, "pipeline", "--mode", "simplicial", "--dim", "3", "--n", "40",
+            "--c1", "13", "--seed", "0", "--s-policy", "strict", "--retries", "3",
+        )
+        assert code == 3 and out == ""
+        assert err.splitlines() == ["error: best class size 3 > cap 1 after 3 attempts"]
+
     def test_pseudomanifold_run_exit_0(self, capsys):
         code, _, _ = run(
             capsys, "pipeline", "--mode", "pseudomanifold", "--dim", "3", "--n", "12",

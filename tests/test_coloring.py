@@ -37,8 +37,14 @@ from corridors import (
     verify_unique_ridge_patterns,
     write_coloring,
 )
+from corridors.coloring import face_columns
 from conftest import random_complex
-from naive_reference import all_faces, ref_greedy_window_coloring
+from naive_reference import (
+    all_faces,
+    ref_first_pattern_collision,
+    ref_greedy_window_coloring,
+    ref_refine,
+)
 
 
 def sc(n, d):
@@ -170,6 +176,12 @@ class TestPatternHistogram:
         assert cap == 282
         assert hist.max_class_size == 280
         assert hist.max_class_size <= cap
+
+    def test_face_columns_transpose_the_faces(self, corpus):
+        for c in corpus:
+            for k in range(c.dim_facet):
+                columns = [list(col) for col in zip(*faces_of_codim(c, k))]
+                assert [list(col) for col in face_columns(c, k)] == columns
 
     def test_codim_range_and_errors(self):
         c = sc(6, 3)
@@ -304,6 +316,16 @@ class TestVerifiers:
             verify_proper(sc(5, 3), identity_coloring(6))
 
 
+@given(st.integers(0, 10_000), st.integers(1, 6))
+@settings(max_examples=100, deadline=None)
+def test_ridge_witness_is_the_first_collision(seed, palette):
+    rng = random.Random(seed)
+    c = random_complex(rng)
+    f = Coloring(tuple(rng.randint(1, palette) for _ in range(c.n_vertices)), palette)
+    witness = ref_first_pattern_collision(c, f.colors)
+    assert verify_unique_ridge_patterns(c, f) == (witness is None, witness)
+
+
 class TestMoserTardosRefine:
     def test_unique_input_needs_no_resamples(self):
         c = sc(8, 3)
@@ -360,6 +382,46 @@ class TestMoserTardosRefine:
         c = sc(8, 3)
         with pytest.raises(PreconditionViolated):
             moser_tardos_refine(c, identity_coloring(8), RefinementParams(18, 0, 4, 0))
+
+    @pytest.mark.parametrize(
+        "colors,message",
+        [
+            ((1, 2, 3, 1, 2, 4), "intersecting ridges (1, 2) and (2, 4) share a pattern"),
+            ((1, 2, 3, 4, 1, 2), "intersecting ridges (1, 3) and (3, 5) share a pattern"),
+        ],
+    )
+    def test_intersecting_collision_names_its_pair(self, colors, message):
+        with pytest.raises(PreconditionViolated) as info:
+            moser_tardos_refine(sc(6, 3), Coloring(colors, 4), RefinementParams(18, 9, 4, 0))
+        assert str(info.value) == message
+
+    def test_oversized_class_message(self):
+        with pytest.raises(PreconditionViolated) as info:
+            moser_tardos_refine(sc(8, 3), identity_coloring(8), RefinementParams(18, 0, 4, 0))
+        assert str(info.value) == "a ridge class has size 1 > S = 0"
+
+    @given(
+        st.sampled_from([(3, 13), (4, 19)]),
+        st.integers(8, 120),
+        st.integers(0, 2**32),
+        st.integers(1, 6),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_bucket_list_reference(self, shape, n, seed, c2):
+        # few refinement colors force long resampling runs, and some hit the cap
+        d, c1 = shape
+        c = sc(n, d)
+        f = greedy_window_coloring(c, FirstColoringParams(c1, 0.2, seed))
+        s = pattern_class_histogram(c, f, 1).max_class_size
+        params = RefinementParams(18, s, c2, seed + 1, max_resamples=200)
+        expected = ref_refine(c, f.colors, c2, seed + 1, 200)
+        if expected is None:
+            with pytest.raises(ResampleCapExceeded) as info:
+                moser_tardos_refine(c, f, params)
+            assert info.value.resamples == 200
+            return
+        result = moser_tardos_refine(c, f, params)
+        assert (result.coloring.colors, result.g.colors, result.resamples) == expected
 
     def test_resample_cap(self):
         # one refinement color can never separate the colliding disjoint pair

@@ -1,4 +1,6 @@
+import dataclasses
 import random
+from array import array
 
 import numpy as np
 import pytest
@@ -24,11 +26,13 @@ from corridors import (
     straight_corridor,
     write_complex,
 )
-from conftest import column_weights, incidence_dense, random_complex
+from corridors.complex_core import Incidence
+from conftest import column_weights, decode_code, incidence_dense, random_complex
 from naive_reference import (
     ref_boundary_dense,
     ref_diameter,
     ref_dual_edges,
+    ref_facet_error,
     ref_is_pseudomanifold,
     ref_ridges,
 )
@@ -64,6 +68,52 @@ class TestComplexValidation:
         with pytest.raises(ValueError):
             Complex(3, 4, ((1, 2, 3), (1, 2, 3)))
 
+    @pytest.mark.parametrize(
+        "facets,message",
+        [
+            (((1, 2),), "facet (1, 2) does not have 3 vertices"),
+            (((1, 2, 3, 4),), "facet (1, 2, 3, 4) does not have 3 vertices"),
+            (([1, 2, 3],), "facet [1, 2, 3] does not have 3 vertices"),
+            (((0, 1, 2),), "facet (0, 1, 2) leaves the vertex range 1..4"),
+            (((2, 3, 5),), "facet (2, 3, 5) leaves the vertex range 1..4"),
+            (((3, 2, 1),), "facet (3, 2, 1) is not strictly increasing"),
+            (((1, 1, 2),), "facet (1, 1, 2) is not strictly increasing"),
+            (((1, 3, 2),), "facet (1, 3, 2) is not strictly increasing"),
+            (((1, 2, 3), (1, 2, 3)), "duplicate facet (1, 2, 3)"),
+            # the first offending facet is named, whatever comes after it
+            (((1, 2, 3), (2, 4, 3), (0, 1, 2)), "facet (2, 4, 3) is not strictly increasing"),
+            (((1, 2, 3), (1, 2, 3), (2, 3, 5)), "duplicate facet (1, 2, 3)"),
+            (((1, 2, 4), (2, 3, 9), (1, 2)), "facet (2, 3, 9) leaves the vertex range 1..4"),
+            (((0, 1, 2), ("a", "b", "c")), "facet (0, 1, 2) leaves the vertex range 1..4"),
+        ],
+    )
+    def test_messages_name_the_first_bad_facet(self, facets, message):
+        with pytest.raises(ValueError) as info:
+            Complex(3, 4, facets)
+        assert str(info.value) == message
+        assert ref_facet_error(3, 4, facets) == message
+
+    @pytest.mark.parametrize(
+        "d,n,message",
+        [
+            (0, 4, "facet size must be at least 1, got 0"),
+            (3, -1, "vertex count must be nonnegative, got -1"),
+        ],
+    )
+    def test_messages_for_bad_sizes(self, d, n, message):
+        with pytest.raises(ValueError) as info:
+            Complex(d, n, ())
+        assert str(info.value) == message
+
+    def test_non_integer_vertex_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            Complex(3, 4, ((1, 2, 3), ("a", "b", "c")))
+
+    def test_edge_cases_are_valid(self):
+        assert Complex(3, 4, ()).facets == ()
+        assert Complex(1, 2, ((1,), (2,))).facet_count == 2
+        assert Complex(3, 3, ((1, 2, 3),)).facet_count == 1
+
     def test_from_facets_normalizes(self):
         c = Complex.from_facets([[3, 1, 2], [2, 4, 3]])
         assert c.facets == ((1, 2, 3), (2, 3, 4))
@@ -78,12 +128,45 @@ class TestRidges:
     def test_single_facet(self):
         assert len(ridges_of(Complex(3, 3, ((1, 2, 3),)))) == 3
 
+    def test_ridge_count_is_len(self):
+        assert len(ridges_of(sc(8, 3))) == 13
+
     def test_corridor_4_3_incidence(self):
         incidence = dict(ridges_of(sc(4, 3)))
         assert len(incidence) == 5
         assert incidence[(2, 3)] == [0, 1]
         for ridge in [(1, 2), (1, 3), (2, 4), (3, 4)]:
             assert len(incidence[ridge]) == 1
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=150, deadline=None)
+def test_validation_matches_facet_scan(seed):
+    # the column-wise check accepts and rejects exactly as the per-facet
+    # definition does, and names the same facet
+    rng = random.Random(seed)
+    d, n = rng.randint(1, 4), rng.randint(1, 8)
+    facets = []
+    for _ in range(rng.randint(0, 6)):
+        F = sorted(rng.sample(range(1, max(n, d) + 1), d)) if n >= d else [1] * d
+        kind = rng.randrange(6)
+        if kind == 1:
+            F[rng.randrange(d)] = rng.choice([0, n + 1, -3])
+        elif kind == 2 and d > 1:
+            F.reverse()
+        elif kind == 3:
+            F = F[:-1] or [1, 1]
+        elif kind == 4 and facets:
+            F = list(rng.choice(facets))
+        facets.append(tuple(F))
+    facets = tuple(facets)
+    expected = ref_facet_error(d, n, facets)
+    if expected is None:
+        assert Complex(d, n, facets).facets == facets
+    else:
+        with pytest.raises(ValueError) as info:
+            Complex(d, n, facets)
+        assert str(info.value) == expected
 
 
 class TestDualGraph:
@@ -146,7 +229,7 @@ class TestPseudomanifold:
 
     def test_matches_row_weights(self, corpus):
         for c in corpus:
-            weights = [len(fids) for fids in c.incidence.facets_of]
+            weights = [len(fids) for _, fids in c.incidence]
             assert is_pseudomanifold(c) == all(w == 2 for w in weights)
 
 
@@ -227,8 +310,15 @@ def test_diameter_methods_agree_on_random_graphs(seed):
 
 
 def incidence_pairs(c):
+    """c.incidence decoded from its arrays alone: (ridge, facet ids) rows."""
     inc = c.incidence
-    return [(r, list(fids)) for r, fids in zip(inc.ridges, inc.facets_of)]
+    return [
+        (
+            decode_code(code, c.n_vertices, inc.size),
+            list(inc.fids[inc.offsets[i]:inc.offsets[i + 1]]),
+        )
+        for i, code in enumerate(inc.codes)
+    ]
 
 
 class TestNaiveReferenceAgreement:
@@ -269,7 +359,62 @@ def test_incidence_matches_reference_on_random_complexes(seed):
     assert edges == ref_dual_edges(c)
 
 
+@given(st.integers(0, 10_000))
+@settings(max_examples=80, deadline=None)
+def test_flat_incidence_decodes_to_the_reference(seed):
+    rng = random.Random(seed)
+    c = random_complex(rng)
+    # facet order is arbitrary: ridge rows and ids within a row still sort
+    facets = list(c.facets)
+    rng.shuffle(facets)
+    c = Complex(c.dim_facet, c.n_vertices, tuple(facets))
+    inc = c.incidence
+    reference = ref_ridges(c)
+    assert incidence_pairs(c) == reference
+    assert list(inc) == reference
+    assert inc.ridges == [r for r, _ in reference]
+    assert [inc.ridge(i) for i in range(len(inc))] == inc.ridges
+    assert inc.columns() == [list(col) for col in zip(*inc.ridges)]
+    assert inc.widths() == [len(fids) for _, fids in reference]
+    # code order is tuple order: the codes ascend strictly along the ridges
+    assert list(inc.codes) == sorted(set(inc.codes))
+    assert len(inc) == len(reference) == len(inc.offsets) - 1
+
+
+def check_incidence_fields(inc):
+    for field in dataclasses.fields(Incidence):
+        value = getattr(inc, field.name)
+        if isinstance(value, int):
+            continue
+        assert isinstance(value, (array, list)), field.name
+        assert all(type(x) is int for x in value), field.name
+
+
 class TestIncidence:
+    def test_no_per_ridge_containers(self, corpus):
+        for c in corpus + [sc(1000, 3), boundary_corridor(200, 4)]:
+            check_incidence_fields(c.incidence)
+            assert type(c.incidence.codes) is array
+            assert type(c.incidence.fids) is array
+            assert type(c.incidence.offsets) is array
+
+    def test_codes_beyond_64_bits_use_an_int_list(self):
+        # (10**7 + 1)**4 >= 2**63: ridge codes of size 4 outgrow array('q')
+        big = 10 ** 7
+        c = Complex(5, big, ((1, 2, 3, 4, big), (2, 3, 4, big - 1, big), (3, 9, 99, 999, big)))
+        inc = c.incidence
+        assert type(inc.codes) is list and max(inc.codes) >= 2 ** 63
+        check_incidence_fields(inc)
+        assert incidence_pairs(c) == list(inc) == ref_ridges(c)
+        assert not is_pseudomanifold(c)
+        edges = {(u, v) for u, nbrs in enumerate(dual_graph(c).adjacency) for v in nbrs if u < v}
+        assert edges == ref_dual_edges(c) == {(0, 1)}
+
+    def test_array_up_to_the_64_bit_limit(self):
+        # (55107 + 1)**4 < 2**63 <= (55108 + 1)**4
+        assert type(Complex(5, 55107, ((1, 2, 3, 4, 5),)).incidence.codes) is array
+        assert type(Complex(5, 55108, ((1, 2, 3, 4, 5),)).incidence.codes) is list
+
     def test_built_once_and_kept(self):
         c = sc(6, 3)
         assert c.incidence is c.incidence

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import pickle
 import sys
 
 import pytest
@@ -196,6 +197,38 @@ class TestExhaustion:
     def test_resample_cap_propagates(self):
         with pytest.raises(ResampleCapExceeded):
             run_pipeline("simplicial", 3, 200, 13, 0.2, 0, c2=2, max_resamples=1)
+
+    def test_resample_cap_carries_its_state(self):
+        with pytest.raises(ResampleCapExceeded) as info:
+            run_pipeline("simplicial", 3, 200, 13, 0.2, 0, c2=2, max_resamples=1)
+        exc = info.value
+        assert (exc.violating, exc.resamples) == (118, 1)
+        assert str(exc) == "118 colliding patterns left after 1 resamples"
+
+    def test_retries_exhausted_carries_its_state(self):
+        with pytest.raises(RetriesExhausted) as info:
+            run_pipeline("simplicial", 3, 40, 13, 0.2, 0, s_policy="strict", retries=3)
+        exc = info.value
+        assert (exc.best, exc.cap, exc.attempts) == (3, 1, 3)
+        assert str(exc) == "best class size 3 > cap 1 after 3 attempts"
+
+    def test_exhaustion_state_survives_pickling(self):
+        # bench workers send results between processes
+        for exc in (ResampleCapExceeded(118, 1), RetriesExhausted(3, 1, 3)):
+            again = pickle.loads(pickle.dumps(exc))
+            assert type(again) is type(exc)
+            assert vars(again) == vars(exc) and str(again) == str(exc)
+
+    def test_bench_row_prints_the_state(self):
+        capped = run_bench("simplicial", [3], [200], [13], [0], c2=2, max_resamples=1)
+        strict = run_bench("simplicial", [3], [40], [13], [0], s_policy="strict", retries=3)
+        assert [row["status"] for row in capped["rows"] + strict["rows"]] == ["failed"] * 2
+        assert capped["rows"][0]["error"] == (
+            "ResampleCapExceeded: 118 colliding patterns left after 1 resamples"
+        )
+        assert strict["rows"][0]["error"] == (
+            "RetriesExhausted: best class size 3 > cap 1 after 3 attempts"
+        )
 
     def test_adaptive_records_fallback(self):
         report = run_pipeline("simplicial", 3, 40, 13, 0.2, 0)

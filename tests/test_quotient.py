@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import itertools
 import random
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import small_complex_corpus
+from conftest import small_complex_corpus, tuple_ridge_map
 from corridors import (
     Coloring,
     Complex,
@@ -31,7 +32,7 @@ from corridors import (
     straight_corridor,
     verify_boundary_preservation,
 )
-from naive_reference import ref_boundary_preserved
+from naive_reference import ref_boundary_preserved, ref_first_pattern_collision
 
 CORPUS = small_complex_corpus()
 
@@ -83,9 +84,13 @@ def assert_diameters_recomputed(fragment, c, q):
 
 
 def swap_two_images(mapping, rng):
-    """Copy of mapping with the images of two distinct keys exchanged."""
-    a, b = rng.sample(sorted(mapping), 2)
-    swapped = dict(mapping)
+    """Copy of mapping with the images of two distinct keys exchanged.
+
+    A dict's keys are its sorted keys; a per-row sequence's are its rows.
+    """
+    keys = sorted(mapping) if isinstance(mapping, dict) else range(len(mapping))
+    a, b = rng.sample(keys, 2)
+    swapped = copy.copy(mapping)
     swapped[a], swapped[b] = mapping[b], mapping[a]
     return swapped
 
@@ -97,7 +102,9 @@ class TestPatternComplex:
         assert q.quotient == c
         assert q.facets_injective and q.ridges_injective
         assert q.facet_map == {i: i for i in range(3)}
-        assert all(q.ridge_map[r] == r for r, _ in ridges_of(c))
+        decoded = tuple_ridge_map(c, q).ridge_map
+        assert len(decoded) == len(ridges_of(c)) == 7
+        assert all(decoded[r] == r for r, _ in ridges_of(c))
 
     def test_constant_coloring_rejected(self):
         with pytest.raises(ImproperColoring):
@@ -189,7 +196,30 @@ class TestBoundaryPreservation:
         swapped[0], swapped[1] = q.facet_map[1], q.facet_map[0]
         broken = dataclasses.replace(q, facet_map=swapped)
         assert not verify_boundary_preservation(c, broken)
-        assert not ref_boundary_preserved(c, broken)
+        assert not ref_boundary_preserved(c, tuple_ridge_map(c, broken))
+
+    def test_swapped_ridge_codes_detected(self):
+        c = sc(5, 3)
+        q = pattern_complex(c, identity_coloring(5))
+        # ridge (1, 2) lies in facet 0 only, ridge (2, 3) in facets 0 and 1
+        swapped = copy.copy(q.ridge_map)
+        swapped[0], swapped[2] = q.ridge_map[2], q.ridge_map[0]
+        broken = dataclasses.replace(q, ridge_map=swapped)
+        assert not verify_boundary_preservation(c, broken)
+        assert not ref_boundary_preserved(c, tuple_ridge_map(c, broken))
+
+    def test_ridge_map_is_one_quotient_code_per_source_row(self):
+        # colors 2, 4, 5, 7, 9 become quotient vertices 1..5, so the source
+        # vertices 1..5 land on 3, 1, 5, 2, 4 and codes are in base 6
+        c = sc(5, 3)
+        q = pattern_complex(c, Coloring((5, 2, 9, 4, 7), 9))
+        assert q.ridges_injective
+        decoded = tuple_ridge_map(c, q).ridge_map
+        assert decoded == {
+            (1, 2): (1, 3), (1, 3): (3, 5), (2, 3): (1, 5), (2, 4): (1, 2),
+            (3, 4): (2, 5), (3, 5): (4, 5), (4, 5): (2, 4),
+        }
+        assert list(q.ridge_map) == [9, 23, 11, 8, 17, 29, 16]
 
     @given(st.integers(0, len(CORPUS) - 1), st.integers(0, 10_000))
     @settings(max_examples=150, deadline=None)
@@ -202,7 +232,7 @@ class TestBoundaryPreservation:
                 verify_boundary_preservation(c, q)
             return
         assert verify_boundary_preservation(c, q)
-        assert ref_boundary_preserved(c, q)
+        assert ref_boundary_preserved(c, tuple_ridge_map(c, q))
         for field in ("facet_map", "ridge_map"):
             mapping = getattr(q, field)
             if len(mapping) > 1:
@@ -210,7 +240,16 @@ class TestBoundaryPreservation:
                     q, **{field: swap_two_images(mapping, rng)}
                 )
                 fast = verify_boundary_preservation(c, broken)
-                assert fast == ref_boundary_preserved(c, broken)
+                assert fast == ref_boundary_preserved(c, tuple_ridge_map(c, broken))
+
+    @given(st.integers(0, len(CORPUS) - 1), st.integers(0, 10_000))
+    @settings(max_examples=100, deadline=None)
+    def test_ridge_collision_is_the_first_in_ridge_order(self, index, seed):
+        c = CORPUS[index]
+        f = random_proper_coloring(c, random.Random(seed))
+        q = pattern_complex(c, f)
+        assert q.ridge_collision == ref_first_pattern_collision(c, f.colors)
+        assert (q.ridge_map is None) == (q.ridge_collision is not None)
 
     def test_missing_bijection_raises(self):
         c = sc(6, 3)
