@@ -51,8 +51,15 @@ def _emit_json(payload):
     print(json.dumps(payload, indent=2))
 
 
-def _int_list(text):
-    return [int(tok) for tok in text.split(",") if tok]
+def _int_list(option, text):
+    """Comma-separated integers of a list option; a bad token names both."""
+    values = []
+    for tok in filter(None, text.split(",")):
+        try:
+            values.append(int(tok))
+        except ValueError:
+            raise InvalidSpec(f"{option} needs integers, got {tok!r}") from None
+    return values
 
 
 def cmd_build(args):
@@ -238,10 +245,10 @@ def cmd_pipeline(args):
 def cmd_bench(args):
     table = run_bench(
         args.mode,
-        _int_list(args.dims),
-        _int_list(args.ns),
-        _int_list(args.c1s),
-        _int_list(args.seeds),
+        _int_list("--dims", args.dims),
+        _int_list("--ns", args.ns),
+        _int_list("--c1s", args.c1s),
+        _int_list("--seeds", args.seeds),
         epsilon=args.epsilon,
         jobs=args.jobs,
     )

@@ -12,6 +12,14 @@ All randomness flows through one MT19937 stream per operation (seeded
 greedy stage and for the initial refinement sample, then resample events in
 the order they fire.  Index draws use rejection sampling on getrandbits, so
 colorings are reproducible bit-for-bit across platforms and Python versions.
+
+A face's pattern, the sorted tuple of its colors, is handled as one integer
+(pattern_codes): the tuple read as base-(c+1) digits for colors 1..c.  For
+faces of one size, equal codes are equal patterns and code order is tuple
+order, so the resampling order (smallest colliding pattern first) and the
+uniqueness check's witnesses are those of the tuples, and so is the draw
+schedule.  Counting classes needs no order and uses the cheaper additive
+key of class_sizes.
 """
 
 from __future__ import annotations
@@ -23,21 +31,25 @@ from bisect import bisect_left, insort
 from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress, islice, repeat
+from itertools import chain, compress, repeat
 from math import comb, inf
 from operator import add, mod, mul, sub
 from pathlib import Path
 
 from .bounds import E
-from .complex_core import Complex, Incidence, _decode_codes, _int_fields
+from .complex_core import (
+    Complex,
+    Incidence,
+    _decode_codes,
+    _encode_columns,
+    _int_fields,
+)
 from .errors import (
     IncompleteColoring,
     NoLegalColor,
     PreconditionViolated,
     ResampleCapExceeded,
 )
-
-PatternKey = tuple[int, ...]
 
 PRNG_ID = "mt19937(random.Random)+getrandbits-rejection"
 
@@ -160,15 +172,40 @@ def _require_total(c: Complex, f: Coloring):
         )
 
 
-def pattern_keys(colors, columns) -> list[PatternKey]:
-    """Pattern of each face: the sorted tuple of its vertices' colors.
+def pattern_codes(color_of, columns, base: int) -> list[int]:
+    """Pattern of each face as one integer: its sorted colors in base `base`.
 
-    colors[v - 1] is the color of vertex v, as in Coloring.colors.  The
-    faces come as nonempty vertex columns, as for class_sizes.  This is the
-    one ordered key; class_sizes counts classes without building it.
+    color_of[v] is the color of vertex v (slot 0 is unused) and every color
+    lies in 1..base-1.  The faces come as vertex columns, as for
+    class_sizes.  A face with sorted colors k1 <= ... <= ks gets the code
+    sum_j kj base^(s-j), the packing ridges_of gives vertex tuples.  Every
+    digit is below the base, so two faces of one size share a code exactly
+    when they share a pattern, and code order is sorted-tuple order: the
+    smallest code belongs to the lexicographically smallest pattern.
+    Faces of two or three vertices are sorted by comparisons inside one
+    loop, larger ones by sorted(); class_sizes is the cheaper key when only
+    the class counts matter.
     """
-    looked_up = [map(colors.__getitem__, map(sub, col, repeat(1))) for col in columns]
-    return list(map(tuple, map(sorted, zip(*looked_up))))
+    looked_up = [list(map(color_of.__getitem__, col)) for col in columns]
+    if len(looked_up) <= 1:
+        return looked_up[0] if looked_up else []
+    if len(looked_up) == 2:
+        return [a * base + b if a < b else b * base + a for a, b in zip(*looked_up)]
+    if len(looked_up) == 3:
+        codes = []
+        for a, b, c in zip(*looked_up):
+            # a three-comparator sorting network
+            if a > b:
+                a, b = b, a
+            if b > c:
+                b, c = c, b
+                if a > b:
+                    a, b = b, a
+            codes.append((a * base + b) * base + c)
+        return codes
+    rows = list(map(sorted, zip(*looked_up)))
+    del looked_up
+    return list(_encode_columns(list(zip(*rows)), base))
 
 
 def faces_of_codim(c: Complex, k: int):
@@ -224,7 +261,7 @@ def class_sizes(colors, n_colors: int, columns) -> Counter:
     the sum of its vertices' weights, whose base-M digits are the power sums
     p_1..p_s of its colors (each below M); by Newton's identities those fix
     the color multiset, so two faces share a key exactly when they share a
-    pattern.  No face is sorted; pattern_keys stays the ordered key.
+    pattern.  No face is sorted; pattern_codes stays the ordered key.
     """
     if not columns:
         return Counter()
@@ -250,7 +287,7 @@ class PatternHistogram:
 
     class_count is the number of distinct patterns and max_class_size the
     size of the largest class; bound is described in pattern_class_histogram.
-    The classes themselves are not kept: pattern_keys names a face's pattern.
+    The classes themselves are not kept: pattern_codes names a face's pattern.
     """
 
     max_class_size: int
@@ -346,7 +383,7 @@ def verify_unique_ridge_patterns(c: Complex, f: Coloring):
     """
     _require_total(c, f)
     inc = c.incidence
-    pair = _first_repeat(pattern_keys(f.colors, inc.columns()))
+    pair = _first_repeat(pattern_codes([0, *f.colors], inc.columns(), f.c + 1))
     if pair is None:
         return True, None
     return False, tuple(map(inc.ridge, pair))
@@ -376,27 +413,26 @@ def _ridges_by_vertex(columns, n_ridges: int, n_vertices: int):
     return starts, rids
 
 
-def _require_refinable(inc: Incidence, columns, starts, rids, colors, S):
-    """Stage-one patterns must separate intersecting ridges and classes fit S."""
-    f_keys = pattern_keys(colors, columns)
-    class_of = {key: i for i, key in enumerate(dict.fromkeys(f_keys))}
-    classes = list(map(class_of.__getitem__, f_keys))
+def _require_refinable(inc: Incidence, columns, starts, rids, f: Coloring, S):
+    """Stage-one patterns must separate intersecting ridges and classes fit S.
+
+    A ridge's class is its pattern code, below (f.c + 1) ** inc.size.
+    """
+    codes = pattern_codes([0, *f.colors], columns, f.c + 1)
     # ridges through one vertex must lie in distinct classes, so the
     # (vertex, class) pairs of all vertex-ridge incidences are distinct
-    vertex_of = chain.from_iterable(
-        map(repeat, range(len(starts) - 1), map(sub, islice(starts, 1, None), starts))
-    )
-    pairs = map(add, map(mul, vertex_of, repeat(len(class_of))), map(classes.__getitem__, rids))
+    shift = (f.c + 1) ** inc.size
+    pairs = chain.from_iterable(map(add, map(mul, col, repeat(shift)), codes) for col in columns)
     if len(set(pairs)) < len(rids):
         # name the first clash, scanning vertices as the ridge order meets them
         for v in dict.fromkeys(chain.from_iterable(zip(*columns))):
             for a, b in itertools.combinations(rids[starts[v]:starts[v + 1]], 2):
-                if f_keys[a] == f_keys[b]:
+                if codes[a] == codes[b]:
                     raise PreconditionViolated(
                         f"intersecting ridges {inc.ridge(a)} and {inc.ridge(b)} "
                         "share a pattern"
                     )
-    worst = max(Counter(classes).values(), default=0)
+    worst = max(Counter(codes).values(), default=0)
     if worst > S:
         raise PreconditionViolated(f"a ridge class has size {worst} > S = {S}")
 
@@ -451,7 +487,7 @@ def moser_tardos_refine(
     columns = inc.columns()
     colors = f.colors
     starts, rids = _ridges_by_vertex(columns, len(inc), c.n_vertices)
-    _require_refinable(inc, columns, starts, rids, colors, p.S)
+    _require_refinable(inc, columns, starts, rids, f, p.S)
 
     rng = random.Random(p.seed)
     c2 = p.c2
@@ -463,15 +499,17 @@ def moser_tardos_refine(
             raise ValueError(f"initial refinement uses {initial_g.c} colors, expected {c2}")
         g = list(initial_g.colors)
 
-    # product color of every vertex, kept current as g is resampled
-    h = list(map(add, map(mul, map(sub, colors, repeat(1)), repeat(c2)), g))
+    # product color of every vertex, kept current as g is resampled; h[v]
+    # is vertex v's, so it serves pattern_codes as it stands
+    h = [0, *map(add, map(mul, map(sub, colors, repeat(1)), repeat(c2)), g)]
+    base = f.c * c2 + 1
 
-    keys = pattern_keys(h, columns)
+    keys = pattern_codes(h, columns, base)
     del columns
     # per-ridge state is flat: only colliding patterns keep a list, and the
     # winners are read through sorted(), so membership order never matters
     alone = dict(zip(keys, range(len(keys))))
-    crowds: dict[PatternKey, list[int]] = {}
+    crowds: dict[int, list[int]] = {}
     if len(alone) < len(keys):
         crowds = {key: [] for key, k in Counter(keys).items() if k > 1}
         for rid in compress(range(len(keys)), map(crowds.__contains__, keys)):
@@ -488,10 +526,12 @@ def moser_tardos_refine(
         vertices = sorted(set(inc.ridge(first)) | set(inc.ridge(second)))
         for v in vertices:
             g[v - 1] = _draw_index(rng, c2) + 1
-            h[v - 1] = (colors[v - 1] - 1) * c2 + g[v - 1]
+            h[v] = (colors[v - 1] - 1) * c2 + g[v - 1]
         touched = list({rid for v in vertices for rid in rids[starts[v]:starts[v + 1]]})
-        new_keys = pattern_keys(
-            h, _decode_codes([inc.codes[rid] for rid in touched], inc.n_vertices, inc.size)
+        new_keys = pattern_codes(
+            h,
+            _decode_codes([inc.codes[rid] for rid in touched], inc.n_vertices, inc.size),
+            base,
         )
         for rid, new in zip(touched, new_keys):
             _move_ridge(alone, crowds, rid, keys[rid], new)
@@ -499,7 +539,7 @@ def moser_tardos_refine(
         resamples += 1
 
     return RefineResult(
-        coloring=Coloring(tuple(h), f.c * c2),
+        coloring=Coloring(tuple(h[1:]), f.c * c2),
         g=Coloring(tuple(g), c2),
         resamples=resamples,
     )

@@ -206,14 +206,13 @@ class DualGraph:
         return [len(nbrs) for nbrs in self.adjacency]
 
 
-def _encode_columns(columns, n_vertices: int):
-    """Code of each row of nonempty vertex columns, as an iterator.
+def _encode_columns(columns, base: int):
+    """Code of each row of nonempty digit columns, as an iterator.
 
-    Row i is the sorted face (columns[0][i], columns[1][i], ...), and its
-    code is that face read as a base-(n_vertices + 1) number, by Horner's
-    rule over whole columns.
+    Row i is the face (columns[0][i], columns[1][i], ...), and its code is
+    that face read as a base-`base` number, by Horner's rule over whole
+    columns.  Vertex faces on 1..n use base n + 1.
     """
-    base = n_vertices + 1
     first, *rest = columns
     codes = iter(first)
     for column in rest:
@@ -222,7 +221,13 @@ def _encode_columns(columns, n_vertices: int):
 
 
 def _decode_codes(codes, n_vertices: int, size: int) -> list[list[int]]:
-    """Vertex columns of the size-vertex faces whose codes are given."""
+    """Vertex columns of the size-vertex faces whose codes are given.
+
+    No codes give no columns, as list(zip(*faces)) does for no faces, so
+    the work is bounded by the codes, not by the size.
+    """
+    if not codes:
+        return []
     base = n_vertices + 1
     columns = []
     for p in reversed(range(size)):
@@ -237,7 +242,9 @@ def _decode_codes(codes, n_vertices: int, size: int) -> list[list[int]]:
 def _store_codes(codes, n_vertices: int, size: int):
     """Size-vertex face codes as array('q') if every such code fits in 64
     bits, and as an int list otherwise."""
-    if (n_vertices + 1) ** size < 2 ** 63:
+    # past 64 digits a base of 2 or more already overflows, so the power
+    # stays small however large the size is
+    if (n_vertices + 1) ** min(size, 64) < 2 ** 63:
         return array("q", codes)
     return list(codes)
 
@@ -254,9 +261,10 @@ def ridges_of(c: Complex) -> Incidence:
     m, n = len(c.facets), c.n_vertices
     columns = list(zip(*c.facets))
     keys = []
-    for j in range(c.dim_facet):
+    # a complex without facets has no columns, whatever its dimension
+    for j in range(len(columns)):
         rest = columns[:j] + columns[j + 1:]
-        codes = _encode_columns(rest, n) if rest else repeat(0, m)
+        codes = _encode_columns(rest, n + 1) if rest else repeat(0, m)
         keys += map(add, map(mul, codes, repeat(m)), range(m))
     keys.sort()
     row_codes = list(map(floordiv, keys, repeat(m)))

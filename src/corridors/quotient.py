@@ -9,9 +9,13 @@ directly on the quotient's own facets.
 
 Both sides are flat integer incidences (see complex_core): the ridge map is
 one quotient ridge code per source ridge row, and the preservation check
-compares the two CSR matrices entry by entry as integer codes.  Codes order
-faces as tuples do, so the first-collision witnesses are the pairs a tuple
-scan would find.
+compares the two CSR matrices entry by entry as integer codes.  Quotient
+vertices are the used colors renumbered in color order, so the pattern code
+of a face (coloring.pattern_codes, base n'+1) is the code of its image in
+the quotient's incidence: the quotient facets are the distinct facet codes,
+ascending and decoded once, and no pattern tuple is built.  Codes order
+faces as tuples do, so the quotient's facet order and the first-collision
+witnesses are those a tuple scan would give.
 """
 
 from __future__ import annotations
@@ -19,12 +23,12 @@ from __future__ import annotations
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, repeat
-from operator import add, mul
+from itertools import chain, compress, repeat
+from operator import add, eq, mul
 
 from .complex_core import (
     Complex,
-    _encode_columns,
+    _decode_codes,
     _store_codes,
     diameter_exact,
     dual_graph,
@@ -34,7 +38,7 @@ from .coloring import (
     Coloring,
     _first_repeat,
     _require_total,
-    pattern_keys,
+    pattern_codes,
     verify_proper,
 )
 from .errors import ImproperColoring, MissingBijection
@@ -67,29 +71,21 @@ class QuotientResult:
         return self.facet_map if self.facets_injective else None
 
 
-def _facet_correspondence(facet_patterns, qfacets):
+def _facet_correspondence(facet_codes, qcodes):
     """Map of the facets whose pattern is unique, and the first collision.
 
-    A function of its own so that its pattern tables are freed before
-    pattern_complex builds ridge_map; holding both set the peak memory of
-    large runs.
+    facet_codes holds each source facet's pattern code and qcodes the
+    distinct ones ascending, the quotient's facets in order.  A function of
+    its own so that its pattern tables are freed before pattern_complex
+    builds ridge_map; holding both set the peak memory of large runs.
     """
-    qfacet_index = {F: i for i, F in enumerate(qfacets)}
-    pattern_count = Counter(facet_patterns)
-    first_with_pattern: dict = {}
-    facet_collision = None
-    for fi, pat in enumerate(facet_patterns):
-        if pat in first_with_pattern:
-            if facet_collision is None:
-                facet_collision = (first_with_pattern[pat], fi)
-        else:
-            first_with_pattern[pat] = fi
-    facet_map = {
-        fi: qfacet_index[pat]
-        for fi, pat in enumerate(facet_patterns)
-        if pattern_count[pat] == 1
-    }
-    return facet_map, facet_collision
+    qfacet_index = dict(zip(qcodes, range(len(qcodes))))
+    images = map(qfacet_index.__getitem__, facet_codes)
+    if len(qcodes) == len(facet_codes):
+        return dict(enumerate(images)), None
+    count = Counter(facet_codes)
+    unique = map(eq, map(count.__getitem__, facet_codes), repeat(1))
+    return dict(compress(enumerate(images), unique)), _first_repeat(facet_codes)
 
 
 def pattern_complex(c: Complex, f: Coloring) -> QuotientResult:
@@ -106,25 +102,32 @@ def pattern_complex(c: Complex, f: Coloring) -> QuotientResult:
     colors = f.colors
 
     used = sorted({colors[v - 1] for F in c.facets for v in F})
+    n_prime, base = len(used), len(used) + 1
     color_to_vertex = {col: i for i, col in enumerate(used, start=1)}
-    # renumbering is monotone, so sorting renumbered colors keeps the order
-    qcolors = [color_to_vertex.get(col) for col in colors]
+    # qcolor_of[v] is vertex v's quotient vertex; renumbering is monotone,
+    # so the codes order patterns as the colors do
+    qcolor_of = [None, *map(color_to_vertex.get, colors)]
 
-    facet_patterns = pattern_keys(qcolors, list(zip(*c.facets)))
-    qfacets = tuple(sorted(set(facet_patterns)))
-    quotient = Complex(c.dim_facet, len(used), qfacets)
-    facet_map, facet_collision = _facet_correspondence(facet_patterns, qfacets)
+    facet_codes = pattern_codes(qcolor_of, list(zip(*c.facets)), base)
+    qcodes = sorted(set(facet_codes))
+    # decode through one table, so the quotient's facets share vertex ints
+    shared = list(range(base)).__getitem__
+    qcolumns = _decode_codes(qcodes, n_prime, c.dim_facet)
+    qfacets = tuple(zip(*(map(shared, col) for col in qcolumns)))
+    del qcolumns
+    quotient = Complex(c.dim_facet, n_prime, qfacets)
+    facet_map, facet_collision = _facet_correspondence(facet_codes, qcodes)
     facets_injective = facet_collision is None
-    del facet_patterns
+    del facet_codes, qcodes
 
     inc = c.incidence
-    n_prime, size = len(used), inc.size
-    # a proper coloring keeps each ridge's colors distinct, so its sorted
-    # pattern is a face of the quotient with a code in the quotient's base
-    patterns = list(zip(*pattern_keys(qcolors, inc.columns())))
-    codes = _encode_columns(patterns, n_prime) if size else repeat(0, len(inc))
-    ridge_map = _store_codes(codes, n_prime, size)
-    del patterns
+    # a proper coloring keeps each ridge's colors distinct, so its pattern
+    # code is the code of a quotient ridge in the quotient's own base
+    codes = repeat(0, len(inc))
+    if inc.size:
+        codes = pattern_codes(qcolor_of, inc.columns(), base)
+    ridge_map = _store_codes(codes, n_prime, inc.size)
+    del codes
     pair = _first_repeat(ridge_map)
     ridge_collision = None if pair is None else tuple(map(inc.ridge, pair))
     ridges_injective = ridge_collision is None

@@ -1,5 +1,7 @@
+import contextlib
 import dataclasses
 import random
+import signal
 
 import pytest
 
@@ -54,6 +56,30 @@ def tuple_ridge_map(c, q):
     n, size = q.quotient.n_vertices, c.dim_facet - 1
     decoded = {r: decode_code(code, n, size) for r, code in zip(rows, q.ridge_map)}
     return dataclasses.replace(q, ridge_map=decoded)
+
+
+class TimeLimitExceeded(Exception):
+    """Raised inside a time_limit block that ran too long; no caller catches it."""
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Interrupt the block with TimeLimitExceeded after `seconds` (SIGALRM).
+
+    A pure-Python loop is interrupted between bytecodes, so a test of a
+    runaway loop fails instead of hanging the session.
+    """
+
+    def interrupt(signum, frame):
+        raise TimeLimitExceeded(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def column_weights(dense):

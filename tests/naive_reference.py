@@ -166,6 +166,19 @@ def ref_first_pattern_collision(c, colors):
     return None
 
 
+def ref_pattern_codes(colors, faces, base):
+    """Each face's sorted color tuple, read as a base-`base` number.
+
+    colors[v - 1] is the color of vertex v; the digits are summed one by one
+    from the sorted tuple.
+    """
+    codes = []
+    for face in faces:
+        pattern = tuple(sorted(colors[v - 1] for v in face))
+        codes.append(sum(k * base ** (len(pattern) - 1 - j) for j, k in enumerate(pattern)))
+    return codes
+
+
 def ref_facet_error(d, n, facets):
     """Message of the first defect of a facet list, scanning facet by facet.
 

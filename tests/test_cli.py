@@ -4,6 +4,7 @@ import pytest
 
 from corridors import read_coloring, read_complex
 from corridors.cli import main
+from conftest import time_limit
 
 
 def run(capsys, *argv):
@@ -300,6 +301,20 @@ class TestBenchCommand:
         assert len(table["rows"]) == 2
         assert all(r["status"] == "ok" for r in table["rows"])
 
+    @pytest.mark.parametrize(
+        "option,value,token",
+        [
+            ("--seeds", "x", "x"),
+            ("--dims", "3,x", "x"),
+            ("--ns", "40,4.5", "4.5"),
+            ("--c1s", "13,,y", "y"),
+        ],
+    )
+    def test_non_integer_list_token_exit_2(self, capsys, option, value, token):
+        code, out, err = run(capsys, "bench", option, value)
+        assert code == 2 and out == ""
+        assert err.splitlines() == [f"error: {option} needs integers, got {token!r}"]
+
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_jobs_below_one_exit_2(self, capsys, jobs):
         code, _, err = run(capsys, "bench", "--seeds", "0,1", "--jobs", jobs)
@@ -320,3 +335,26 @@ class TestBenchCommand:
         )
         assert code == 0
         assert out.splitlines()[-1] == "cell 0: precondition-failed: need c1 > 12, got 12"
+
+
+class TestFacetlessComplex:
+    def test_work_is_bounded_by_the_input(self, tmp_path, capsys):
+        # the declared facet size is huge, but there is no facet to read
+        path = tmp_path / "empty.cplx"
+        path.write_text("dim 1000000000 vertices 4\n")
+        coloring = tmp_path / "f.coloring"
+        coloring.write_text("colors 2\n1 1\n2 2\n3 1\n4 2\n")
+        with time_limit(5):
+            code, out, err = run(capsys, "diameter", "--in", str(path))
+            assert code == 2 and out == ""
+            assert err.splitlines() == ["error: graph has no nodes"]
+            code, out, err = run(
+                capsys, "verify", "--in", str(path), "--coloring", str(coloring), "--json"
+            )
+        assert code == 0 and err == ""
+        assert json.loads(out)["checks"] == {
+            "connected": True,
+            "pseudomanifold": True,
+            "proper": True,
+            "ridge_unique": True,
+        }

@@ -37,12 +37,13 @@ from corridors import (
     verify_unique_ridge_patterns,
     write_coloring,
 )
-from corridors.coloring import face_columns
+from corridors.coloring import face_columns, pattern_codes
 from conftest import random_complex
 from naive_reference import (
     all_faces,
     ref_first_pattern_collision,
     ref_greedy_window_coloring,
+    ref_pattern_codes,
     ref_refine,
 )
 
@@ -256,6 +257,33 @@ def test_class_statistics_match_sorted_patterns(seed, palette):
         assert hist.max_class_size == max(oracle.values())
         assert hist.class_count == len(oracle)
         assert hist.face_count == sum(oracle.values())
+
+
+@st.composite
+def colored_faces(draw):
+    """(colors, faces, base): same-size faces, colored from a small pool."""
+    size = draw(st.integers(1, 6))
+    palette = draw(st.sampled_from([1, 2, 3, 7, 100, 10**4]))
+    # a few colors, the palette's ends among them, so patterns repeat
+    color = st.one_of(st.just(1), st.just(palette), st.integers(1, palette))
+    pool = draw(st.lists(color, min_size=1, max_size=5))
+    n = draw(st.integers(size, 12))
+    colors = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    face = st.permutations(range(1, n + 1)).map(lambda p: tuple(sorted(p[:size])))
+    faces = draw(st.lists(face, max_size=30))
+    return colors, faces, palette + 1
+
+
+@given(colored_faces())
+@settings(max_examples=300, deadline=None)
+def test_pattern_codes_pack_the_sorted_patterns(case):
+    colors, faces, base = case
+    codes = pattern_codes([0, *colors], list(zip(*faces)), base)
+    assert codes == ref_pattern_codes(colors, faces, base)
+    # code order is sorted-tuple order, ties included
+    patterns = [tuple(sorted(colors[v - 1] for v in face)) for face in faces]
+    for (a, p), (b, q) in itertools.product(zip(codes, patterns), repeat=2):
+        assert (a < b, a == b) == (p < q, p == q)
 
 
 class TestIntersectingRidgeBound:

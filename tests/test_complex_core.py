@@ -26,8 +26,8 @@ from corridors import (
     straight_corridor,
     write_complex,
 )
-from corridors.complex_core import Incidence
-from conftest import column_weights, decode_code, incidence_dense, random_complex
+from corridors.complex_core import Incidence, _store_codes
+from conftest import column_weights, decode_code, incidence_dense, random_complex, time_limit
 from naive_reference import (
     ref_boundary_dense,
     ref_diameter,
@@ -414,6 +414,24 @@ class TestIncidence:
         # (55107 + 1)**4 < 2**63 <= (55108 + 1)**4
         assert type(Complex(5, 55107, ((1, 2, 3, 4, 5),)).incidence.codes) is array
         assert type(Complex(5, 55108, ((1, 2, 3, 4, 5),)).incidence.codes) is list
+
+    def test_storage_bound_is_exact_for_any_size(self):
+        # 2**62 fits in 63 bits, 2**63 does not; 1**size always fits
+        assert type(_store_codes([], 1, 62)) is array
+        assert type(_store_codes([], 1, 63)) is list
+        assert type(_store_codes([], 0, 10 ** 5)) is array
+        assert type(_store_codes([], 4, 10 ** 5)) is list
+
+    def test_facetless_work_is_bounded_by_the_input(self):
+        # a billion-vertex facet size with no facets: there is nothing to
+        # enumerate, and nothing may loop over the facet size
+        with time_limit(5):
+            c = Complex(10 ** 9, 4, ())
+            inc = c.incidence
+            assert len(inc) == 0 and inc.columns() == [] and inc.ridges == []
+            check_incidence_fields(inc)
+            assert is_pseudomanifold(c) and is_strongly_connected(c)
+            assert dual_graph(c).n_nodes == 0
 
     def test_built_once_and_kept(self):
         c = sc(6, 3)

@@ -69,9 +69,9 @@ class StageOneDone(Exception):
 
 @pytest.mark.parametrize("mode,sorts", [("simplicial", 0), ("pseudomanifold", 1)])
 def test_retry_loop_sorts_no_face(monkeypatch, mode, sorts):
-    # classes are counted by an additive key: neither pattern_keys nor a
+    # classes are counted by an additive key: neither pattern_codes nor a
     # per-face sort runs, only faces_of_codim's one sort of the codim-2 faces
-    keyed = record_calls(monkeypatch, "pattern_keys", coloring)
+    keyed = record_calls(monkeypatch, "pattern_codes", coloring)
     sorted_calls = []
 
     def counting_sorted(*args, **kwargs):

@@ -1,0 +1,123 @@
+"""Malformed input files end in one error line, never in a traceback.
+
+Valid .cplx and .coloring texts are mutated line by line (lines deleted,
+repeated, swapped, replaced or inserted, single tokens rewritten).  Parsing
+a mutant may only raise ValueError or a CorridorsError, and the CLI commands
+that read files (diameter, verify, quotient) must return an exit code, with
+exactly one `error:` line on stderr when it is 2.
+"""
+
+import io
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from corridors import (
+    CorridorsError,
+    CorridorSpec,
+    FirstColoringParams,
+    coloring_from_text,
+    coloring_to_text,
+    complex_from_text,
+    complex_to_text,
+    greedy_window_coloring,
+    straight_corridor,
+)
+from corridors.cli import main
+
+SOURCE = straight_corridor(CorridorSpec(8, 3))
+COMPLEX_TEXT = complex_to_text(SOURCE)
+COLORING_TEXT = coloring_to_text(greedy_window_coloring(SOURCE, FirstColoringParams(5, 0.2, 0)))
+
+# tokens of both formats, with values around every range edge
+TOKENS = st.one_of(
+    st.integers(-2, 12).map(str),
+    st.sampled_from(["dim", "vertices", "colors", "#", "x", "1.5", "0x3", "10000000000"]),
+)
+LINES = st.lists(TOKENS, max_size=5).map(" ".join)
+
+
+@st.composite
+def mutated(draw, text):
+    lines = text.splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["delete", "repeat", "swap", "replace", "insert", "token"]))
+        if not lines:
+            kind = "insert"
+        i = draw(st.integers(0, max(len(lines) - 1, 0)))
+        if kind == "delete":
+            del lines[i]
+        elif kind == "repeat":
+            lines.insert(i, lines[i])
+        elif kind == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif kind == "replace":
+            lines[i] = draw(LINES)
+        elif kind == "insert":
+            lines.insert(i, draw(LINES))
+        else:
+            tokens = lines[i].split() or [""]
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(TOKENS)
+            lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+def parses(parse, text):
+    """True if text parses; only the package's documented errors may escape."""
+    try:
+        parse(text)
+    except (ValueError, CorridorsError):
+        return False
+    return True
+
+
+def run_main(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
+    return code, err.getvalue()
+
+
+def check_exit(code, err):
+    assert "Traceback" not in err
+    if code == 2:
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), err
+    else:
+        assert code in (0, 1) and err == ""
+
+
+def mutated_or_valid(text):
+    return st.one_of(mutated(text), st.just(text))
+
+
+@given(mutated(COMPLEX_TEXT), mutated(COLORING_TEXT))
+@settings(max_examples=300, deadline=None)
+def test_mutated_texts_raise_only_documented_errors(complex_text, coloring_text):
+    parses(complex_from_text, complex_text)
+    parses(coloring_from_text, coloring_text)
+
+
+@given(mutated_or_valid(COMPLEX_TEXT), mutated_or_valid(COLORING_TEXT))
+@settings(max_examples=200, deadline=None)
+def test_mutated_files_exit_cleanly(complex_text, coloring_text):
+    complex_ok = parses(complex_from_text, complex_text)
+    coloring_ok = parses(coloring_from_text, coloring_text)
+    with tempfile.TemporaryDirectory() as tmp:
+        cplx, coloring, out = (Path(tmp) / name for name in ("c.cplx", "f.coloring", "q.cplx"))
+        cplx.write_text(complex_text)
+        coloring.write_text(coloring_text)
+        code, err = run_main("diameter", "--in", str(cplx))
+        check_exit(code, err)
+        assert complex_ok or code == 2
+        for argv in (
+            ["verify", "--in", str(cplx), "--coloring", str(coloring)],
+            ["quotient", "--in", str(cplx), "--coloring", str(coloring), "--out", str(out)],
+        ):
+            code, err = run_main(*argv)
+            check_exit(code, err)
+            assert (complex_ok and coloring_ok) or code == 2
