@@ -161,14 +161,19 @@ def cmd_verify(args):
         required += ["proper", "ridge_unique"]
         if args.against:
             other = read_complex(args.against)
-            q = pattern_complex(c, f)
-            preserved = (
-                q.facets_injective
-                and q.ridges_injective
-                and verify_boundary_preservation(c, q)
-            )
+            # an improper coloring has no pattern quotient, so neither check
+            # can hold; it fails as a verification, not as an error
+            preserved = matches = False
+            if checks["proper"]:
+                q = pattern_complex(c, f)
+                preserved = (
+                    q.facets_injective
+                    and q.ridges_injective
+                    and verify_boundary_preservation(c, q)
+                )
+                matches = q.quotient == other
             checks["boundary_preserved"] = preserved
-            checks["quotient_matches"] = q.quotient == other
+            checks["quotient_matches"] = matches
             required += ["boundary_preserved", "quotient_matches"]
     elif args.against:
         raise InvalidSpec("--against needs --coloring")

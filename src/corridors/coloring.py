@@ -27,13 +27,13 @@ from __future__ import annotations
 import itertools
 import random
 from array import array
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress, repeat
 from math import comb, inf
-from operator import add, mod, mul, sub
+from operator import add, mul, sub
 from pathlib import Path
 
 from .bounds import E
@@ -261,16 +261,17 @@ def class_sizes(colors, n_colors: int, columns) -> Counter:
     the sum of its vertices' weights, whose base-M digits are the power sums
     p_1..p_s of its colors (each below M); by Newton's identities those fix
     the color multiset, so two faces share a key exactly when they share a
-    pattern.  No face is sorted; pattern_codes stays the ordered key.
+    pattern.  Only the colors in use get a weight, so the cost follows the
+    faces and not n_colors.  No face is sorted; pattern_codes stays the
+    ordered key.
     """
     if not columns:
         return Counter()
     s = len(columns)
     m = s * n_colors ** s + 1
-    weight = [0] + [
-        sum(col ** k * m ** (k - 1) for k in range(1, s + 1))
-        for col in range(1, n_colors + 1)
-    ]
+    weight = {
+        col: sum(col ** k * m ** (k - 1) for k in range(1, s + 1)) for col in set(colors)
+    }
     # of_vertex[v] is the weight of vertex v's color
     of_vertex = [0]
     of_vertex += map(weight.__getitem__, colors)
@@ -396,24 +397,28 @@ class RefineResult:
     resamples: int
 
 
-def _ridges_by_vertex(columns, n_ridges: int, n_vertices: int):
-    """Vertex-ridge incidence in CSR form, from the ridges' vertex columns.
+def _ridges_by_vertex(columns):
+    """Per-column vertex-ridge lookup, from the ridges' vertex columns.
 
-    The ridges containing vertex v, ascending, are rids[starts[v]:starts[v + 1]].
+    For each column, the ridge ids in stable order of that column's vertex,
+    with the vertices in that order, both array('q'); the ridges through
+    vertex v are then one bisect run of v per column (_ridges_through).
     """
-    keys = sorted(
-        chain.from_iterable(
-            map(add, map(mul, col, repeat(n_ridges)), range(n_ridges)) for col in columns
-        )
-    )
-    rids = array("q", map(mod, keys, repeat(n_ridges)))
-    starts = list(
-        map(bisect_left, repeat(keys), map(mul, range(n_vertices + 2), repeat(n_ridges)))
-    )
-    return starts, rids
+    index = []
+    for col in columns:
+        rids = array("q", sorted(range(len(col)), key=col.__getitem__))
+        index.append((rids, array("q", map(col.__getitem__, rids))))
+    return index
 
 
-def _require_refinable(inc: Incidence, columns, starts, rids, f: Coloring, S):
+def _ridges_through(index, v):
+    """Ids of the ridges that contain vertex v, column by column."""
+    for rids, vertices in index:
+        lo = bisect_left(vertices, v)
+        yield from rids[lo:bisect_right(vertices, v, lo)]
+
+
+def _require_refinable(inc: Incidence, columns, index, f: Coloring, S):
     """Stage-one patterns must separate intersecting ridges and classes fit S.
 
     A ridge's class is its pattern code, below (f.c + 1) ** inc.size.
@@ -423,10 +428,11 @@ def _require_refinable(inc: Incidence, columns, starts, rids, f: Coloring, S):
     # (vertex, class) pairs of all vertex-ridge incidences are distinct
     shift = (f.c + 1) ** inc.size
     pairs = chain.from_iterable(map(add, map(mul, col, repeat(shift)), codes) for col in columns)
-    if len(set(pairs)) < len(rids):
-        # name the first clash, scanning vertices as the ridge order meets them
+    if len(set(pairs)) < len(codes) * len(columns):
+        # name the first clash, scanning vertices as the ridge order meets
+        # them and each vertex's ridges in ascending order
         for v in dict.fromkeys(chain.from_iterable(zip(*columns))):
-            for a, b in itertools.combinations(rids[starts[v]:starts[v + 1]], 2):
+            for a, b in itertools.combinations(sorted(_ridges_through(index, v)), 2):
                 if codes[a] == codes[b]:
                     raise PreconditionViolated(
                         f"intersecting ridges {inc.ridge(a)} and {inc.ridge(b)} "
@@ -486,8 +492,8 @@ def moser_tardos_refine(
     inc = c.incidence
     columns = inc.columns()
     colors = f.colors
-    starts, rids = _ridges_by_vertex(columns, len(inc), c.n_vertices)
-    _require_refinable(inc, columns, starts, rids, f, p.S)
+    index = _ridges_by_vertex(columns)
+    _require_refinable(inc, columns, index, f, p.S)
 
     rng = random.Random(p.seed)
     c2 = p.c2
@@ -527,7 +533,8 @@ def moser_tardos_refine(
         for v in vertices:
             g[v - 1] = _draw_index(rng, c2) + 1
             h[v] = (colors[v - 1] - 1) * c2 + g[v - 1]
-        touched = list({rid for v in vertices for rid in rids[starts[v]:starts[v + 1]]})
+        # _move_ridge reaches the same state in any order of the touched ridges
+        touched = list({rid for v in vertices for rid in _ridges_through(index, v)})
         new_keys = pattern_codes(
             h,
             _decode_codes([inc.codes[rid] for rid in touched], inc.n_vertices, inc.size),

@@ -19,15 +19,14 @@ index.  An index is only ever built from its own complex's facets; a
 quotient gets its own on first use, never one derived from its source, so
 comparing the two stays a real check.
 
-Exact diameters come from one algorithm, the fringe-pruned BFS search in
-`diameter_exact`.
+A dual graph is stored as its edge list; its adjacency tuples are built
+from the list on first use.  Exact diameters come from one algorithm, the
+fringe-pruned BFS search in `diameter_exact`.
 """
 
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations, compress, islice, repeat
@@ -165,42 +164,56 @@ class Incidence:
 
 @dataclass(frozen=True)
 class DualGraph:
-    """Facet-adjacency graph: nodes are facet indices, edges shared ridges."""
+    """Facet-adjacency graph: nodes are facet indices, edges shared ridges.
+
+    Stored as its edge list: edge k joins tails[k] < heads[k], each edge
+    once, in array('q').  The construction checks the list at C level:
+    equal lengths, nodes in 0..n_nodes-1, tails below heads (so no loop)
+    and no repeated edge.  `adjacency` is built on first use from the list,
+    so it is symmetric and loop-free by construction.
+    """
 
     n_nodes: int
-    adjacency: tuple[tuple[int, ...], ...]
+    tails: array
+    heads: array
 
     def __post_init__(self):
-        if len(self.adjacency) != self.n_nodes:
-            raise ValueError("adjacency length differs from node count")
-        for u, nbrs in enumerate(self.adjacency):
-            if any(nbrs[i] >= nbrs[i + 1] for i in range(len(nbrs) - 1)):
-                raise ValueError(f"neighbors of {u} are not sorted strictly")
-            for v in nbrs:
-                if v == u:
-                    raise ValueError(f"self-loop at node {u}")
-                if not 0 <= v < self.n_nodes:
-                    raise ValueError(f"neighbor {v} out of range at node {u}")
-        # neighbor tuples are sorted, so a binary search finds each back edge
-        adj = self.adjacency
-        for u, nbrs in enumerate(adj):
-            for v in nbrs:
-                back = adj[v]
-                i = bisect_left(back, u)
-                if i == len(back) or back[i] != u:
-                    raise ValueError(f"edge {u}->{v} is not symmetric")
+        n, tails, heads = self.n_nodes, self.tails, self.heads
+        if len(tails) != len(heads):
+            raise ValueError(f"{len(tails)} tails but {len(heads)} heads")
+        if tails and (min(min(tails), min(heads)) < 0 or max(max(tails), max(heads)) >= n):
+            raise ValueError(f"an edge leaves the node range 0..{n - 1}")
+        if not all(map(lt, tails, heads)):
+            raise ValueError("an edge has its tail at or above its head")
+        if len(set(map(add, map(mul, tails, repeat(n)), heads))) < len(tails):
+            raise ValueError("an edge repeats")
 
     @classmethod
     def from_edges(cls, n_nodes, edges):
-        nbrs = [set() for _ in range(n_nodes)]
+        """Graph of undirected edges (u, v): orientation does not matter,
+        duplicates merge, and a self-loop raises ValueError."""
+        pairs = set()
         for u, v in edges:
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-        return cls(n_nodes, tuple(tuple(sorted(s)) for s in nbrs))
+            if u == v:
+                raise ValueError(f"self-loop at node {u}")
+            pairs.add((u, v) if u < v else (v, u))
+        ordered = sorted(pairs)
+        tails = array("q", [u for u, _ in ordered])
+        heads = array("q", [v for _, v in ordered])
+        return cls(n_nodes, tails, heads)
+
+    @cached_property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Sorted neighbour tuple of every node, built on first use."""
+        nbrs = [[] for _ in range(self.n_nodes)]
+        for u, v in zip(self.tails, self.heads):
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+        return tuple(map(tuple, map(sorted, nbrs)))
 
     @property
     def edge_count(self):
-        return sum(len(nbrs) for nbrs in self.adjacency) // 2
+        return len(self.tails)
 
     def degrees(self):
         return [len(nbrs) for nbrs in self.adjacency]
@@ -284,18 +297,17 @@ def dual_graph(c: Complex) -> DualGraph:
     """Facets become adjacent exactly when they share a full ridge."""
     inc = c.incidence
     fids, widths = inc.fids, inc.widths()
-    # two distinct facets share at most one ridge, so no edge repeats
-    nbrs = [[] for _ in c.facets]
+    # facet ids ascend within a row, so each pair of columns gives tails
+    # below heads; two distinct facets share at most one ridge, so no edge
+    # repeats
+    tails, heads = array("q"), array("q")
     for w in set(widths) - {1}:
         # the first entry of every row of width w, then each pair of columns
         starts = list(compress(inc.offsets, map(eq, widths, repeat(w))))
         for a, b in combinations(range(w), 2):
-            left = map(fids.__getitem__, map(add, starts, repeat(a)))
-            right = map(fids.__getitem__, map(add, starts, repeat(b)))
-            for u, v in zip(left, right):
-                nbrs[u].append(v)
-                nbrs[v].append(u)
-    return DualGraph(len(c.facets), tuple(tuple(sorted(s)) for s in nbrs))
+            tails.extend(map(fids.__getitem__, map(add, starts, repeat(a))))
+            heads.extend(map(fids.__getitem__, map(add, starts, repeat(b))))
+    return DualGraph(len(c.facets), tails, heads)
 
 
 def is_pseudomanifold(c: Complex) -> bool:
@@ -313,20 +325,19 @@ def is_strongly_connected(c: Complex) -> bool:
 
 
 def _bfs(adj, src):
-    """BFS distances from src (-1 where unreached) and BFS-tree parents."""
+    """BFS distances from src (-1 where unreached) and the reached nodes in
+    visit order, which is order of distance."""
     dist = [-1] * len(adj)
-    parent = [-1] * len(adj)
     dist[src] = 0
-    queue = deque([src])
-    while queue:
-        u = queue.popleft()
+    order = [src]
+    # the loop walks the list it appends to, reaching each node once
+    for u in order:
         du = dist[u] + 1
         for v in adj[u]:
             if dist[v] < 0:
                 dist[v] = du
-                parent[v] = u
-                queue.append(v)
-    return dist, parent
+                order.append(v)
+    return dist, order
 
 
 def _require_connected(g: DualGraph):
@@ -340,7 +351,7 @@ def _require_connected(g: DualGraph):
 
 def _argmax(values):
     # smallest index on ties, for reproducibility
-    return max(range(len(values)), key=values.__getitem__)
+    return values.index(max(values))
 
 
 def diameter_exact(g: DualGraph) -> int:
@@ -352,26 +363,33 @@ def diameter_exact(g: DualGraph) -> int:
     certified lower bound reaches that threshold (Crescenzi et al., "On
     computing the diameter of real-world undirected graphs", TCS 2013).
     Long thin graphs such as corridor duals need only a few BFS passes.
-    Raises DisconnectedGraph.
+    Each pass keeps distances and visit order only: the midpoint is reached
+    by walking back from the far end through nodes one step closer to the
+    sweep's root, and each fringe is a run of the midpoint pass's visit
+    order.  Raises DisconnectedGraph.
     """
     adj = g.adjacency
     a = _argmax(_require_connected(g))
-    dist_a, parent = _bfs(adj, a)
+    dist_a, _ = _bfs(adj, a)
     b = _argmax(dist_a)
     mid = b
     for _ in range(dist_a[b] // 2):
-        mid = parent[mid]
-    dist_mid, _ = _bfs(adj, mid)
-    ecc_mid = max(dist_mid)
-    levels = [[] for _ in range(ecc_mid + 1)]
-    for v, dv in enumerate(dist_mid):
-        levels[dv].append(v)
+        closer = dist_a[mid] - 1
+        mid = next(v for v in adj[mid] if dist_a[v] == closer)
+    dist_mid, order = _bfs(adj, mid)
+    ecc_mid = dist_mid[order[-1]]
     lower = max(dist_a[b], ecc_mid)
     i = ecc_mid
+    end = len(order)
     # 2i bounds the diameter once every node deeper than i is scanned
     while 2 * i > lower:
+        # the fringe at depth i ends where the deeper one began; the root
+        # at depth 0 < i stops the walk
+        start = end
+        while dist_mid[order[start - 1]] == i:
+            start -= 1
         best = lower
-        for v in levels[i]:
+        for v in order[start:end]:
             ecc = max(_bfs(adj, v)[0])
             if ecc > best:
                 best = ecc
@@ -379,6 +397,7 @@ def diameter_exact(g: DualGraph) -> int:
             return best
         lower = best
         i -= 1
+        end = start
     return lower
 
 

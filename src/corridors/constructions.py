@@ -34,7 +34,8 @@ class CorridorSpec:
 def straight_corridor(spec: CorridorSpec) -> Complex:
     """Corridor with facets {i, ..., i+d-1}; its dual graph is a path."""
     n, d = spec.n_vertices, spec.dim_facet
-    facets = tuple(tuple(range(i, i + d)) for i in range(1, n - d + 2))
+    # column j of the windows is the run 1+j..n-d+1+j, zipped at C level
+    facets = tuple(zip(*(range(1 + j, n - d + 2 + j) for j in range(d))))
     return Complex(d, n, facets)
 
 

@@ -2,10 +2,11 @@ import contextlib
 import dataclasses
 import random
 import signal
+import sys
 
 import pytest
 
-from corridors import Complex, CorridorSpec, boundary_corridor, straight_corridor
+from corridors import Complex, CorridorSpec, boundary_corridor, complex_core, straight_corridor
 from naive_reference import ref_ridges
 
 
@@ -56,6 +57,24 @@ def tuple_ridge_map(c, q):
     n, size = q.quotient.n_vertices, c.dim_facet - 1
     decoded = {r: decode_code(code, n, size) for r, code in zip(rows, q.ridge_map)}
     return dataclasses.replace(q, ridge_map=decoded)
+
+
+def record_calls(monkeypatch, name, module=complex_core):
+    """Rebind module's `name` in every corridors module that imports it.
+
+    Returns the list to which each call appends its first argument.
+    """
+    original = getattr(module, name)
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("corridors") and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, recording)
+    return calls
 
 
 class TimeLimitExceeded(Exception):

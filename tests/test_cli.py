@@ -110,6 +110,61 @@ class TestColoringCommands:
         )
         assert code == 1
 
+    def test_verify_against_improper_coloring_fails_as_verification(self, built, capsys):
+        # no quotient exists, so the two quotient checks fail: exit 1, as
+        # without --against
+        tmp_path, sc_path = built
+        f_path = tmp_path / "const.coloring"
+        lines = ["colors 13"] + [f"{v} {(v - 1) % 2 + 1}" for v in range(1, 61)]
+        f_path.write_text("\n".join(lines) + "\n")
+        code, out, err = run(
+            capsys, "verify", "--in", str(sc_path), "--coloring", str(f_path),
+            "--against", str(sc_path), "--json",
+        )
+        assert code == 1 and err == ""
+        report = json.loads(out)
+        assert report["checks"] == {
+            "connected": True,
+            "pseudomanifold": False,
+            "proper": False,
+            "ridge_unique": False,
+            "boundary_preserved": False,
+            "quotient_matches": False,
+        }
+        assert report["required"][-2:] == ["boundary_preserved", "quotient_matches"]
+        assert report["ok"] is False
+        # the expected quotient is still read, so a malformed one is an error
+        bad = tmp_path / "bad.cplx"
+        bad.write_text("dim 3\n")
+        code, out, err = run(
+            capsys, "verify", "--in", str(sc_path), "--coloring", str(f_path),
+            "--against", str(bad),
+        )
+        assert code == 2 and out == ""
+        assert err.splitlines() == ["error: line 1: bad header line: 'dim 3'"]
+
+    def test_refine_cost_follows_the_colors_in_use(self, built, capsys):
+        # without --class-cap, refine counts classes under the file's header
+        tmp_path, sc_path = built
+        f_path = tmp_path / "f.coloring"
+        argv = ["color", "--in", str(sc_path), "--c1", "13", "--out", str(f_path), "--quiet"]
+        assert main(argv) == 0
+        text = f_path.read_text()
+        stats = []
+        for header in ("colors 13", "colors 1000000000"):
+            f_path.write_text(text.replace("colors 13", header, 1))
+            with time_limit(10):
+                code, out, err = run(
+                    capsys, "refine", "--in", str(sc_path), "--coloring", str(f_path),
+                    "--shape", "corridor", "--out", str(tmp_path / "g.coloring"), "--json",
+                )
+            assert code == 0 and err == ""
+            stats.append(json.loads(out))
+        small, huge = stats
+        assert huge["colors_total"] == 10 ** 9 * huge["c2"]
+        for key in ("S", "c2", "resamples", "ridge_patterns_unique"):
+            assert huge[key] == small[key]
+
     def test_verify_against_requires_coloring(self, built, capsys):
         tmp_path, sc_path = built
         code, _, err = run(

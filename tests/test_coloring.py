@@ -37,14 +37,21 @@ from corridors import (
     verify_unique_ridge_patterns,
     write_coloring,
 )
-from corridors.coloring import face_columns, pattern_codes
-from conftest import random_complex
+from corridors.coloring import (
+    _ridges_by_vertex,
+    _ridges_through,
+    class_sizes,
+    face_columns,
+    pattern_codes,
+)
+from conftest import random_complex, time_limit
 from naive_reference import (
     all_faces,
     ref_first_pattern_collision,
     ref_greedy_window_coloring,
     ref_pattern_codes,
     ref_refine,
+    ref_ridges,
 )
 
 
@@ -212,6 +219,22 @@ class TestPatternHistogram:
         assert first_stage_class_cap(200, 3, 13, 1, 0.2) == 6
         assert first_stage_class_cap(1000, 4, 13, 2, 0.2) == 46
         assert first_stage_class_cap(10**5, 3, 13, 1, 0.1) == 2820
+
+    def test_cost_follows_the_colors_in_use(self):
+        # a billion declared colors, three in use: only those get a weight
+        c = sc(6, 3)
+        colors = (1, 2, 3, 1, 2, 3)
+        with time_limit(5):
+            huge = pattern_class_histogram(c, Coloring(colors, 10 ** 9))
+            sizes = class_sizes(colors, 10 ** 9, face_columns(c, 1))
+        small = pattern_class_histogram(c, Coloring(colors, 3))
+        assert (huge.max_class_size, huge.class_count, huge.face_count) == (
+            small.max_class_size,
+            small.class_count,
+            small.face_count,
+        )
+        oracle = sorted_pattern_classes(c, Coloring(colors, 3), 1)
+        assert sorted(sizes.values()) == sorted(oracle.values())
 
 
 def sorted_pattern_classes(c, f, codim):
@@ -527,3 +550,16 @@ class TestColoringFormat:
             Coloring((1, 5), 3)
         with pytest.raises(ValueError):
             Coloring((0, 1), 3)
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=80, deadline=None)
+def test_vertex_lookup_matches_the_reference(seed):
+    # the ridges through v, column by column, are {i : v in ridge i}
+    c = random_complex(random.Random(seed))
+    index = _ridges_by_vertex(c.incidence.columns())
+    ridges = [r for r, _ in ref_ridges(c)]
+    for v in range(c.n_vertices + 2):
+        through = list(_ridges_through(index, v))
+        assert len(through) == len(set(through))
+        assert sorted(through) == [i for i, r in enumerate(ridges) if v in r]

@@ -27,7 +27,14 @@ from corridors import (
     write_complex,
 )
 from corridors.complex_core import Incidence, _store_codes
-from conftest import column_weights, decode_code, incidence_dense, random_complex, time_limit
+from conftest import (
+    column_weights,
+    decode_code,
+    incidence_dense,
+    random_complex,
+    record_calls,
+    time_limit,
+)
 from naive_reference import (
     ref_boundary_dense,
     ref_diameter,
@@ -185,7 +192,44 @@ class TestDualGraph:
 
     def test_from_edges_validates(self):
         with pytest.raises(ValueError):
-            DualGraph(2, ((0,), (0,)))
+            DualGraph.from_edges(2, [(0, 1), (0, 0)])
+
+    @pytest.mark.parametrize(
+        "tails,heads,message",
+        [
+            ([0, 1], [1], "2 tails but 1 heads"),
+            ([0], [3], "an edge leaves the node range 0..2"),
+            ([-1], [1], "an edge leaves the node range 0..2"),
+            ([1], [0], "an edge has its tail at or above its head"),
+            ([1], [1], "an edge has its tail at or above its head"),
+            ([0, 1, 0], [1, 2, 1], "an edge repeats"),
+        ],
+    )
+    def test_validation_messages(self, tails, heads, message):
+        with pytest.raises(ValueError) as info:
+            DualGraph(3, array("q", tails), array("q", heads))
+        assert str(info.value) == message
+
+    def test_self_loop_message(self):
+        with pytest.raises(ValueError) as info:
+            DualGraph.from_edges(3, [(0, 1), (2, 2)])
+        assert str(info.value) == "self-loop at node 2"
+
+    def test_from_edges_ignores_orientation_and_merges_duplicates(self):
+        g = DualGraph.from_edges(4, [(1, 0), (0, 1), (2, 1), (1, 2), (3, 1)])
+        assert (list(g.tails), list(g.heads)) == ([0, 1, 1], [1, 2, 3])
+        assert g.edge_count == 3 and g.degrees() == [1, 3, 1, 1]
+        assert g.adjacency == ((1,), (0, 2, 3), (1,), (1,))
+
+    def test_each_edge_stored_once(self, corpus):
+        for c in corpus:
+            g = dual_graph(c)
+            assert type(g.tails) is array and type(g.heads) is array
+            assert sorted(zip(g.tails, g.heads)) == sorted(ref_dual_edges(c))
+            # the adjacency built from the list is sorted, symmetric, loop-free
+            for u, nbrs in enumerate(g.adjacency):
+                assert list(nbrs) == sorted(set(nbrs)) and u not in nbrs
+                assert all(u in g.adjacency[v] for v in nbrs)
 
 
 class TestBoundaryMatrix:
@@ -269,7 +313,7 @@ class TestDiameter:
             pair_distance(g, 0, 1)
 
     def test_single_node(self):
-        g = DualGraph(1, ((),))
+        g = DualGraph.from_edges(1, [])
         assert diameter_exact(g) == ref_diameter(g.adjacency) == 0
 
     def test_modes_agree_on_corridors(self):
@@ -285,6 +329,41 @@ class TestDiameter:
             assert diameter_exact(g) == exact
             assert double_sweep_lower_bound(g) <= exact
             assert pair_distance(g, 0, g.n_nodes - 1) <= exact
+
+
+# corridor and boundary duals of both diameter parities
+CORRIDOR_DUALS = [dual_graph(sc(n, d)) for d in (3, 4) for n in range(d + 1, d + 9)]
+CORRIDOR_DUALS += [
+    dual_graph(boundary_corridor(n, d)) for d in (3, 4) for n in range(d + 2, d + 10)
+]
+CORRIDOR_DIAMETERS = [ref_diameter(g.adjacency) for g in CORRIDOR_DUALS]
+
+
+def test_corridor_duals_cover_both_parities():
+    assert {D % 2 for D in CORRIDOR_DIAMETERS} == {0, 1}
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=30, deadline=None)
+def test_diameter_exact_under_node_relabelling(seed):
+    # another node order changes the sweep's ties and the midpoint walk,
+    # never the diameter
+    rng = random.Random(seed)
+    for g, exact in zip(CORRIDOR_DUALS, CORRIDOR_DIAMETERS):
+        perm = list(range(g.n_nodes))
+        rng.shuffle(perm)
+        edges = [(perm[u], perm[v]) for u, v in zip(g.tails, g.heads)]
+        assert diameter_exact(DualGraph.from_edges(g.n_nodes, edges)) == exact
+
+
+@pytest.mark.parametrize("n,passes", [(100, 4), (101, 3)])
+def test_bfs_passes_per_diameter_on_a_path(monkeypatch, n, passes):
+    # the dual of sc(n, 3) is a path of diameter D = n - 3: the connectivity
+    # pass, the sweep and the midpoint pass, plus for odd D one fringe node
+    g = dual_graph(sc(n, 3))
+    sources = record_calls(monkeypatch, "_bfs")
+    assert diameter_exact(g) == n - 3
+    assert len(sources) == passes
 
 
 def random_connected_graph(rng, max_nodes=24):

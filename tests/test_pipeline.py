@@ -1,11 +1,10 @@
 import hashlib
 import json
 import pickle
-import sys
 
 import pytest
 
-from corridors import coloring, complex_core, pipeline
+from corridors import coloring, pipeline
 from corridors import (
     InvalidSpec,
     ResampleCapExceeded,
@@ -15,24 +14,7 @@ from corridors import (
     run_pipeline,
     strip_volatile,
 )
-
-
-def record_calls(monkeypatch, name, module=complex_core):
-    """Rebind module's `name` in every corridors module that imports it.
-
-    Returns the list to which each call appends its first argument.
-    """
-    original = getattr(module, name)
-    calls = []
-
-    def recording(*args, **kwargs):
-        calls.append(args[0])
-        return original(*args, **kwargs)
-
-    for mod_name, mod in list(sys.modules.items()):
-        if mod_name.startswith("corridors") and getattr(mod, name, None) is original:
-            monkeypatch.setattr(mod, name, recording)
-    return calls
+from conftest import record_calls
 
 
 @pytest.mark.parametrize("mode", ["simplicial", "pseudomanifold"])

@@ -3,8 +3,11 @@
 Valid .cplx and .coloring texts are mutated line by line (lines deleted,
 repeated, swapped, replaced or inserted, single tokens rewritten).  Parsing
 a mutant may only raise ValueError or a CorridorsError, and the CLI commands
-that read files (diameter, verify, quotient) must return an exit code, with
-exactly one `error:` line on stderr when it is 2.
+that read files (diameter, verify, quotient, refine) must return an exit
+code, with exactly one `error:` line on stderr when it is 2 or 3.  Each
+command runs under a time limit, so work sized by a mutated header fails
+the test instead of exhausting memory.  `color` is left out: its output
+follows the declared vertex count by design.
 """
 
 import io
@@ -27,6 +30,7 @@ from corridors import (
     straight_corridor,
 )
 from corridors.cli import main
+from conftest import time_limit
 
 SOURCE = straight_corridor(CorridorSpec(8, 3))
 COMPLEX_TEXT = complex_to_text(SOURCE)
@@ -77,14 +81,14 @@ def parses(parse, text):
 
 def run_main(*argv):
     out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
+    with redirect_stdout(out), redirect_stderr(err), time_limit(10):
         code = main(list(argv))
     return code, err.getvalue()
 
 
 def check_exit(code, err):
     assert "Traceback" not in err
-    if code == 2:
+    if code in (2, 3):
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), err
     else:
@@ -108,7 +112,9 @@ def test_mutated_files_exit_cleanly(complex_text, coloring_text):
     complex_ok = parses(complex_from_text, complex_text)
     coloring_ok = parses(coloring_from_text, coloring_text)
     with tempfile.TemporaryDirectory() as tmp:
-        cplx, coloring, out = (Path(tmp) / name for name in ("c.cplx", "f.coloring", "q.cplx"))
+        cplx, coloring, out, refined = (
+            Path(tmp) / name for name in ("c.cplx", "f.coloring", "q.cplx", "g.coloring")
+        )
         cplx.write_text(complex_text)
         coloring.write_text(coloring_text)
         code, err = run_main("diameter", "--in", str(cplx))
@@ -117,6 +123,10 @@ def test_mutated_files_exit_cleanly(complex_text, coloring_text):
         for argv in (
             ["verify", "--in", str(cplx), "--coloring", str(coloring)],
             ["quotient", "--in", str(cplx), "--coloring", str(coloring), "--out", str(out)],
+            [
+                "refine", "--in", str(cplx), "--coloring", str(coloring),
+                "--shape", "corridor", "--out", str(refined),
+            ],
         ):
             code, err = run_main(*argv)
             check_exit(code, err)
