@@ -5,7 +5,9 @@ a color unseen in the trailing window; that alone separates the patterns of
 any two intersecting ridges.  Stage two draws an independent refinement
 coloring and resamples the vertices of colliding disjoint ridge pairs until
 every ridge pattern is unique, with a safety cap turning bad luck into a
-reportable error instead of a hang.
+reportable error instead of a hang.  first_stage_class_cap is the one
+source of stage one's class-size cap, (1+eps) N C(d-1,k) / C(c1,d-k);
+pattern_class_histogram only counts the classes it is held against.
 
 All randomness flows through one MT19937 stream per operation (seeded
 `random.Random`), consumed in a fixed documented order: vertex order for the
@@ -32,7 +34,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress, repeat
-from math import comb, inf
+from math import ceil, comb, inf
 from operator import add, mul, sub
 from pathlib import Path
 
@@ -68,16 +70,9 @@ class Coloring:
             if not 1 <= col <= self.c:
                 raise ValueError(f"vertex {v} has color {col} outside 1..{self.c}")
 
-    def of(self, v: int) -> int:
-        return self.colors[v - 1]
-
     @property
     def n_vertices(self):
         return len(self.colors)
-
-
-def identity_coloring(n: int) -> Coloring:
-    return Coloring(tuple(range(1, n + 1)), n)
 
 
 @dataclass(frozen=True)
@@ -234,22 +229,18 @@ def face_columns(c: Complex, k: int) -> list:
     return list(zip(*faces_of_codim(c, k)))
 
 
-def _first_stage_class_bound(
+def first_stage_class_cap(
     n_vertices: int, dim_facet: int, c1: int, codim: int, epsilon
-) -> Fraction:
-    """Exact (1+eps) N C(d-1,k) / C(c1,d-k); the class cap is its floor."""
+) -> int:
+    """Integer cap floor((1+eps) N C(d-1,k) / C(c1,d-k)) on codim-k class sizes.
+
+    Computed exactly, with epsilon read as the decimal it prints as.
+    """
     denom = comb(c1, dim_facet - codim)
     if denom == 0:
         raise ValueError(f"{c1} colors cannot fill faces of size {dim_facet - codim}")
     slack = 1 + Fraction(str(epsilon))
-    return slack * n_vertices * comb(dim_facet - 1, codim) / denom
-
-
-def first_stage_class_cap(
-    n_vertices: int, dim_facet: int, c1: int, codim: int, epsilon
-) -> int:
-    """Integer cap floor((1+eps) N C(d-1,k) / C(c1,d-k)) on codim-k class sizes."""
-    return int(_first_stage_class_bound(n_vertices, dim_facet, c1, codim, epsilon))
+    return int(slack * n_vertices * comb(dim_facet - 1, codim) / denom)
 
 
 def class_sizes(colors, n_colors: int, columns) -> Counter:
@@ -287,41 +278,24 @@ class PatternHistogram:
     """Pattern-class statistics of one coloring over all codim-k faces.
 
     class_count is the number of distinct patterns and max_class_size the
-    size of the largest class; bound is described in pattern_class_histogram.
-    The classes themselves are not kept: pattern_codes names a face's pattern.
+    size of the largest class.  The classes themselves are not kept:
+    pattern_codes names a face's pattern.  The stage-one cap these sizes
+    are held to is first_stage_class_cap's.
     """
 
     max_class_size: int
     class_count: int
     face_count: int
-    codim: int
-    bound: float | None
 
 
-def pattern_class_histogram(
-    c: Complex, f: Coloring, codim: int = 1, epsilon: float = 0.0
-) -> PatternHistogram:
-    """Exact pattern-class statistics over all codimension-k faces.
-
-    The reported bound is the stage-one cap (1+eps) N C(d-1,k) / C(f.c,d-k):
-    the exact value that first_stage_class_cap floors, as a float.  It is
-    meaningful when f is a stage-one coloring, and None when f has fewer
-    colors than a face needs.
-    """
+def pattern_class_histogram(c: Complex, f: Coloring, codim: int = 1) -> PatternHistogram:
+    """Exact pattern-class statistics over all codimension-k faces."""
     _require_total(c, f)
     sizes = class_sizes(f.colors, f.c, face_columns(c, codim))
-    if f.c >= c.dim_facet - codim:
-        bound = float(
-            _first_stage_class_bound(c.n_vertices, c.dim_facet, f.c, codim, epsilon)
-        )
-    else:
-        bound = None
     return PatternHistogram(
         max_class_size=max(sizes.values(), default=0),
         class_count=len(sizes),
         face_count=sum(sizes.values()),
-        codim=codim,
-        bound=bound,
     )
 
 
@@ -338,7 +312,9 @@ def lll_target_colors(t: int, S: int, dim_facet: int) -> int:
     """Smallest c2 with e(2tS + 1) <= c2^(d-1), by guarded rounding.
 
     Computed with the package's rational approximation of e, so the defining
-    inequality is checked exactly after the floating-point ceiling.
+    inequality is checked exactly after the floating-point ceiling.  Once
+    d-1 reaches the bit length of ceil(target), 2^(d-1) exceeds the target
+    (which exceeds 1), so the answer is 2 without a power of that size.
     """
     if dim_facet < 2:
         raise ValueError(f"facet size must be at least 2, got {dim_facet}")
@@ -346,6 +322,8 @@ def lll_target_colors(t: int, S: int, dim_facet: int) -> int:
         raise ValueError("t and S must be nonnegative")
     exponent = dim_facet - 1
     target = E * (2 * t * S + 1)
+    if exponent >= ceil(target).bit_length():
+        return 2
     c2 = max(1, round(float(target) ** (1.0 / exponent)))
     while c2 ** exponent < target:
         c2 += 1
@@ -422,7 +400,11 @@ def _require_refinable(inc: Incidence, columns, index, f: Coloring, S):
     """Stage-one patterns must separate intersecting ridges and classes fit S.
 
     A ridge's class is its pattern code, below (f.c + 1) ** inc.size.
+    Without ridge columns there is nothing to check, so a complex without
+    facets costs nothing, whatever facet size it declares.
     """
+    if not columns:
+        return
     codes = pattern_codes([0, *f.colors], columns, f.c + 1)
     # ridges through one vertex must lie in distinct classes, so the
     # (vertex, class) pairs of all vertex-ridge incidences are distinct

@@ -101,10 +101,6 @@ class Complex:
             n_vertices = max(F[-1] for F in norm)
         return cls(len(norm[0]), n_vertices, norm)
 
-    @property
-    def facet_count(self):
-        return len(self.facets)
-
     @cached_property
     def incidence(self) -> Incidence:
         """Ridge-facet incidence, enumerated by ridges_of on first use."""

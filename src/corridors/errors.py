@@ -61,10 +61,6 @@ class ImproperColoring(CorridorsError):
     """Two adjacent vertices share a color, so patterns are not sets."""
 
 
-class MissingBijection(CorridorsError):
-    """Quotient lacks facet/ridge bijections (a pattern collision occurred)."""
-
-
 class DimensionTooSmall(CorridorsError):
     """Bound formula requested below its minimal dimension."""
 

@@ -13,7 +13,7 @@ import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
-from math import factorial, inf
+from math import ceil, factorial, inf
 
 from . import bounds as bounds_mod
 from .coloring import (
@@ -37,17 +37,17 @@ from .complex_core import (
     is_pseudomanifold,
     pair_distance,
 )
-from .constructions import CorridorSpec, boundary_corridor, straight_corridor
-from .errors import InvalidSpec, MissingBijection, RetriesExhausted
+from .constructions import (
+    CorridorSpec,
+    boundary_corridor,
+    diameter_lower_bound_boundary,
+    straight_corridor,
+)
+from .errors import InvalidSpec, RetriesExhausted
 from .quotient import pattern_complex, verify_boundary_preservation
 
 DEFAULT_RETRIES = 10
 DEFAULT_MAX_RESAMPLES = 10 ** 6
-
-
-def lemma8_floor(n_vertices: int, dim_facet: int) -> int:
-    """Integer form ceil((d-1)N/d) - d of the boundary diameter lower bound."""
-    return -((-(dim_facet - 1) * n_vertices) // dim_facet) - dim_facet
 
 
 def _derive_seed(master: random.Random) -> int:
@@ -164,10 +164,7 @@ def run_pipeline(
     # independent re-checks: none of these reuse a stage's own claims
     proper = verify_proper(target, product)
     ridge_unique, _ = verify_unique_ridge_patterns(target, product)
-    try:
-        preserved = verify_boundary_preservation(target, q)
-    except MissingBijection:
-        preserved = False
+    preserved = verify_boundary_preservation(target, q)
 
     qgraph = dual_graph(quotient)
     try:
@@ -216,7 +213,7 @@ def run_pipeline(
             diameter is not None and diameter <= upper
         )
     else:
-        lemma8 = lemma8_floor(n_corridor, dim)
+        lemma8 = ceil(diameter_lower_bound_boundary(n_corridor, dim))
         sharp, loose = bounds_mod.hpm_upper(n_prime, dim)
         bounds["hpm_lower_asymptotic"] = float(bounds_mod.hpm_lower(n_prime, dim))
         bounds["hpm_upper_sharp"] = float(sharp)

@@ -5,7 +5,9 @@ two ridges share a pattern, the collapse is a bijection on facets and ridges,
 and the GF(2) boundary matrices of source and quotient agree entry for entry.
 Everything downstream of the boundary matrix (dual graph, diameter,
 pseudomanifold-ness) then transfers for free, but is still re-measured
-directly on the quotient's own facets.
+directly on the quotient's own facets.  A facet or ridge collision leaves
+no bijection, so verify_boundary_preservation fails (returns False);
+quotient_report, which only describes, records its result as None there.
 
 Both sides are flat integer incidences (see complex_core): the ridge map is
 one quotient ridge code per source ridge row, and the preservation check
@@ -41,7 +43,7 @@ from .coloring import (
     pattern_codes,
     verify_proper,
 )
-from .errors import ImproperColoring, MissingBijection
+from .errors import ImproperColoring
 
 
 @dataclass(frozen=True)
@@ -65,10 +67,6 @@ class QuotientResult:
     ridges_injective: bool
     facet_collision: tuple | None
     ridge_collision: tuple | None
-
-    @property
-    def facet_bijection(self):
-        return self.facet_map if self.facets_injective else None
 
 
 def _facet_correspondence(facet_codes, qcodes):
@@ -154,12 +152,12 @@ def verify_boundary_preservation(c: Complex, q: QuotientResult) -> bool:
     moved entries must then be exactly the quotient's.  Both sides hold the
     same number of entries and the quotient's are distinct, so equal sets
     mean equal matrices; every quotient row holds a facet, so they also make
-    the row map a bijection onto the quotient's ridges.  Requires both
-    bijections (MissingBijection otherwise); any count mismatch is a
-    failure, not an error.
+    the row map a bijection onto the quotient's ridges.  A facet or ridge
+    pattern collision leaves no bijection, so the check fails; so does any
+    count mismatch.
     """
     if not (q.facets_injective and q.ridges_injective) or q.ridge_map is None:
-        raise MissingBijection("quotient has a facet or ridge pattern collision")
+        return False
     src, dst = c.incidence, q.quotient.incidence
     m = len(q.quotient.facets)
     if (
@@ -181,8 +179,9 @@ def verify_boundary_preservation(c: Complex, q: QuotientResult) -> bool:
 def quotient_report(c: Complex, q: QuotientResult) -> dict:
     """Summary fragment comparing source and quotient.
 
-    Diameters are always re-measured by BFS on both sides, each from its
-    own dual graph; DisconnectedGraph propagates.
+    boundary_preserved is None when a pattern collision leaves no
+    bijection to check.  Diameters are always re-measured by BFS on both
+    sides, each from its own dual graph; DisconnectedGraph propagates.
     """
     preserved = None
     if q.facets_injective and q.ridges_injective:

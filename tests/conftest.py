@@ -6,7 +6,14 @@ import sys
 
 import pytest
 
-from corridors import Complex, CorridorSpec, boundary_corridor, complex_core, straight_corridor
+from corridors import (
+    Coloring,
+    Complex,
+    CorridorSpec,
+    boundary_corridor,
+    complex_core,
+    straight_corridor,
+)
 from naive_reference import ref_ridges
 
 
@@ -19,6 +26,11 @@ def random_complex(rng, max_vertices=12, max_dim=4):
     for _ in range(rng.randint(1, 12)):
         pool.add(tuple(sorted(rng.sample(vertices, d))))
     return Complex(d, n, tuple(sorted(pool)))
+
+
+def identity_coloring(n):
+    """Vertex v gets color v: proper on every complex, with no collision."""
+    return Coloring(tuple(range(1, n + 1)), n)
 
 
 def incidence_dense(c):

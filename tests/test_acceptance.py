@@ -15,13 +15,13 @@ from corridors import (
     boundary_corridor,
     check_regular_graph_bound,
     diameter_exact,
+    diameter_lower_bound_boundary,
     dual_graph,
     facet_labels,
     first_stage_class_cap,
     greedy_window_coloring,
     intersecting_ridge_bound,
     is_pseudomanifold,
-    lemma8_floor,
     lll_target_colors,
     moser_tardos_refine,
     pattern_class_histogram,
@@ -79,7 +79,7 @@ def test_criterion_2_boundary_diameter_and_potential():
     for d in (3, 4):
         for n in range(d + 2, 41):
             b = boundary_corridor(n, d)
-            if diameter_exact(dual_graph(b)) < lemma8_floor(n, d):
+            if diameter_exact(dual_graph(b)) < math.ceil(diameter_lower_bound_boundary(n, d)):
                 ok = False
                 detail.append(f"diameter below bound at ({n},{d})")
             labels = facet_labels(b)
@@ -120,7 +120,7 @@ def test_criterion_4_pattern_concentration():
     means = []
     for seed in range(20):
         f = greedy_window_coloring(target, FirstColoringParams(c1, epsilon, seed))
-        hist = pattern_class_histogram(target, f, 1, epsilon)
+        hist = pattern_class_histogram(target, f, 1)
         maxima.append(hist.max_class_size)
         means.append(hist.face_count / hist.class_count)
         if hist.max_class_size <= cap:

@@ -110,6 +110,41 @@ class TestColoringCommands:
         )
         assert code == 1
 
+    def test_proper_colliding_coloring_fails_preservation(self, built, capsys):
+        # period 3 is proper on SC(60, 3), but every facet gets pattern
+        # {1, 2, 3}, so there is no bijection for the check to use
+        tmp_path, sc_path = built
+        f_path = tmp_path / "period3.coloring"
+        lines = ["colors 3"] + [f"{v} {(v - 1) % 3 + 1}" for v in range(1, 61)]
+        f_path.write_text("\n".join(lines) + "\n")
+        q_path = tmp_path / "q.cplx"
+        code, out, err = run(
+            capsys, "quotient", "--in", str(sc_path), "--coloring", str(f_path),
+            "--out", str(q_path), "--json",
+        )
+        assert code == 0 and err == ""
+        fragment = json.loads(out)
+        assert fragment["boundary_preserved"] is None
+        assert fragment["facets_injective"] is False
+        assert fragment["ridges_injective"] is False
+        assert read_complex(q_path).facets == ((1, 2, 3),)
+
+        code, out, err = run(
+            capsys, "verify", "--in", str(sc_path), "--coloring", str(f_path),
+            "--against", str(q_path), "--json",
+        )
+        assert code == 1 and err == ""
+        report = json.loads(out)
+        assert report["checks"] == {
+            "connected": True,
+            "pseudomanifold": False,
+            "proper": True,
+            "ridge_unique": False,
+            "boundary_preserved": False,
+            "quotient_matches": True,
+        }
+        assert report["ok"] is False
+
     def test_verify_against_improper_coloring_fails_as_verification(self, built, capsys):
         # no quotient exists, so the two quotient checks fail: exit 1, as
         # without --against
@@ -234,6 +269,46 @@ class TestColoringCommands:
         code, out, err = run(capsys, "diameter", "--in", str(path))
         assert code == 2 and out == ""
         assert err.splitlines() == ["error: line 4: expected integers, got '2 x 4'"]
+
+
+class TestNoOutputOnError:
+    """A command that exits 2 has written nothing: it computes, then writes."""
+
+    def test_color_with_too_few_colors(self, built, capsys):
+        tmp_path, sc_path = built
+        out = tmp_path / "f.coloring"
+        code, stdout, err = run(
+            capsys, "color", "--in", str(sc_path), "--c1", "1", "--window", "0",
+            "--out", str(out),
+        )
+        assert code == 2 and stdout == ""
+        assert err.splitlines() == ["error: 1 colors cannot fill faces of size 2"]
+        assert not out.exists()
+
+    def test_quotient_of_a_disconnected_complex(self, tmp_path, capsys):
+        path = tmp_path / "two.cplx"
+        path.write_text("dim 3 vertices 6\n1 2 3\n4 5 6\n")
+        coloring = tmp_path / "f.coloring"
+        coloring.write_text("colors 3\n1 1\n2 2\n3 3\n4 1\n5 2\n6 3\n")
+        out, report = tmp_path / "q.cplx", tmp_path / "q.json"
+        code, stdout, err = run(
+            capsys, "quotient", "--in", str(path), "--coloring", str(coloring),
+            "--out", str(out), "--report", str(report),
+        )
+        assert code == 2 and stdout == ""
+        assert err.splitlines() == ["error: graph is not connected"]
+        assert not out.exists() and not report.exists()
+
+    def test_labels_rejected_before_building(self, tmp_path, capsys):
+        # n = 2 < d would fail the build itself; the option is checked first
+        out = tmp_path / "x"
+        code, stdout, err = run(
+            capsys, "build", "corridor", "--n", "2", "--dim", "3",
+            "--out", str(out), "--labels",
+        )
+        assert code == 2 and stdout == ""
+        assert err.splitlines() == ["error: --labels applies only to boundary complexes"]
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestDiameterCommand:
@@ -413,3 +488,20 @@ class TestFacetlessComplex:
             "proper": True,
             "ridge_unique": True,
         }
+
+    def test_refine_cost_does_not_follow_the_declared_dimension(self, tmp_path, capsys):
+        # no facets, so no ridges: refining must not take powers of the size
+        path = tmp_path / "empty.cplx"
+        path.write_text("dim 10000000 vertices 4\n")
+        coloring = tmp_path / "f.coloring"
+        coloring.write_text("colors 2\n1 1\n2 2\n3 1\n4 2\n")
+        with time_limit(1):
+            code, out, err = run(
+                capsys, "refine", "--in", str(path), "--coloring", str(coloring),
+                "--shape", "corridor", "--out", str(tmp_path / "g.coloring"), "--json",
+            )
+        assert code == 0 and err == ""
+        stats = json.loads(out)
+        assert stats["t"] == 2 * 10 ** 14
+        assert (stats["S"], stats["c2"], stats["resamples"]) == (0, 2, 0)
+        assert stats["colors_total"] == 4 and stats["ridge_patterns_unique"]

@@ -25,7 +25,6 @@ from corridors import (
     faces_of_codim,
     first_stage_class_cap,
     greedy_window_coloring,
-    identity_coloring,
     intersecting_ridge_bound,
     lll_target_colors,
     moser_tardos_refine,
@@ -44,7 +43,7 @@ from corridors.coloring import (
     face_columns,
     pattern_codes,
 )
-from conftest import random_complex, time_limit
+from conftest import identity_coloring, random_complex, time_limit
 from naive_reference import (
     all_faces,
     ref_first_pattern_collision,
@@ -79,7 +78,7 @@ class TestGreedyWindowColoring:
         f = greedy_window_coloring(c, FirstColoringParams(c1, 0.2, seed))
         for i in range(1, n + 1):
             for j in range(i + 1, min(i + window, n) + 1):
-                assert f.of(i) != f.of(j)
+                assert f.colors[i - 1] != f.colors[j - 1]
 
     def test_no_legal_color(self):
         with pytest.raises(NoLegalColor):
@@ -151,7 +150,7 @@ class TestCorridorSkeletonFacts:
         c = sc(200, d)
         f = greedy_window_coloring(c, FirstColoringParams(6 * (d - 1) + 1, 0.2, seed))
         ridges = [r for r, _ in ridges_of(c)]
-        patterns = [tuple(sorted(f.of(v) for v in r)) for r in ridges]
+        patterns = [tuple(sorted(f.colors[v - 1] for v in r)) for r in ridges]
         for (ra, pa), (rb, pb) in itertools.combinations(zip(ridges, patterns), 2):
             if set(ra) & set(rb):
                 assert pa != pb
@@ -170,16 +169,16 @@ class TestPatternHistogram:
         assert hist.class_count == 7
 
     def test_expected_class_size_arithmetic(self):
-        # N (d-1) / C(13, 2) at N = 10^4 with zero slack
-        c = sc(10**4, 3)
-        hist = pattern_class_histogram(c, periodic_coloring(10**4, 13), 1, 0.0)
-        assert hist.bound == pytest.approx(20000 / 78, rel=1e-12)
-        assert hist.bound == pytest.approx(256.41, abs=0.01)
+        # N (d-1) / C(13, 2) = 20000/78 = 256.41 at N = 10^4; the exact
+        # cap reaches 257 at 1 + eps = 257 * 78 / 20000 = 1.0023, not before
+        assert first_stage_class_cap(10**4, 3, 13, 1, 0.0) == 256
+        assert first_stage_class_cap(10**4, 3, 13, 1, 0.0022) == 256
+        assert first_stage_class_cap(10**4, 3, 13, 1, 0.0023) == 257
 
     def test_greedy_meets_cap_at_desk_scale(self):
         c = sc(10**4, 3)
         f = greedy_window_coloring(c, FirstColoringParams(13, 0.1, 38))
-        hist = pattern_class_histogram(c, f, 1, 0.1)
+        hist = pattern_class_histogram(c, f, 1)
         cap = first_stage_class_cap(10**4, 3, 13, 1, 0.1)
         assert cap == 282
         assert hist.max_class_size == 280
@@ -199,12 +198,6 @@ class TestPatternHistogram:
             faces_of_codim(c, 3)
         with pytest.raises(IncompleteColoring):
             pattern_class_histogram(c, identity_coloring(5), 1)
-
-    def test_bound_is_the_exact_cap_as_float(self):
-        for n, d, c1, codim, eps in [(200, 3, 13, 1, 0.2), (10**4, 3, 13, 1, 0.1)]:
-            f = periodic_coloring(n, c1)
-            hist = pattern_class_histogram(sc(n, d), f, codim, eps)
-            assert int(hist.bound) == first_stage_class_cap(n, d, c1, codim, eps)
 
     def test_identity_coloring_with_a_large_palette(self):
         c = sc(10**4, 4)
@@ -240,7 +233,7 @@ class TestPatternHistogram:
 def sorted_pattern_classes(c, f, codim):
     size = c.dim_facet - codim
     faces = [face for face in all_faces(c) if len(face) == size]
-    return Counter(tuple(sorted(f.of(v) for v in face)) for face in faces)
+    return Counter(tuple(sorted(f.colors[v - 1] for v in face)) for face in faces)
 
 
 @pytest.mark.parametrize("size", [1, 2, 3, 4])
@@ -333,7 +326,9 @@ class TestLllTargetColors:
         for t in (0, 7, 10**6):
             assert lll_target_colors(t, 0, 3) == 2
 
-    @given(st.integers(0, 4000), st.integers(0, 4000), st.integers(2, 7))
+    # d reaches 40, past the bit length of every target drawn here, where
+    # the answer is 2 without a big power
+    @given(st.integers(0, 4000), st.integers(0, 4000), st.integers(2, 40))
     @settings(max_examples=200, deadline=None)
     def test_minimal_solution(self, t, s, d):
         c2 = lll_target_colors(t, s, d)
@@ -341,6 +336,10 @@ class TestLllTargetColors:
         assert Fraction(c2 ** (d - 1)) >= target
         if c2 > 1:
             assert Fraction((c2 - 1) ** (d - 1)) < target
+
+    def test_huge_dimension_is_cheap(self):
+        with time_limit(1):
+            assert lll_target_colors(18, 10, 10 ** 9) == 2
 
 
 class TestVerifiers:

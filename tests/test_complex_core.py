@@ -118,8 +118,8 @@ class TestComplexValidation:
 
     def test_edge_cases_are_valid(self):
         assert Complex(3, 4, ()).facets == ()
-        assert Complex(1, 2, ((1,), (2,))).facet_count == 2
-        assert Complex(3, 3, ((1, 2, 3),)).facet_count == 1
+        assert len(Complex(1, 2, ((1,), (2,))).facets) == 2
+        assert len(Complex(3, 3, ((1, 2, 3),)).facets) == 1
 
     def test_from_facets_normalizes(self):
         c = Complex.from_facets([[3, 1, 2], [2, 4, 3]])

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,6 @@ from corridors import (
     facet_label,
     facet_labels,
     is_pseudomanifold,
-    lemma8_floor,
     pair_distance,
     scaled_potential,
     straight_corridor,
@@ -200,14 +200,6 @@ class TestBoundaryDiameterBound:
         for d in range(2, 8):
             assert diameter_lower_bound_boundary(d + 2, d) == 1 - Fraction(2, d)
 
-    def test_lemma8_floor_matches_fraction(self):
-        for d in range(2, 6):
-            for n in range(d + 2, 50):
-                exact = diameter_lower_bound_boundary(n, d)
-                floor_form = lemma8_floor(n, d)
-                assert floor_form >= exact
-                assert floor_form - 1 < exact
-
     def test_alpha_omega_distance_meets_bound(self):
         for d in (2, 3, 4):
             for n in range(d + 2, 32, 3):
@@ -215,4 +207,6 @@ class TestBoundaryDiameterBound:
                 g = dual_graph(b)
                 alpha = b.facets.index(tuple(range(1, d + 1)))
                 omega = b.facets.index(tuple(range(n - d + 1, n + 1)))
-                assert pair_distance(g, alpha, omega) >= lemma8_floor(n, d)
+                assert pair_distance(g, alpha, omega) >= math.ceil(
+                    diameter_lower_bound_boundary(n, d)
+                )

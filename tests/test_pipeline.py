@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import pickle
 
 import pytest
@@ -9,7 +10,7 @@ from corridors import (
     InvalidSpec,
     ResampleCapExceeded,
     RetriesExhausted,
-    lemma8_floor,
+    diameter_lower_bound_boundary,
     run_bench,
     run_pipeline,
     strip_volatile,
@@ -133,7 +134,9 @@ class TestPseudomanifoldMode:
         assert report["results"]["diameter_method"] == "recomputed"
         assert report["verification"]["pseudomanifold_quotient"]
         assert report["verification"]["fvector_identity"]
-        assert report["results"]["dist_alpha_omega"] >= lemma8_floor(40, 3)
+        assert report["results"]["dist_alpha_omega"] >= math.ceil(
+            diameter_lower_bound_boundary(40, 3)
+        )
         assert report["bounds"]["lemma8_lower"] == 24
 
     def test_dimension_4(self):

@@ -8,6 +8,10 @@ code, with exactly one `error:` line on stderr when it is 2 or 3.  Each
 command runs under a time limit, so work sized by a mutated header fails
 the test instead of exhausting memory.  `color` is left out: its output
 follows the declared vertex count by design.
+
+`pipeline` takes no input file; a table of its options outside their range,
+runs that exhaust their budget and an unwritable report path pins the same
+contract for it.
 """
 
 import io
@@ -15,6 +19,7 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -131,3 +136,45 @@ def test_mutated_files_exit_cleanly(complex_text, coloring_text):
             code, err = run_main(*argv)
             check_exit(code, err)
             assert (complex_ok and coloring_ok) or code == 2
+
+
+# pipeline options outside their range, and runs that exhaust their budget
+PIPELINE_FAILURES = [
+    (["--epsilon", "nan"], 2),
+    (["--epsilon", "inf"], 2),
+    (["--epsilon", "-1"], 2),
+    (["--retries", "0"], 2),
+    (["--dim", "2"], 2),
+    (["--n", "2"], 2),
+    (["--c1", "12"], 2),
+    (["--window", "-1"], 2),
+    (["--window", "13"], 2),
+    (["--c2", "0"], 2),
+    (["--max-resamples", "-1"], 2),
+    (["--c2", "1", "--max-resamples", "5"], 3),
+    (["--s-policy", "strict"], 3),
+]
+
+
+@pytest.mark.parametrize(
+    "options,expected", PIPELINE_FAILURES, ids=[" ".join(o) for o, _ in PIPELINE_FAILURES]
+)
+def test_pipeline_failures_exit_cleanly(options, expected):
+    base = {"--mode": "simplicial", "--dim": "3", "--n": "40", "--c1": "13", "--seed": "0"}
+    for option, value in zip(options[::2], options[1::2]):
+        base[option] = value
+    argv = ["pipeline", *(token for pair in base.items() for token in pair)]
+    code, err = run_main(*argv)
+    assert code == expected
+    check_exit(code, err)
+
+
+def test_pipeline_unwritable_out_exits_cleanly(tmp_path):
+    out = tmp_path / "missing" / "report.json"
+    code, err = run_main(
+        "pipeline", "--mode", "simplicial", "--dim", "3", "--n", "40", "--c1", "13",
+        "--out", str(out),
+    )
+    assert code == 2
+    check_exit(code, err)
+    assert not out.exists()
