@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 verification failure, 2 parameter error,
 3 resample/retry exhaustion.  Each command computes everything it reports
-before it writes a file, so a failed computation leaves no output behind.
+before it writes a file, so a failed computation leaves no output behind;
+a failed write removes the files the command already wrote, so a command
+that exits 2 leaves none.
 """
 
 from __future__ import annotations
@@ -10,6 +12,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
+from pathlib import Path
 
 from . import bounds as bounds_mod
 from .coloring import (
@@ -52,6 +56,31 @@ def _emit_json(payload):
     print(json.dumps(payload, indent=2))
 
 
+def _write_text(text, path):
+    Path(path).write_text(text, encoding="utf-8")
+
+
+def _write_json(payload, path):
+    _write_text(json.dumps(payload, indent=2) + "\n", path)
+
+
+def _write_all(writes):
+    """Call each (path, write) pair's write(path) in order.
+
+    If one raises, the files the earlier ones wrote are removed before the
+    error propagates, so the command leaves either every file or none.
+    """
+    written = []
+    try:
+        for path, write in writes:
+            write(path)
+            written.append(path)
+    except BaseException:
+        for path in written:
+            Path(path).unlink(missing_ok=True)
+        raise
+
+
 def _int_list(option, text):
     """Comma-separated integers of a list option; a bad token names both."""
     values = []
@@ -70,11 +99,11 @@ def cmd_build(args):
         c = straight_corridor(CorridorSpec(args.n, args.dim))
     else:
         c = boundary_corridor(args.n, args.dim)
-    labels = facet_labels(c) if args.labels else None
-    write_complex(c, args.out)
+    writes = [(args.out, partial(write_complex, c))]
     if args.labels:
-        with open(args.out + ".labels", "w", encoding="utf-8") as fh:
-            fh.write("\n".join(str(lab) for lab in labels) + "\n")
+        text = "\n".join(str(lab) for lab in facet_labels(c)) + "\n"
+        writes.append((args.out + ".labels", partial(_write_text, text)))
+    _write_all(writes)
     _say(args, f"wrote {len(c.facets)} facets to {args.out}")
     return 0
 
@@ -137,11 +166,10 @@ def cmd_quotient(args):
     f = read_coloring(args.coloring)
     q = pattern_complex(c, f)
     fragment = quotient_report(c, q)
-    write_complex(q.quotient, args.out)
+    writes = [(args.out, partial(write_complex, q.quotient))]
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump(fragment, fh, indent=2)
-            fh.write("\n")
+        writes.append((args.report, partial(_write_json, fragment)))
+    _write_all(writes)
     if args.json or not args.quiet:
         _emit_json(fragment)
     return 0
@@ -228,9 +256,7 @@ def cmd_pipeline(args):
         s_policy=args.s_policy,
     )
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
+        _write_json(report, args.out)
     if args.json:
         _emit_json(report)
     else:
@@ -255,9 +281,7 @@ def cmd_bench(args):
         jobs=args.jobs,
     )
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(table, fh, indent=2)
-            fh.write("\n")
+        _write_json(table, args.out)
     if args.json:
         _emit_json(table)
     else:

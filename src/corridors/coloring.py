@@ -33,9 +33,9 @@ from bisect import bisect_left, bisect_right, insort
 from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress, repeat
+from itertools import chain, compress, islice, repeat
 from math import ceil, comb, inf
-from operator import add, mul, sub
+from operator import add, eq, mul, ne, sub
 from pathlib import Path
 
 from .bounds import E
@@ -407,10 +407,13 @@ def _require_refinable(inc: Incidence, columns, index, f: Coloring, S):
         return
     codes = pattern_codes([0, *f.colors], columns, f.c + 1)
     # ridges through one vertex must lie in distinct classes, so the
-    # (vertex, class) pairs of all vertex-ridge incidences are distinct
+    # (vertex, class) keys of all vertex-ridge incidences are distinct:
+    # sorted, no two neighbours are equal
     shift = (f.c + 1) ** inc.size
-    pairs = chain.from_iterable(map(add, map(mul, col, repeat(shift)), codes) for col in columns)
-    if len(set(pairs)) < len(codes) * len(columns):
+    pairs = sorted(
+        chain.from_iterable(map(add, map(mul, col, repeat(shift)), codes) for col in columns)
+    )
+    if any(map(eq, islice(pairs, 1, None), pairs)):
         # name the first clash, scanning vertices as the ridge order meets
         # them and each vertex's ridges in ascending order
         for v in dict.fromkeys(chain.from_iterable(zip(*columns))):
@@ -499,11 +502,13 @@ def moser_tardos_refine(
     alone = dict(zip(keys, range(len(keys))))
     crowds: dict[int, list[int]] = {}
     if len(alone) < len(keys):
-        crowds = {key: [] for key, k in Counter(keys).items() if k > 1}
-        for rid in compress(range(len(keys)), map(crowds.__contains__, keys)):
-            crowds[keys[rid]].append(rid)
-        for key in crowds:
-            del alone[key]
+        # alone holds the last ridge of each pattern, so a ridge it does not
+        # name shares its pattern with a later one
+        shared = map(ne, map(alone.__getitem__, keys), range(len(keys)))
+        for rid in compress(range(len(keys)), shared):
+            crowds.setdefault(keys[rid], []).append(rid)
+        for key, crowd in crowds.items():
+            crowd.append(alone.pop(key))
 
     resamples = 0
     while crowds:

@@ -362,7 +362,10 @@ def diameter_exact(g: DualGraph) -> int:
     Each pass keeps distances and visit order only: the midpoint is reached
     by walking back from the far end through nodes one step closer to the
     sweep's root, and each fringe is a run of the midpoint pass's visit
-    order.  Raises DisconnectedGraph.
+    order.  The second sweep's root and the midpoint keep the eccentricities
+    their own passes measured, so a fringe holding them (on a path of odd
+    length, the deepest fringe is that root alone) costs no second pass.
+    Raises DisconnectedGraph.
     """
     adj = g.adjacency
     a = _argmax(_require_connected(g))
@@ -374,6 +377,7 @@ def diameter_exact(g: DualGraph) -> int:
         mid = next(v for v in adj[mid] if dist_a[v] == closer)
     dist_mid, order = _bfs(adj, mid)
     ecc_mid = dist_mid[order[-1]]
+    known = {a: dist_a[b], mid: ecc_mid}
     lower = max(dist_a[b], ecc_mid)
     i = ecc_mid
     end = len(order)
@@ -386,7 +390,7 @@ def diameter_exact(g: DualGraph) -> int:
             start -= 1
         best = lower
         for v in order[start:end]:
-            ecc = max(_bfs(adj, v)[0])
+            ecc = known[v] if v in known else max(_bfs(adj, v)[0])
             if ecc > best:
                 best = ecc
         if best > 2 * (i - 1):

@@ -9,15 +9,18 @@ directly on the quotient's own facets.  A facet or ridge collision leaves
 no bijection, so verify_boundary_preservation fails (returns False);
 quotient_report, which only describes, records its result as None there.
 
-Both sides are flat integer incidences (see complex_core): the ridge map is
-one quotient ridge code per source ridge row, and the preservation check
-compares the two CSR matrices entry by entry as integer codes.  Quotient
-vertices are the used colors renumbered in color order, so the pattern code
-of a face (coloring.pattern_codes, base n'+1) is the code of its image in
-the quotient's incidence: the quotient facets are the distinct facet codes,
-ascending and decoded once, and no pattern tuple is built.  Codes order
-faces as tuples do, so the quotient's facet order and the first-collision
-witnesses are those a tuple scan would give.
+Both sides are flat integer incidences (see complex_core).  The facet map
+is one quotient facet index per source facet, -1 where a pattern collides,
+and the ridge map one quotient ridge code per source ridge row, both flat
+integer sequences.  The preservation check codes every matrix entry as one
+integer, sorts the moved source entries once and compares them in step
+with the quotient's, which its incidence yields ascending; no set is
+built.  Quotient vertices are the used colors renumbered in color order,
+so the pattern code of a face (coloring.pattern_codes, base n'+1) is the
+code of its image in the quotient's incidence: the quotient facets are the
+distinct facet codes, ascending and decoded once, and no pattern tuple is
+built.  Codes order faces as tuples do, so the quotient's facet order and
+the first-collision witnesses are those a tuple scan would give.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, compress, repeat
-from operator import add, eq, mul
+from operator import add, eq, mul, ne
 
 from .complex_core import (
     Complex,
@@ -50,18 +53,18 @@ from .errors import ImproperColoring
 class QuotientResult:
     """Quotient complex plus the facet/ridge correspondences, where defined.
 
-    facet_map sends a source facet index to a quotient facet index and only
-    contains facets whose pattern is unique; it is total exactly when
-    facets_injective.  ridge_map[i] is the code, in the quotient's own
-    incidence base, of the quotient ridge that source ridge row i becomes;
-    it is an array('q'), or an int list when codes outgrow 64 bits, and None
-    as soon as two ridges collide.  Collision witnesses hold the first
-    offending pair in scan order, as vertex tuples.
+    facet_map[i] is the quotient facet index of source facet i, an
+    array('q') with -1 where that facet's pattern collides; it has no -1
+    exactly when facets_injective.  ridge_map[i] is the code, in the
+    quotient's own incidence base, of the quotient ridge that source ridge
+    row i becomes; it is an array('q'), or an int list when codes outgrow
+    64 bits, and None as soon as two ridges collide.  Collision witnesses
+    hold the first offending pair in scan order, as vertex tuples.
     """
 
     quotient: Complex
     color_to_vertex: dict
-    facet_map: dict
+    facet_map: array
     ridge_map: array | list | None
     facets_injective: bool
     ridges_injective: bool
@@ -70,20 +73,24 @@ class QuotientResult:
 
 
 def _facet_correspondence(facet_codes, qcodes):
-    """Map of the facets whose pattern is unique, and the first collision.
+    """Quotient facet index of every source facet, and the first collision.
 
     facet_codes holds each source facet's pattern code and qcodes the
-    distinct ones ascending, the quotient's facets in order.  A function of
-    its own so that its pattern tables are freed before pattern_complex
-    builds ridge_map; holding both set the peak memory of large runs.
+    distinct ones ascending, the quotient's facets in order.  The map is an
+    array('q') indexed by source facet, with -1 where the pattern is shared.
+    A function of its own so that its pattern tables are freed before
+    pattern_complex builds ridge_map; holding both set the peak memory of
+    large runs.
     """
     qfacet_index = dict(zip(qcodes, range(len(qcodes))))
-    images = map(qfacet_index.__getitem__, facet_codes)
+    facet_map = array("q", map(qfacet_index.__getitem__, facet_codes))
     if len(qcodes) == len(facet_codes):
-        return dict(enumerate(images)), None
+        return facet_map, None
     count = Counter(facet_codes)
-    unique = map(eq, map(count.__getitem__, facet_codes), repeat(1))
-    return dict(compress(enumerate(images), unique)), _first_repeat(facet_codes)
+    shared = map(ne, map(count.__getitem__, facet_codes), repeat(1))
+    for i in compress(range(len(facet_codes)), shared):
+        facet_map[i] = -1
+    return facet_map, _first_repeat(facet_codes)
 
 
 def pattern_complex(c: Complex, f: Coloring) -> QuotientResult:
@@ -148,32 +155,34 @@ def verify_boundary_preservation(c: Complex, q: QuotientResult) -> bool:
     Reads the ridge-facet incidences of c and of the quotient, the latter
     enumerated from the quotient's own facets.  Each entry of a matrix is
     coded as (ridge code) * (facet count) + facet.  Source row i takes the
-    ridge code ridge_map[i] and its facets their images under facet_map; the
-    moved entries must then be exactly the quotient's.  Both sides hold the
-    same number of entries and the quotient's are distinct, so equal sets
-    mean equal matrices; every quotient row holds a facet, so they also make
-    the row map a bijection onto the quotient's ridges.  A facet or ridge
-    pattern collision leaves no bijection, so the check fails; so does any
-    count mismatch.
+    ridge code ridge_map[i] and its facets their images under facet_map,
+    which must all lie in the quotient's facet range (so no -1); the moved
+    entry codes, sorted once, must then match the quotient's element by
+    element.  The quotient's incidence yields its codes ascending (rows in
+    code order, facets ascending within a row), so equal sorted lists of
+    equal length mean equal multisets of entries, and the quotient's are
+    distinct: the matrices are equal.  Every quotient row holds an entry,
+    and every facet on either side holds the same number, so they also make
+    both maps bijections.  A facet or ridge pattern collision leaves no bijection, so
+    the check fails; so does any count mismatch.
     """
     if not (q.facets_injective and q.ridges_injective) or q.ridge_map is None:
         return False
     src, dst = c.incidence, q.quotient.incidence
-    m = len(q.quotient.facets)
+    facet_map, m = q.facet_map, len(q.quotient.facets)
     if (
         not len(q.ridge_map) == len(src) == len(dst)
-        or len(c.facets) != m
+        or not len(c.facets) == len(facet_map) == m
         or len(src.fids) != len(dst.fids)
+        or (m and (min(facet_map) < 0 or max(facet_map) >= m))
     ):
         return False
-    try:
-        image = list(map(q.facet_map.__getitem__, src.fids))
-    except KeyError:
-        return False
     moved_codes = chain.from_iterable(map(repeat, q.ridge_map, src.widths()))
-    moved = set(map(add, map(mul, moved_codes, repeat(m)), image))
+    image = map(facet_map.__getitem__, src.fids)
+    moved = sorted(map(add, map(mul, moved_codes, repeat(m)), image))
     dst_codes = chain.from_iterable(map(repeat, dst.codes, dst.widths()))
-    return moved == set(map(add, map(mul, dst_codes, repeat(m)), dst.fids))
+    expected = map(add, map(mul, dst_codes, repeat(m)), dst.fids)
+    return all(map(eq, moved, expected))
 
 
 def quotient_report(c: Complex, q: QuotientResult) -> dict:

@@ -299,6 +299,33 @@ class TestNoOutputOnError:
         assert err.splitlines() == ["error: graph is not connected"]
         assert not out.exists() and not report.exists()
 
+    def test_quotient_report_in_a_missing_directory(self, tmp_path, capsys):
+        # the quotient file is written first; the failed report write removes it
+        path = tmp_path / "sc.cplx"
+        path.write_text("dim 3 vertices 5\n1 2 3\n2 3 4\n3 4 5\n")
+        coloring = tmp_path / "f.coloring"
+        coloring.write_text("colors 5\n1 1\n2 2\n3 3\n4 4\n5 5\n")
+        out, report = tmp_path / "q.cplx", tmp_path / "missing" / "q.json"
+        code, stdout, err = run(
+            capsys, "quotient", "--in", str(path), "--coloring", str(coloring),
+            "--out", str(out), "--report", str(report),
+        )
+        assert code == 2 and stdout == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert not out.exists()
+
+    def test_labels_path_blocked_by_a_directory(self, tmp_path, capsys):
+        # the complex is written first; the failed labels write removes it
+        out = tmp_path / "b.cplx"
+        (tmp_path / "b.cplx.labels").mkdir()
+        code, stdout, err = run(
+            capsys, "build", "boundary", "--n", "8", "--dim", "3",
+            "--out", str(out), "--labels",
+        )
+        assert code == 2 and stdout == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["b.cplx.labels"]
+
     def test_labels_rejected_before_building(self, tmp_path, capsys):
         # n = 2 < d would fail the build itself; the option is checked first
         out = tmp_path / "x"

@@ -1,0 +1,71 @@
+"""Transient heap peaks of the two stages that set a verified run's memory.
+
+SC(2*10^4, 3) at pipeline seed 1 is staged as run_pipeline stages it: stage
+one, refinement, the quotient, then the boundary-preservation check with the
+quotient's incidence already built, as the pipeline's earlier verifiers
+leave it.  Each measured call runs under tracemalloc started just before it,
+so the peak is what the call itself allocates on top of the heap it finds.
+The bounds are per incidence entry and per ridge: a per-entry set or dict
+costs well above them, flat arrays and one sorted list stay below.
+"""
+
+import random
+import tracemalloc
+
+import pytest
+
+from corridors import (
+    CorridorSpec,
+    RefinementParams,
+    first_stage_class_cap,
+    intersecting_ridge_bound,
+    lll_target_colors,
+    moser_tardos_refine,
+    pattern_complex,
+    straight_corridor,
+    verify_boundary_preservation,
+)
+from corridors.pipeline import DEFAULT_RETRIES, _derive_seed, _first_stage
+
+N, DIM, C1, EPSILON, SEED = 20000, 3, 13, 0.2, 1
+CHECK_BYTES_PER_ENTRY = 80
+REFINE_BYTES_PER_RIDGE = 260
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the peak bytes it allocated, traced from its start."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def staged():
+    carrier = straight_corridor(CorridorSpec(N, DIM))
+    cap = first_stage_class_cap(N, DIM, C1, 1, EPSILON)
+    master = random.Random(SEED)
+    (largest, f, _), _ = _first_stage(
+        carrier, 1, C1, EPSILON, None, master, DEFAULT_RETRIES, cap
+    )
+    s = max(largest, cap)
+    t = intersecting_ridge_bound("corridor", DIM)
+    params = RefinementParams(t, s, lll_target_colors(t, s, DIM), _derive_seed(master))
+    refine, refine_peak = traced_peak(moser_tardos_refine, carrier, f, params)
+    q = pattern_complex(carrier, refine.coloring)
+    q.quotient.incidence
+    preserved, check_peak = traced_peak(verify_boundary_preservation, carrier, q)
+    assert preserved
+    return carrier.incidence, refine_peak, check_peak
+
+
+def test_boundary_check_peak_per_entry(staged):
+    inc, _, check_peak = staged
+    assert check_peak <= CHECK_BYTES_PER_ENTRY * len(inc.fids)
+
+
+def test_refine_peak_per_ridge(staged):
+    inc, refine_peak, _ = staged
+    assert refine_peak <= REFINE_BYTES_PER_RIDGE * len(inc)

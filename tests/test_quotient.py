@@ -99,7 +99,7 @@ class TestPatternComplex:
         q = pattern_complex(c, identity_coloring(5))
         assert q.quotient == c
         assert q.facets_injective and q.ridges_injective
-        assert q.facet_map == {i: i for i in range(3)}
+        assert list(q.facet_map) == [0, 1, 2]
         decoded = tuple_ridge_map(c, q).ridge_map
         assert len(decoded) == len(ridges_of(c)) == 7
         assert all(decoded[r] == r for r, _ in ridges_of(c))
@@ -127,8 +127,8 @@ class TestPatternComplex:
         assert not q.ridges_injective
         assert q.ridge_map is None
         assert q.quotient.facets == ((1, 2, 3), (1, 2, 4))
-        # only the facet with a unique pattern is mapped
-        assert q.facet_map == {3: 1}
+        # only the facet with a unique pattern is mapped; the rest read -1
+        assert list(q.facet_map) == [-1, -1, -1, 1]
 
     def test_full_pipeline_sc_40_3(self):
         c = sc(40, 3)
@@ -190,11 +190,49 @@ class TestBoundaryPreservation:
     def test_swapped_facet_map_detected(self):
         c = sc(5, 3)
         q = pattern_complex(c, identity_coloring(5))
-        swapped = dict(q.facet_map)
+        swapped = copy.copy(q.facet_map)
         swapped[0], swapped[1] = q.facet_map[1], q.facet_map[0]
         broken = dataclasses.replace(q, facet_map=swapped)
         assert not verify_boundary_preservation(c, broken)
         assert not ref_boundary_preserved(c, tuple_ridge_map(c, broken))
+
+    def test_unmapped_facet_detected(self):
+        c = sc(5, 3)
+        q = pattern_complex(c, identity_coloring(5))
+        unmapped = copy.copy(q.facet_map)
+        unmapped[1] = -1
+        assert not verify_boundary_preservation(
+            c, dataclasses.replace(q, facet_map=unmapped)
+        )
+
+    def test_short_facet_map_detected(self):
+        c = sc(5, 3)
+        q = pattern_complex(c, identity_coloring(5))
+        short = q.facet_map[:-1]
+        assert not verify_boundary_preservation(c, dataclasses.replace(q, facet_map=short))
+
+    def test_swapped_ridge_map_entries_detected(self):
+        # ridges (2, 3) and (3, 4) both lie in two facets, so the swap keeps
+        # every row width and only the entries betray it
+        c = sc(5, 3)
+        q = pattern_complex(c, identity_coloring(5))
+        assert c.incidence.widths()[2] == c.incidence.widths()[4] == 2
+        swapped = copy.copy(q.ridge_map)
+        swapped[2], swapped[4] = q.ridge_map[4], q.ridge_map[2]
+        broken = dataclasses.replace(q, ridge_map=swapped)
+        assert not verify_boundary_preservation(c, broken)
+        assert not ref_boundary_preserved(c, tuple_ridge_map(c, broken))
+
+    def test_replaced_quotient_facet_detected(self):
+        # the first facet (1, 2, 3) becomes (1, 3, 4): the facet, ridge and
+        # entry counts hold, so only the sorted comparison can tell
+        c = sc(5, 3)
+        q = pattern_complex(c, identity_coloring(5))
+        replaced = Complex(3, 5, ((1, 3, 4), (2, 3, 4), (3, 4, 5)))
+        assert len(replaced.incidence) == len(c.incidence)
+        assert len(replaced.incidence.fids) == len(c.incidence.fids)
+        broken = dataclasses.replace(q, quotient=replaced)
+        assert not verify_boundary_preservation(c, broken)
 
     def test_swapped_ridge_codes_detected(self):
         c = sc(5, 3)
