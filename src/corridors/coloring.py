@@ -7,7 +7,9 @@ coloring and resamples the vertices of colliding disjoint ridge pairs until
 every ridge pattern is unique, with a safety cap turning bad luck into a
 reportable error instead of a hang.  first_stage_class_cap is the one
 source of stage one's class-size cap, (1+eps) N C(d-1,k) / C(c1,d-k);
-pattern_class_histogram only counts the classes it is held against.
+pattern_class_histogram only counts the classes it is held against.  The
+faces of every codimension come from complex_core.face_columns, the one
+packed-code enumeration that also yields the ridges.
 
 All randomness flows through one MT19937 stream per operation (seeded
 `random.Random`), consumed in a fixed documented order: vertex order for the
@@ -26,14 +28,13 @@ key of class_sizes.
 
 from __future__ import annotations
 
-import itertools
 import random
 from array import array
 from bisect import bisect_left, bisect_right, insort
 from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress, islice, repeat
+from itertools import chain, combinations, compress, islice, repeat
 from math import ceil, comb, inf
 from operator import add, eq, mul, ne, sub
 from pathlib import Path
@@ -45,6 +46,7 @@ from .complex_core import (
     _decode_codes,
     _encode_columns,
     _int_fields,
+    face_columns,
 )
 from .errors import (
     IncompleteColoring,
@@ -203,32 +205,6 @@ def pattern_codes(color_of, columns, base: int) -> list[int]:
     return list(_encode_columns(list(zip(*rows)), base))
 
 
-def faces_of_codim(c: Complex, k: int):
-    """Deduplicated (d-k)-subsets of facets, lexicographically sorted.
-
-    Codimension 1 returns the ridges of the complex's cached incidence.
-    """
-    if not 0 <= k < c.dim_facet:
-        raise ValueError(f"codimension {k} out of range for facet size {c.dim_facet}")
-    if k == 1:
-        return c.incidence.ridges
-    size = c.dim_facet - k
-    faces = set()
-    for F in c.facets:
-        faces.update(itertools.combinations(F, size))
-    return sorted(faces)
-
-
-def face_columns(c: Complex, k: int) -> list:
-    """list(zip(*faces_of_codim(c, k))): the codim-k faces as vertex columns.
-
-    Codimension 1 decodes the cached incidence, building no tuple per ridge.
-    """
-    if k == 1 and c.dim_facet > 1:
-        return c.incidence.columns()
-    return list(zip(*faces_of_codim(c, k)))
-
-
 def first_stage_class_cap(
     n_vertices: int, dim_facet: int, c1: int, codim: int, epsilon
 ) -> int:
@@ -337,7 +313,7 @@ def verify_proper(c: Complex, f: Coloring) -> bool:
     _require_total(c, f)
     colors = f.colors
     for F in c.facets:
-        for u, v in itertools.combinations(F, 2):
+        for u, v in combinations(F, 2):
             if colors[u - 1] == colors[v - 1]:
                 return False
     return True
@@ -417,7 +393,7 @@ def _require_refinable(inc: Incidence, columns, index, f: Coloring, S):
         # name the first clash, scanning vertices as the ridge order meets
         # them and each vertex's ridges in ascending order
         for v in dict.fromkeys(chain.from_iterable(zip(*columns))):
-            for a, b in itertools.combinations(sorted(_ridges_through(index, v)), 2):
+            for a, b in combinations(sorted(_ridges_through(index, v)), 2):
                 if codes[a] == codes[b]:
                     raise PreconditionViolated(
                         f"intersecting ridges {inc.ridge(a)} and {inc.ridge(b)} "
@@ -452,9 +428,7 @@ def _move_ridge(alone, crowds, rid, old, new):
         alone[new] = rid
 
 
-def moser_tardos_refine(
-    c: Complex, f: Coloring, p: RefinementParams, initial_g: Coloring | None = None
-) -> RefineResult:
+def moser_tardos_refine(c: Complex, f: Coloring, p: RefinementParams) -> RefineResult:
     """Resample a uniform refinement until every ridge pattern is unique.
 
     Requires f proper, free of intersecting-ridge pattern collisions, and with
@@ -466,9 +440,6 @@ def moser_tardos_refine(
     flattened product coloring on f.c * c2 colors together with the
     refinement coloring and the resample count; raises ResampleCapExceeded
     after max_resamples rounds.
-
-    initial_g forces the starting refinement coloring (no randomness is
-    consumed for it), which exists for adversarial-start experiments.
     """
     _require_total(c, f)
     if not verify_proper(c, f):
@@ -482,13 +453,7 @@ def moser_tardos_refine(
 
     rng = random.Random(p.seed)
     c2 = p.c2
-    if initial_g is None:
-        g = [_draw_index(rng, c2) + 1 for _ in range(c.n_vertices)]
-    else:
-        _require_total(c, initial_g)
-        if initial_g.c != c2:
-            raise ValueError(f"initial refinement uses {initial_g.c} colors, expected {c2}")
-        g = list(initial_g.colors)
+    g = [_draw_index(rng, c2) + 1 for _ in range(c.n_vertices)]
 
     # product color of every vertex, kept current as g is resampled; h[v]
     # is vertex v's, so it serves pattern_codes as it stands

@@ -19,6 +19,12 @@ index.  An index is only ever built from its own complex's facets; a
 quotient gets its own on first use, never one derived from its source, so
 comparing the two stays a real check.
 
+Faces of every codimension come from one packed-code enumeration,
+`_subset_codes`, which encodes each subset of the facet columns of the
+face size in one pass over whole columns.  `ridges_of` groups its streams
+into the incidence, and `face_columns` decodes the distinct codes of any
+other codimension.
+
 A dual graph is stored as its edge list; its adjacency tuples are built
 from the list on first use.  Exact diameters come from one algorithm, the
 fringe-pruned BFS search in `diameter_exact`.
@@ -117,8 +123,8 @@ class Incidence:
     offsets and fids are array('q'); codes is too when every code fits in 64
     bits, and a plain int list otherwise.  Nothing per ridge is a container,
     so the index costs a few machine words per entry and the garbage
-    collector never walks it.  `ridges`, `ridge(i)` and iteration decode
-    vertex tuples on demand, for witnesses and tests.
+    collector never walks it.  `ridges` and `ridge(i)` decode vertex tuples
+    on demand, for witnesses and tests.
     """
 
     n_vertices: int
@@ -129,12 +135,6 @@ class Incidence:
 
     def __len__(self):
         return len(self.codes)
-
-    def __iter__(self):
-        """Decoded (ridge, list of facet ids) rows, in ridge order."""
-        offsets, fids = self.offsets, self.fids
-        for i, ridge in enumerate(self.ridges):
-            yield ridge, fids[offsets[i]:offsets[i + 1]].tolist()
 
     def columns(self) -> list:
         """Decoded vertex columns: columns[j][i] is vertex j of ridge i."""
@@ -183,20 +183,6 @@ class DualGraph:
             raise ValueError("an edge has its tail at or above its head")
         if len(set(map(add, map(mul, tails, repeat(n)), heads))) < len(tails):
             raise ValueError("an edge repeats")
-
-    @classmethod
-    def from_edges(cls, n_nodes, edges):
-        """Graph of undirected edges (u, v): orientation does not matter,
-        duplicates merge, and a self-loop raises ValueError."""
-        pairs = set()
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"self-loop at node {u}")
-            pairs.add((u, v) if u < v else (v, u))
-        ordered = sorted(pairs)
-        tails = array("q", [u for u, _ in ordered])
-        heads = array("q", [v for _, v in ordered])
-        return cls(n_nodes, tails, heads)
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
@@ -258,22 +244,35 @@ def _store_codes(codes, n_vertices: int, size: int):
     return list(codes)
 
 
+def _subset_codes(c: Complex, size: int):
+    """One stream of face codes per size-subset of the facet columns.
+
+    Stream by stream, the codes of the size-vertex faces that keep those
+    columns, one code per facet in facet order; every size-vertex face of
+    the complex is in some stream, possibly in several.
+    """
+    # combinations allocates `size` indices before it reads the columns, so
+    # a complex without facets must stop here, whatever its declared size
+    if not c.facets:
+        return
+    base, m = c.n_vertices + 1, len(c.facets)
+    for kept in combinations(zip(*c.facets), size):
+        yield _encode_columns(kept, base) if kept else repeat(0, m)
+
+
 def ridges_of(c: Complex) -> Incidence:
     """All (d-1)-subsets of facets, deduplicated and in lexicographic order.
 
-    Drops each facet column in turn and packs the rest into ridge codes, so
-    the d passes run over whole columns at C level.  One sort of the keys
+    Each of the d code streams of _subset_codes drops one facet column, so
+    the passes run over whole columns at C level.  One sort of the keys
     code * m + facet id (m facets) orders rows by ridge and, within a row,
     facet ids ascending; grouping equal codes gives the CSR offsets.
     len() of the result is the number of ridges.
     """
     m, n = len(c.facets), c.n_vertices
-    columns = list(zip(*c.facets))
+    size = c.dim_facet - 1
     keys = []
-    # a complex without facets has no columns, whatever its dimension
-    for j in range(len(columns)):
-        rest = columns[:j] + columns[j + 1:]
-        codes = _encode_columns(rest, n + 1) if rest else repeat(0, m)
+    for codes in _subset_codes(c, size):
         keys += map(add, map(mul, codes, repeat(m)), range(m))
     keys.sort()
     row_codes = list(map(floordiv, keys, repeat(m)))
@@ -284,9 +283,25 @@ def ridges_of(c: Complex) -> Incidence:
     if row_codes:
         offsets.extend(compress(range(1, len(row_codes)), new_row))
         offsets.append(len(row_codes))
-    size = c.dim_facet - 1
     codes = _store_codes(compress(row_codes, chain((True,), new_row)), n, size)
     return Incidence(n, size, codes, offsets, fids)
+
+
+def face_columns(c: Complex, k: int) -> list:
+    """The codim-k faces, deduplicated and in lexicographic order, as vertex
+    columns: columns[j][i] is vertex j of face i.
+
+    Codimension 1 decodes the cached incidence, so ridges are enumerated
+    once per complex; any other codimension decodes the distinct codes of
+    _subset_codes.  Raises ValueError unless 0 <= k < dim_facet.
+    """
+    if not 0 <= k < c.dim_facet:
+        raise ValueError(f"codimension {k} out of range for facet size {c.dim_facet}")
+    if k == 1:
+        return c.incidence.columns()
+    size = c.dim_facet - k
+    codes = sorted(set(chain.from_iterable(_subset_codes(c, size))))
+    return _decode_codes(codes, c.n_vertices, size)
 
 
 def dual_graph(c: Complex) -> DualGraph:

@@ -21,7 +21,6 @@ from .coloring import (
     FirstColoringParams,
     RefinementParams,
     class_sizes,
-    face_columns,
     first_stage_class_cap,
     greedy_window_coloring,
     intersecting_ridge_bound,
@@ -34,6 +33,7 @@ from .complex_core import (
     DisconnectedGraph,
     diameter_exact,
     dual_graph,
+    face_columns,
     is_pseudomanifold,
     pair_distance,
 )
@@ -229,9 +229,8 @@ def run_pipeline(
         if connected and q.facets_injective:
             alpha = tuple(range(1, dim + 1))
             omega = tuple(range(n_corridor - dim + 1, n_corridor + 1))
-            index_of = {F: i for i, F in enumerate(target.facets)}
-            qa = q.facet_map[index_of[alpha]]
-            qo = q.facet_map[index_of[omega]]
+            qa = q.facet_map[target.facets.index(alpha)]
+            qo = q.facet_map[target.facets.index(omega)]
             dist_ao = pair_distance(qgraph, qa, qo)
             try:
                 check = bounds_mod.check_regular_graph_bound(qgraph, diameter)

@@ -3,6 +3,7 @@ import dataclasses
 import random
 import signal
 import sys
+from array import array
 
 import pytest
 
@@ -10,6 +11,7 @@ from corridors import (
     Coloring,
     Complex,
     CorridorSpec,
+    DualGraph,
     boundary_corridor,
     complex_core,
     straight_corridor,
@@ -33,13 +35,27 @@ def identity_coloring(n):
     return Coloring(tuple(range(1, n + 1)), n)
 
 
+def graph_from_edges(n_nodes, edges):
+    """DualGraph of undirected edges (u, v): orientation does not matter,
+    duplicates merge, and a self-loop raises ValueError."""
+    pairs = set()
+    for u, v in edges:
+        if u == v:
+            raise ValueError(f"self-loop at node {u}")
+        pairs.add((u, v) if u < v else (v, u))
+    ordered = sorted(pairs)
+    tails = array("q", [u for u, _ in ordered])
+    heads = array("q", [v for _, v in ordered])
+    return DualGraph(n_nodes, tails, heads)
+
+
 def incidence_dense(c):
     """c.incidence as (rows, cols, dense) in the layout of ref_boundary_dense.
 
     Rows are the incidence's ridges, columns the facets in sorted order, and
     dense[i][j] is 1 iff facet cols[j] is listed for ridge rows[i].
     """
-    pairs = list(c.incidence)
+    pairs = incidence_rows(c.incidence)
     cols = sorted(c.facets)
     col_of = {F: j for j, F in enumerate(cols)}
     dense = [[0] * len(cols) for _ in pairs]
@@ -56,6 +72,18 @@ def decode_code(code, n_vertices, size):
         code, v = divmod(code, n_vertices + 1)
         digits.append(v)
     return tuple(reversed(digits))
+
+
+def incidence_rows(inc):
+    """An Incidence decoded from its arrays alone: (ridge, facet ids) rows,
+    in ridge order, in the layout of naive_reference.ref_ridges."""
+    return [
+        (
+            decode_code(code, inc.n_vertices, inc.size),
+            list(inc.fids[inc.offsets[i]:inc.offsets[i + 1]]),
+        )
+        for i, code in enumerate(inc.codes)
+    ]
 
 
 def tuple_ridge_map(c, q):

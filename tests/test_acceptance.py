@@ -7,7 +7,7 @@ calibration.
 
 import math
 
-from conftest import incidence_dense
+from conftest import incidence_dense, incidence_rows
 from corridors import (
     CorridorSpec,
     FirstColoringParams,
@@ -197,7 +197,7 @@ def test_criterion_8_oracle_equivalence(corpus):
     for c in corpus:
         if c.n_vertices > 12 or c.dim_facet > 4:
             continue
-        if [(r, fids) for r, fids in ridges_of(c)] != ref_ridges(c):
+        if incidence_rows(ridges_of(c)) != ref_ridges(c):
             ok = False
         g = dual_graph(c)
         edges = {(u, v) for u, nbrs in enumerate(g.adjacency) for v in nbrs if u < v}

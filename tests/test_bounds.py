@@ -7,7 +7,6 @@ from corridors import (
     Complex,
     CorridorSpec,
     DimensionTooSmall,
-    DualGraph,
     NotPseudomanifold,
     NotRegular,
     bound_report,
@@ -24,6 +23,7 @@ from corridors import (
     ridges_of,
     straight_corridor,
 )
+from conftest import graph_from_edges
 
 TRIANGLE = Complex(2, 3, ((1, 2), (1, 3), (2, 3)))
 
@@ -102,7 +102,7 @@ class TestPseudomanifoldBounds:
 
 class TestRegularGraphBound:
     def test_eight_cycle(self):
-        g = DualGraph.from_edges(8, [(i, (i + 1) % 8) for i in range(8)])
+        g = graph_from_edges(8, [(i, (i + 1) % 8) for i in range(8)])
         check = check_regular_graph_bound(g, diameter_exact(g))
         assert check.bound == 8
         assert check.actual == 4

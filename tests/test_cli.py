@@ -285,6 +285,18 @@ class TestNoOutputOnError:
         assert err.splitlines() == ["error: 1 colors cannot fill faces of size 2"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("codim", ["3", "-1"])
+    def test_color_codim_out_of_range(self, built, capsys, codim):
+        tmp_path, sc_path = built
+        out = tmp_path / "f.coloring"
+        code, stdout, err = run(
+            capsys, "color", "--in", str(sc_path), "--c1", "13", "--codim", codim,
+            "--out", str(out),
+        )
+        assert code == 2 and stdout == ""
+        assert err.splitlines() == [f"error: codimension {codim} out of range for facet size 3"]
+        assert not out.exists()
+
     def test_quotient_of_a_disconnected_complex(self, tmp_path, capsys):
         path = tmp_path / "two.cplx"
         path.write_text("dim 3 vertices 6\n1 2 3\n4 5 6\n")

@@ -22,7 +22,6 @@ from corridors import (
     ResampleCapExceeded,
     coloring_from_text,
     coloring_to_text,
-    faces_of_codim,
     first_stage_class_cap,
     greedy_window_coloring,
     intersecting_ridge_bound,
@@ -36,13 +35,14 @@ from corridors import (
     verify_unique_ridge_patterns,
     write_coloring,
 )
+from corridors import coloring
 from corridors.coloring import (
     _ridges_by_vertex,
     _ridges_through,
     class_sizes,
-    face_columns,
     pattern_codes,
 )
+from corridors.complex_core import face_columns
 from conftest import identity_coloring, random_complex, time_limit
 from naive_reference import (
     all_faces,
@@ -149,7 +149,7 @@ class TestCorridorSkeletonFacts:
     def test_window_blocks_intersecting_ridge_collisions(self, d, seed):
         c = sc(200, d)
         f = greedy_window_coloring(c, FirstColoringParams(6 * (d - 1) + 1, 0.2, seed))
-        ridges = [r for r, _ in ridges_of(c)]
+        ridges = ridges_of(c).ridges
         patterns = [tuple(sorted(f.colors[v - 1] for v in r)) for r in ridges]
         for (ra, pa), (rb, pb) in itertools.combinations(zip(ridges, patterns), 2):
             if set(ra) & set(rb):
@@ -187,15 +187,16 @@ class TestPatternHistogram:
     def test_face_columns_transpose_the_faces(self, corpus):
         for c in corpus:
             for k in range(c.dim_facet):
-                columns = [list(col) for col in zip(*faces_of_codim(c, k))]
-                assert [list(col) for col in face_columns(c, k)] == columns
+                assert face_columns(c, k) == ref_face_columns(c, k)
 
     def test_codim_range_and_errors(self):
         c = sc(6, 3)
-        assert faces_of_codim(c, 0) == sorted(c.facets)
-        assert faces_of_codim(c, 2) == [(v,) for v in range(1, 7)]
-        with pytest.raises(ValueError):
-            faces_of_codim(c, 3)
+        assert face_columns(c, 0) == [list(col) for col in zip(*c.facets)]
+        assert face_columns(c, 2) == [list(range(1, 7))]
+        for k in (-1, 3):
+            with pytest.raises(ValueError) as info:
+                face_columns(c, k)
+            assert str(info.value) == f"codimension {k} out of range for facet size 3"
         with pytest.raises(IncompleteColoring):
             pattern_class_histogram(c, identity_coloring(5), 1)
 
@@ -228,6 +229,20 @@ class TestPatternHistogram:
         )
         oracle = sorted_pattern_classes(c, Coloring(colors, 3), 1)
         assert sorted(sizes.values()) == sorted(oracle.values())
+
+
+def ref_face_columns(c, k):
+    """The naive codim-k faces, sorted, as vertex columns."""
+    faces = sorted(face for face in all_faces(c) if len(face) == c.dim_facet - k)
+    return [list(col) for col in zip(*faces)]
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=80, deadline=None)
+def test_face_columns_match_the_reference_on_random_complexes(seed):
+    c = random_complex(random.Random(seed))
+    for k in range(c.dim_facet):
+        assert face_columns(c, k) == ref_face_columns(c, k)
 
 
 def sorted_pattern_classes(c, f, codim):
@@ -310,7 +325,7 @@ class TestIntersectingRidgeBound:
             intersecting_ridge_bound("sphere", 3)
 
     def test_exhaustive_on_corridor_20_3(self):
-        ridges = [r for r, _ in ridges_of(sc(20, 3))]
+        ridges = ridges_of(sc(20, 3)).ridges
         worst = 0
         for r in ridges:
             meet = sum(1 for s in ridges if s != r and set(r) & set(s))
@@ -396,14 +411,22 @@ class TestMoserTardosRefine:
         assert verify_proper(c, result.coloring)
         assert result.coloring.c == 13 * c2
 
-    def test_adversarial_constant_start(self):
+    def test_adversarial_constant_start(self, monkeypatch):
+        # the initial sample draws once per vertex; forcing those ten draws
+        # to color 1 without consuming randomness starts from the constant
+        # refinement, and every resample draws from the untouched stream
+        draw = coloring._draw_index
+        forced = iter(range(10))
+
+        def constant_start(rng, k):
+            return 0 if next(forced, None) is not None else draw(rng, k)
+
+        monkeypatch.setattr(coloring, "_draw_index", constant_start)
         c = sc(10, 3)
-        f = periodic_coloring(10, 5)
-        forced = Coloring((1,) * 10, 40)
-        result = moser_tardos_refine(
-            c, f, RefinementParams(18, 2, 40, 3), initial_g=forced
-        )
-        assert result.resamples >= 1
+        result = moser_tardos_refine(c, periodic_coloring(10, 5), RefinementParams(18, 2, 40, 3))
+        assert result.resamples == 2
+        assert result.g == Coloring((16, 38, 24, 39, 1, 35, 9, 31, 38, 1), 40)
+        assert result.coloring == Coloring((16, 78, 104, 159, 161, 35, 49, 111, 158, 161), 200)
         assert verify_unique_ridge_patterns(c, result.coloring) == (True, None)
 
     def test_deterministic(self):
@@ -479,14 +502,6 @@ class TestMoserTardosRefine:
         f = periodic_coloring(10, 5)
         with pytest.raises(ResampleCapExceeded):
             moser_tardos_refine(c, f, RefinementParams(18, 2, 1, 0, max_resamples=5))
-
-    def test_initial_g_color_count_checked(self):
-        c = sc(10, 3)
-        f = periodic_coloring(10, 5)
-        with pytest.raises(ValueError):
-            moser_tardos_refine(
-                c, f, RefinementParams(18, 2, 7, 0), initial_g=Coloring((1,) * 10, 3)
-            )
 
 
 def first_fit_window_coloring(c, window=None):

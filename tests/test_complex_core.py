@@ -26,11 +26,12 @@ from corridors import (
     straight_corridor,
     write_complex,
 )
-from corridors.complex_core import Incidence, _store_codes
+from corridors.complex_core import Incidence, _store_codes, face_columns
 from conftest import (
     column_weights,
-    decode_code,
+    graph_from_edges,
     incidence_dense,
+    incidence_rows,
     random_complex,
     record_calls,
     time_limit,
@@ -51,7 +52,7 @@ def sc(n, d):
 
 TRIANGLE = Complex(2, 3, ((1, 2), (1, 3), (2, 3)))
 TWO_PIECES = Complex(3, 6, ((1, 2, 3), (4, 5, 6)))
-CYCLE8 = DualGraph.from_edges(8, [(i, (i + 1) % 8) for i in range(8)])
+CYCLE8 = graph_from_edges(8, [(i, (i + 1) % 8) for i in range(8)])
 
 
 class TestComplexValidation:
@@ -129,7 +130,7 @@ class TestComplexValidation:
 
 class TestRidges:
     def test_corridor_5_3(self):
-        ridges = [r for r, _ in ridges_of(sc(5, 3))]
+        ridges = ridges_of(sc(5, 3)).ridges
         assert ridges == [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4), (3, 5), (4, 5)]
 
     def test_single_facet(self):
@@ -139,7 +140,7 @@ class TestRidges:
         assert len(ridges_of(sc(8, 3))) == 13
 
     def test_corridor_4_3_incidence(self):
-        incidence = dict(ridges_of(sc(4, 3)))
+        incidence = dict(incidence_rows(ridges_of(sc(4, 3))))
         assert len(incidence) == 5
         assert incidence[(2, 3)] == [0, 1]
         for ridge in [(1, 2), (1, 3), (2, 4), (3, 4)]:
@@ -192,7 +193,7 @@ class TestDualGraph:
 
     def test_from_edges_validates(self):
         with pytest.raises(ValueError):
-            DualGraph.from_edges(2, [(0, 1), (0, 0)])
+            graph_from_edges(2, [(0, 1), (0, 0)])
 
     @pytest.mark.parametrize(
         "tails,heads,message",
@@ -212,11 +213,11 @@ class TestDualGraph:
 
     def test_self_loop_message(self):
         with pytest.raises(ValueError) as info:
-            DualGraph.from_edges(3, [(0, 1), (2, 2)])
+            graph_from_edges(3, [(0, 1), (2, 2)])
         assert str(info.value) == "self-loop at node 2"
 
     def test_from_edges_ignores_orientation_and_merges_duplicates(self):
-        g = DualGraph.from_edges(4, [(1, 0), (0, 1), (2, 1), (1, 2), (3, 1)])
+        g = graph_from_edges(4, [(1, 0), (0, 1), (2, 1), (1, 2), (3, 1)])
         assert (list(g.tails), list(g.heads)) == ([0, 1, 1], [1, 2, 3])
         assert g.edge_count == 3 and g.degrees() == [1, 3, 1, 1]
         assert g.adjacency == ((1,), (0, 2, 3), (1,), (1,))
@@ -273,7 +274,7 @@ class TestPseudomanifold:
 
     def test_matches_row_weights(self, corpus):
         for c in corpus:
-            weights = [len(fids) for _, fids in c.incidence]
+            weights = c.incidence.widths()
             assert is_pseudomanifold(c) == all(w == 2 for w in weights)
 
 
@@ -313,7 +314,7 @@ class TestDiameter:
             pair_distance(g, 0, 1)
 
     def test_single_node(self):
-        g = DualGraph.from_edges(1, [])
+        g = graph_from_edges(1, [])
         assert diameter_exact(g) == ref_diameter(g.adjacency) == 0
 
     def test_modes_agree_on_corridors(self):
@@ -353,7 +354,7 @@ def test_diameter_exact_under_node_relabelling(seed):
         perm = list(range(g.n_nodes))
         rng.shuffle(perm)
         edges = [(perm[u], perm[v]) for u, v in zip(g.tails, g.heads)]
-        assert diameter_exact(DualGraph.from_edges(g.n_nodes, edges)) == exact
+        assert diameter_exact(graph_from_edges(g.n_nodes, edges)) == exact
 
 
 @pytest.mark.parametrize("n,passes", [(100, 3), (101, 3)])
@@ -377,7 +378,7 @@ def random_connected_graph(rng, max_nodes=24):
         u, v = rng.randrange(n), rng.randrange(n)
         if u != v:
             edges.add((min(u, v), max(u, v)))
-    return DualGraph.from_edges(n, edges)
+    return graph_from_edges(n, edges)
 
 
 @given(st.integers(0, 10_000))
@@ -389,23 +390,11 @@ def test_diameter_methods_agree_on_random_graphs(seed):
     assert double_sweep_lower_bound(g) <= exact
 
 
-def incidence_pairs(c):
-    """c.incidence decoded from its arrays alone: (ridge, facet ids) rows."""
-    inc = c.incidence
-    return [
-        (
-            decode_code(code, c.n_vertices, inc.size),
-            list(inc.fids[inc.offsets[i]:inc.offsets[i + 1]]),
-        )
-        for i, code in enumerate(inc.codes)
-    ]
-
-
 class TestNaiveReferenceAgreement:
     def test_ridges(self, corpus):
         for c in corpus:
-            assert [(r, f) for r, f in ridges_of(c)] == ref_ridges(c)
-            assert incidence_pairs(c) == ref_ridges(c)
+            assert incidence_rows(ridges_of(c)) == ref_ridges(c)
+            assert incidence_rows(c.incidence) == ref_ridges(c)
 
     def test_dual_edges(self, corpus):
         for c in corpus:
@@ -432,7 +421,7 @@ class TestNaiveReferenceAgreement:
 @settings(max_examples=80, deadline=None)
 def test_incidence_matches_reference_on_random_complexes(seed):
     c = random_complex(random.Random(seed))
-    assert incidence_pairs(c) == ref_ridges(c)
+    assert incidence_rows(c.incidence) == ref_ridges(c)
     assert is_pseudomanifold(c) == ref_is_pseudomanifold(c)
     g = dual_graph(c)
     edges = {(u, v) for u, nbrs in enumerate(g.adjacency) for v in nbrs if u < v}
@@ -450,8 +439,7 @@ def test_flat_incidence_decodes_to_the_reference(seed):
     c = Complex(c.dim_facet, c.n_vertices, tuple(facets))
     inc = c.incidence
     reference = ref_ridges(c)
-    assert incidence_pairs(c) == reference
-    assert list(inc) == reference
+    assert incidence_rows(inc) == reference
     assert inc.ridges == [r for r, _ in reference]
     assert [inc.ridge(i) for i in range(len(inc))] == inc.ridges
     assert inc.columns() == [list(col) for col in zip(*inc.ridges)]
@@ -485,7 +473,7 @@ class TestIncidence:
         inc = c.incidence
         assert type(inc.codes) is list and max(inc.codes) >= 2 ** 63
         check_incidence_fields(inc)
-        assert incidence_pairs(c) == list(inc) == ref_ridges(c)
+        assert incidence_rows(inc) == ref_ridges(c)
         assert not is_pseudomanifold(c)
         edges = {(u, v) for u, nbrs in enumerate(dual_graph(c).adjacency) for v in nbrs if u < v}
         assert edges == ref_dual_edges(c) == {(0, 1)}
@@ -512,6 +500,8 @@ class TestIncidence:
             check_incidence_fields(inc)
             assert is_pseudomanifold(c) and is_strongly_connected(c)
             assert dual_graph(c).n_nodes == 0
+            for k in (0, 2, 10 ** 9 - 1):
+                assert face_columns(c, k) == []
 
     def test_built_once_and_kept(self):
         c = sc(6, 3)

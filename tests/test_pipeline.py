@@ -5,7 +5,7 @@ import pickle
 
 import pytest
 
-from corridors import coloring, pipeline
+from corridors import coloring, complex_core, pipeline
 from corridors import (
     InvalidSpec,
     ResampleCapExceeded,
@@ -39,7 +39,7 @@ def test_quotient_diameter_is_measured_once(monkeypatch, mode):
 
 def test_carrier_faces_are_enumerated_once(monkeypatch):
     # all ten greedy attempts count classes over one enumeration
-    enumerated = record_calls(monkeypatch, "faces_of_codim", coloring)
+    enumerated = record_calls(monkeypatch, "face_columns")
     report = run_pipeline("pseudomanifold", 3, 500, 13, 0.2, 0)
     assert report["ok"]
     assert report["results"]["greedy_attempts"] == 10
@@ -53,7 +53,7 @@ class StageOneDone(Exception):
 @pytest.mark.parametrize("mode,sorts", [("simplicial", 0), ("pseudomanifold", 1)])
 def test_retry_loop_sorts_no_face(monkeypatch, mode, sorts):
     # classes are counted by an additive key: neither pattern_codes nor a
-    # per-face sort runs, only faces_of_codim's one sort of the codim-2 faces
+    # per-face sort runs, only face_columns' one sort of the codim-2 face codes
     keyed = record_calls(monkeypatch, "pattern_codes", coloring)
     sorted_calls = []
 
@@ -64,7 +64,7 @@ def test_retry_loop_sorts_no_face(monkeypatch, mode, sorts):
     def stop(*args, **kwargs):
         raise StageOneDone
 
-    for mod in (coloring, pipeline):
+    for mod in (coloring, complex_core, pipeline):
         monkeypatch.setattr(mod, "sorted", counting_sorted, raising=False)
     monkeypatch.setattr(pipeline, "moser_tardos_refine", stop)
     with pytest.raises(StageOneDone):

@@ -102,7 +102,7 @@ class TestPatternComplex:
         assert list(q.facet_map) == [0, 1, 2]
         decoded = tuple_ridge_map(c, q).ridge_map
         assert len(decoded) == len(ridges_of(c)) == 7
-        assert all(decoded[r] == r for r, _ in ridges_of(c))
+        assert all(decoded[r] == r for r in ridges_of(c).ridges)
 
     def test_constant_coloring_rejected(self):
         with pytest.raises(ImproperColoring):
