@@ -104,7 +104,7 @@ def cmd_build(args):
         text = "\n".join(str(lab) for lab in facet_labels(c)) + "\n"
         writes.append((args.out + ".labels", partial(_write_text, text)))
     _write_all(writes)
-    _say(args, f"wrote {len(c.facets)} facets to {args.out}")
+    _say(args, f"wrote {c.facet_count} facets to {args.out}")
     return 0
 
 

@@ -309,14 +309,15 @@ def lll_target_colors(t: int, S: int, dim_facet: int) -> int:
 
 
 def verify_proper(c: Complex, f: Coloring) -> bool:
-    """True iff every edge of the 1-skeleton gets two distinct colors."""
+    """True iff every edge of the 1-skeleton gets two distinct colors.
+
+    Every edge lies in a facet, so each pair of facet columns is compared
+    position by position through the colors, at C level.
+    """
     _require_total(c, f)
-    colors = f.colors
-    for F in c.facets:
-        for u, v in combinations(F, 2):
-            if colors[u - 1] == colors[v - 1]:
-                return False
-    return True
+    color_of = [None, *f.colors].__getitem__
+    looked_up = [list(map(color_of, col)) for col in c.columns]
+    return not any(any(map(eq, a, b)) for a, b in combinations(looked_up, 2))
 
 
 def _first_repeat(values):

@@ -1,9 +1,11 @@
 """Pure simplicial complexes and the derived objects distance arguments use.
 
-A complex is stored as its facet list only; ridges and lower faces are the
-implied subsets.  Vertices are 1-based integers and facets are sorted tuples,
-so every derived object (ridge lists, dual graphs) has a canonical form and
-equality is structural.
+A complex is stored as its facets only, as d vertex columns in array('q');
+ridges and lower faces are the implied subsets.  Vertices are 1-based
+integers and every facet is strictly increasing, so every derived object
+(ridge lists, dual graphs) has a canonical form and equality is structural.
+Facet tuples exist only on demand (`Complex.facets`), for labels, witnesses
+and tests; every stage, the text writer included, reads the columns.
 
 Each complex enumerates its ridges once: `Complex.incidence` runs
 `ridges_of` on first use and keeps the result as an immutable `Incidence`,
@@ -35,8 +37,8 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations, compress, islice, repeat
-from operator import add, eq, floordiv, lt, mod, mul, ne, sub
+from itertools import accumulate, chain, combinations, compress, islice, repeat
+from operator import add, eq, floordiv, indexOf, lt, mod, mul, ne, sub
 from pathlib import Path
 
 from .errors import DisconnectedGraph
@@ -45,57 +47,56 @@ Facet = tuple[int, ...]
 Ridge = tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Complex:
     """Pure (dim_facet - 1)-dimensional complex on vertices 1..n_vertices.
 
-    Facets are strictly increasing dim_facet-tuples, stored in a fixed order;
-    all other faces are implied subsets, which keeps purity automatic.
+    Stored as vertex columns: columns[j][i] is vertex j of facet i, one
+    array('q') per position, the facets in a fixed order.  Every facet is
+    strictly increasing, and all other faces are implied subsets, which
+    keeps purity automatic.  A complex without facets has no columns,
+    whatever its facet size, as list(zip(*facets)) has none for no facets.
+
+    Complex(d, n, facets) takes a tuple of facet tuples and transposes it;
+    constructions and quotients hand their columns to _from_columns.  Both
+    end in the one column constructor, _set_columns, which checks whole
+    columns at C level.  `facets` decodes the facet tuples on demand.
     """
 
     dim_facet: int
     n_vertices: int
-    facets: tuple[Facet, ...]
+    columns: tuple[array, ...]
 
-    def __post_init__(self):
-        d, n = self.dim_facet, self.n_vertices
+    def __init__(self, dim_facet: int, n_vertices: int, facets: tuple[Facet, ...]):
+        self._set_columns(dim_facet, n_vertices, _transpose(facets, dim_facet), facets)
+
+    @classmethod
+    def _from_columns(cls, dim_facet: int, n_vertices: int, columns) -> Complex:
+        """Complex of the given vertex columns, checked as the tuple entry
+        point checks its facets."""
+        c = cls.__new__(cls)
+        c._set_columns(dim_facet, n_vertices, tuple(columns), None)
+        return c
+
+    def _set_columns(self, d, n, columns, facets):
+        """Check and store the columns; None means the facets did not
+        transpose.  Only a failure pays for the per-facet scan, which names
+        the first offending facet, of `facets` or else decoded from the
+        columns."""
         if d < 1:
             raise ValueError(f"facet size must be at least 1, got {d}")
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
-        # whole columns at C level first; only a failure pays for the
-        # per-facet scan, which names the first offending facet
-        facets = self.facets
-        try:
-            valid = all(map(isinstance, facets, repeat(tuple))) and all(
-                map(eq, map(len, facets), repeat(d))
-            )
-            if valid and facets:
-                columns = list(zip(*facets))
-                valid = (
-                    min(columns[0]) >= 1
-                    and max(columns[-1]) <= n
-                    and all(all(map(lt, a, b)) for a, b in zip(columns, columns[1:]))
-                    and len(set(facets)) == len(facets)
-                )
-        except TypeError:
-            valid = False
-        if not valid:
-            self._reject_first_bad_facet()
-
-    def _reject_first_bad_facet(self):
-        d, n = self.dim_facet, self.n_vertices
-        seen = set()
-        for F in self.facets:
-            if not isinstance(F, tuple) or len(F) != d:
-                raise ValueError(f"facet {F!r} does not have {d} vertices")
-            if F[0] < 1 or F[-1] > n:
-                raise ValueError(f"facet {F} leaves the vertex range 1..{n}")
-            if any(F[i] >= F[i + 1] for i in range(d - 1)):
-                raise ValueError(f"facet {F} is not strictly increasing")
-            if F in seen:
-                raise ValueError(f"duplicate facet {F}")
-            seen.add(F)
+        if columns is None or not _columns_valid(d, n, columns):
+            _reject_first_bad_facet(d, n, zip(*columns) if facets is None else facets)
+            # every facet passed the scan: facets hold a vertex that
+            # array('q') cannot, or columns differ in length
+            if facets is None:
+                raise ValueError("facet columns differ in length")
+            raise ValueError("facet vertices must be integers below 2**63")
+        object.__setattr__(self, "dim_facet", d)
+        object.__setattr__(self, "n_vertices", n)
+        object.__setattr__(self, "columns", columns)
 
     @classmethod
     def from_facets(cls, facets, n_vertices=None):
@@ -107,10 +108,88 @@ class Complex:
             n_vertices = max(F[-1] for F in norm)
         return cls(len(norm[0]), n_vertices, norm)
 
+    @property
+    def facets(self) -> tuple[Facet, ...]:
+        """Every facet as a sorted vertex tuple, decoded afresh on each access."""
+        return tuple(zip(*self.columns))
+
+    @property
+    def facet_count(self) -> int:
+        return len(self.columns[0]) if self.columns else 0
+
+    def facet_index(self, facet) -> int:
+        """Position of a facet in facet order, found by its packed code over
+        the columns; ValueError if it is not a facet of the complex."""
+        F = tuple(facet)
+        n = self.n_vertices
+        try:
+            # in range, the code of a d-tuple names that tuple alone
+            if self.columns and len(F) == self.dim_facet and all(1 <= v <= n for v in F):
+                code = next(_encode_columns([[v] for v in F], n + 1))
+                return indexOf(_encode_columns(self.columns, n + 1), code)
+        except (TypeError, ValueError):
+            pass
+        raise ValueError(f"{F} is not a facet of the complex")
+
     @cached_property
     def incidence(self) -> Incidence:
         """Ridge-facet incidence, enumerated by ridges_of on first use."""
         return ridges_of(self)
+
+
+def _transpose(facets, d):
+    """Vertex columns of a tuple of d-tuples, as array('q'); None unless
+    every facet is a d-tuple of integers that array('q') holds."""
+    try:
+        if all(map(isinstance, facets, repeat(tuple))) and all(
+            map(eq, map(len, facets), repeat(d))
+        ):
+            return tuple(map(array, repeat("q"), zip(*facets)))
+    except (TypeError, OverflowError):
+        pass
+    return None
+
+
+def _columns_valid(d: int, n: int, columns) -> bool:
+    """The facet checks over whole columns at C level.
+
+    The columns are d of one length; the vertices lie in 1..n, read from the
+    ends of the first and the last column, which strict increase along each
+    facet (adjacent columns compared pairwise) makes sound; and no facet
+    repeats, by the packed facet codes of base n + 1: ascending codes are
+    distinct, and only codes out of order pay for a set.  A strictly
+    ascending first column needs no codes at all.
+    """
+    if not columns:
+        return True
+    m = len(columns[0])
+    if len(columns) != d or any(len(col) != m for col in columns):
+        return False
+    if min(columns[0]) < 1 or max(columns[-1]) > n:
+        return False
+    if not all(all(map(lt, a, b)) for a, b in zip(columns, columns[1:])):
+        return False
+    # a strictly ascending first column, such as a corridor's, already
+    # orders the facets strictly; elsewhere it fails at its first repeat
+    first = columns[0]
+    if all(map(lt, first, islice(first, 1, None))):
+        return True
+    codes = _store_codes(_encode_columns(columns, n + 1), n, d)
+    return all(map(lt, codes, islice(codes, 1, None))) or len(set(codes)) == m
+
+
+def _reject_first_bad_facet(d, n, facets):
+    seen = set()
+    for F in facets:
+        if not isinstance(F, tuple) or len(F) != d:
+            raise ValueError(f"facet {F!r} does not have {d} vertices")
+        if F[0] < 1 or F[-1] > n:
+            raise ValueError(f"facet {F} leaves the vertex range 1..{n}")
+        if any(F[i] >= F[i + 1] for i in range(d - 1)):
+            raise ValueError(f"facet {F} is not strictly increasing")
+        if F in seen:
+            raise ValueError(f"duplicate facet {F}")
+        seen.add(F)
 
 
 @dataclass(frozen=True)
@@ -119,7 +198,7 @@ class Incidence:
 
     codes[i] is the packed code of ridge i (see the module docstring): base
     n_vertices + 1, `size` digits, ascending.  Its facets, as ascending
-    indices into Complex.facets, are fids[offsets[i]:offsets[i + 1]].
+    indices in the complex's facet order, are fids[offsets[i]:offsets[i + 1]].
     offsets and fids are array('q'); codes is too when every code fits in 64
     bits, and a plain int list otherwise.  Nothing per ridge is a container,
     so the index costs a few machine words per entry and the garbage
@@ -253,10 +332,10 @@ def _subset_codes(c: Complex, size: int):
     """
     # combinations allocates `size` indices before it reads the columns, so
     # a complex without facets must stop here, whatever its declared size
-    if not c.facets:
+    if not c.columns:
         return
-    base, m = c.n_vertices + 1, len(c.facets)
-    for kept in combinations(zip(*c.facets), size):
+    base, m = c.n_vertices + 1, c.facet_count
+    for kept in combinations(c.columns, size):
         yield _encode_columns(kept, base) if kept else repeat(0, m)
 
 
@@ -269,7 +348,7 @@ def ridges_of(c: Complex) -> Incidence:
     facet ids ascending; grouping equal codes gives the CSR offsets.
     len() of the result is the number of ridges.
     """
-    m, n = len(c.facets), c.n_vertices
+    m, n = c.facet_count, c.n_vertices
     size = c.dim_facet - 1
     keys = []
     for codes in _subset_codes(c, size):
@@ -318,7 +397,7 @@ def dual_graph(c: Complex) -> DualGraph:
         for a, b in combinations(range(w), 2):
             tails.extend(map(fids.__getitem__, map(add, starts, repeat(a))))
             heads.extend(map(fids.__getitem__, map(add, starts, repeat(b))))
-    return DualGraph(len(c.facets), tails, heads)
+    return DualGraph(c.facet_count, tails, heads)
 
 
 def is_pseudomanifold(c: Complex) -> bool:
@@ -439,7 +518,7 @@ def double_sweep_lower_bound(g: DualGraph) -> int:
 
 def complex_to_text(c: Complex) -> str:
     lines = [f"dim {c.dim_facet} vertices {c.n_vertices}"]
-    lines.extend(" ".join(map(str, F)) for F in c.facets)
+    lines.extend(map(" ".join, zip(*(map(str, col) for col in c.columns))))
     return "\n".join(lines) + "\n"
 
 
@@ -452,8 +531,15 @@ def _int_fields(tokens, lineno: int, line: str) -> tuple[int, ...]:
 
 
 def complex_from_text(text: str) -> Complex:
+    """Parse the text format into vertex columns.
+
+    The facet lines' vertices are read into one flat list; when every line
+    holds d of them, column j is every d-th vertex from the j-th.  Any other
+    input goes to the tuple entry point, whose scan names the first bad
+    facet.
+    """
     header = None
-    facets = []
+    vertices, widths = [], []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -464,10 +550,21 @@ def complex_from_text(text: str) -> Complex:
                 raise ValueError(f"line {lineno}: bad header line: {line!r}")
             header = _int_fields(parts[1::2], lineno, line)
             continue
-        facets.append(_int_fields(line.split(), lineno, line))
+        fields = _int_fields(line.split(), lineno, line)
+        vertices += fields
+        widths.append(len(fields))
     if header is None:
         raise ValueError("missing header line")
-    return Complex(header[0], header[1], tuple(facets))
+    d, n = header
+    if d >= 1 and widths.count(d) == len(widths):
+        try:
+            columns = [array("q", vertices[j::d]) for j in range(d)] if vertices else []
+            return Complex._from_columns(d, n, columns)
+        except OverflowError:
+            pass
+    ends = list(accumulate(widths, initial=0))
+    rows = map(vertices.__getitem__, map(slice, ends, islice(ends, 1, None)))
+    return Complex(d, n, tuple(map(tuple, rows)))
 
 
 def write_complex(c: Complex, path) -> None:

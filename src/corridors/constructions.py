@@ -8,8 +8,11 @@ certifies a lower bound on that boundary's diameter.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, cycle, repeat
+from operator import add
 
 from .complex_core import Complex, Facet
 from .errors import InvalidSpec, NotMiddleFacet, UnknownFacet
@@ -34,9 +37,9 @@ class CorridorSpec:
 def straight_corridor(spec: CorridorSpec) -> Complex:
     """Corridor with facets {i, ..., i+d-1}; its dual graph is a path."""
     n, d = spec.n_vertices, spec.dim_facet
-    # column j of the windows is the run 1+j..n-d+1+j, zipped at C level
-    facets = tuple(zip(*(range(1 + j, n - d + 2 + j) for j in range(d))))
-    return Complex(d, n, facets)
+    # column j of the windows is the run 1+j..n-d+1+j
+    columns = [array("q", range(1 + j, n - d + 2 + j)) for j in range(d)]
+    return Complex._from_columns(d, n, columns)
 
 
 @dataclass(frozen=True)
@@ -70,35 +73,39 @@ ALPHA = BoundaryFacetLabel("alpha")
 OMEGA = BoundaryFacetLabel("omega")
 
 
-def _middle_facet(i: int, j: int, d: int) -> Facet:
-    # {i, ..., i+d} with i+j removed; j in 1..d-1 keeps both endpoints
-    return tuple(range(i, i + j)) + tuple(range(i + j + 1, i + d + 1))
-
-
 def boundary_corridor(n_vertices: int, dim_facet: int) -> Complex:
     """Boundary of the corridor one dimension up, by direct enumeration.
 
     Facets are alpha = {1..d}, omega = {N-d+1..N}, and the gapped windows
     middle(i, j) for i in 1..N-d, j in 1..d-1; the result is a pseudomanifold
     with (N-d)(d-1) + 2 facets.  Requires N >= d+2 so middle facets exist.
+
+    In lexicographic order alpha comes first and omega last, and the middle
+    facets run by i, and for one i by j descending: a larger j keeps i+1
+    longer.  Vertex k of middle(i, j) is i + k, plus one once k reaches j,
+    so column k repeats a block of d-1 offsets from i over the runs of i.
     """
     n, d = n_vertices, dim_facet
     if d < 2:
         raise InvalidSpec(f"facet size must be at least 2, got {d}")
     if n < d + 2:
         raise InvalidSpec(f"need at least {d + 2} vertices, got {n}")
-    facets = [tuple(range(1, d + 1)), tuple(range(n - d + 1, n + 1))]
-    for i in range(1, n - d + 1):
-        for j in range(1, d):
-            facets.append(_middle_facet(i, j, d))
-    return Complex(d, n, tuple(sorted(facets)))
+    starts = array("q", chain.from_iterable(map(repeat, range(1, n - d + 1), repeat(d - 1))))
+    columns = []
+    for k in range(d):
+        offsets = [k + (k >= j) for j in range(d - 1, 0, -1)]
+        middle = map(add, starts, cycle(offsets))
+        columns.append(array("q", chain((1 + k,), middle, (n - d + 1 + k,))))
+    return Complex._from_columns(d, n, columns)
 
 
 def facet_label(c: Complex, facet) -> BoundaryFacetLabel:
     """Classify a facet of a boundary corridor as alpha, omega, or middle(i, j)."""
     F = tuple(facet)
-    if F not in set(c.facets):
-        raise UnknownFacet(f"{F} is not a facet of the complex")
+    try:
+        c.facet_index(F)
+    except ValueError:
+        raise UnknownFacet(f"{F} is not a facet of the complex") from None
     return _classify(F, c.n_vertices, c.dim_facet)
 
 

@@ -186,7 +186,7 @@ def run_pipeline(
     }
     results = {
         "n_prime": n_prime,
-        "facet_count": len(quotient.facets),
+        "facet_count": quotient.facet_count,
         "diameter": diameter,
         "diameter_method": diameter_method,
         "resamples": refine.resamples,
@@ -229,8 +229,8 @@ def run_pipeline(
         if connected and q.facets_injective:
             alpha = tuple(range(1, dim + 1))
             omega = tuple(range(n_corridor - dim + 1, n_corridor + 1))
-            qa = q.facet_map[target.facets.index(alpha)]
-            qo = q.facet_map[target.facets.index(omega)]
+            qa = q.facet_map[target.facet_index(alpha)]
+            qo = q.facet_map[target.facet_index(omega)]
             dist_ao = pair_distance(qgraph, qa, qo)
             try:
                 check = bounds_mod.check_regular_graph_bound(qgraph, diameter)

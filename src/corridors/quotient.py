@@ -106,21 +106,22 @@ def pattern_complex(c: Complex, f: Coloring) -> QuotientResult:
         raise ImproperColoring("two adjacent vertices share a color")
     colors = f.colors
 
-    used = sorted({colors[v - 1] for F in c.facets for v in F})
+    # the colors of the vertices the facets use, read column by column
+    color_of = [None, *colors].__getitem__
+    used = sorted(set().union(*(map(color_of, col) for col in c.columns)))
     n_prime, base = len(used), len(used) + 1
     color_to_vertex = {col: i for i, col in enumerate(used, start=1)}
     # qcolor_of[v] is vertex v's quotient vertex; renumbering is monotone,
     # so the codes order patterns as the colors do
     qcolor_of = [None, *map(color_to_vertex.get, colors)]
 
-    facet_codes = pattern_codes(qcolor_of, list(zip(*c.facets)), base)
+    facet_codes = pattern_codes(qcolor_of, c.columns, base)
     qcodes = sorted(set(facet_codes))
-    # decode through one table, so the quotient's facets share vertex ints
-    shared = list(range(base)).__getitem__
     qcolumns = _decode_codes(qcodes, n_prime, c.dim_facet)
-    qfacets = tuple(zip(*(map(shared, col) for col in qcolumns)))
+    quotient = Complex._from_columns(
+        c.dim_facet, n_prime, [array("q", col) for col in qcolumns]
+    )
     del qcolumns
-    quotient = Complex(c.dim_facet, n_prime, qfacets)
     facet_map, facet_collision = _facet_correspondence(facet_codes, qcodes)
     facets_injective = facet_collision is None
     del facet_codes, qcodes
@@ -169,10 +170,10 @@ def verify_boundary_preservation(c: Complex, q: QuotientResult) -> bool:
     if not (q.facets_injective and q.ridges_injective) or q.ridge_map is None:
         return False
     src, dst = c.incidence, q.quotient.incidence
-    facet_map, m = q.facet_map, len(q.quotient.facets)
+    facet_map, m = q.facet_map, q.quotient.facet_count
     if (
         not len(q.ridge_map) == len(src) == len(dst)
-        or not len(c.facets) == len(facet_map) == m
+        or not c.facet_count == len(facet_map) == m
         or len(src.fids) != len(dst.fids)
         or (m and (min(facet_map) < 0 or max(facet_map) >= m))
     ):
@@ -198,8 +199,8 @@ def quotient_report(c: Complex, q: QuotientResult) -> dict:
     return {
         "n_prime": q.quotient.n_vertices,
         "source_vertices": c.n_vertices,
-        "facet_count": len(q.quotient.facets),
-        "source_facet_count": len(c.facets),
+        "facet_count": q.quotient.facet_count,
+        "source_facet_count": c.facet_count,
         "facets_injective": q.facets_injective,
         "ridges_injective": q.ridges_injective,
         "boundary_preserved": preserved,

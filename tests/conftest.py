@@ -19,15 +19,21 @@ from corridors import (
 from naive_reference import ref_ridges
 
 
-def random_complex(rng, max_vertices=12, max_dim=4):
-    """One random pure complex with <= max_vertices vertices."""
+def random_facets(rng, max_vertices=12, max_dim=4):
+    """(d, n, facets) of one random pure complex with <= max_vertices
+    vertices: distinct sorted facet tuples, in lexicographic order."""
     d = rng.randint(2, max_dim)
     n = rng.randint(d, max_vertices)
     vertices = list(range(1, n + 1))
     pool = set()
     for _ in range(rng.randint(1, 12)):
         pool.add(tuple(sorted(rng.sample(vertices, d))))
-    return Complex(d, n, tuple(sorted(pool)))
+    return d, n, tuple(sorted(pool))
+
+
+def random_complex(rng, max_vertices=12, max_dim=4):
+    """One random pure complex with <= max_vertices vertices."""
+    return Complex(*random_facets(rng, max_vertices, max_dim))
 
 
 def identity_coloring(n):

@@ -19,10 +19,10 @@ from corridors import (
     hs_lower,
     hs_upper,
     pm_fvector_check,
-    regular_graph_diameter_bound,
     ridges_of,
     straight_corridor,
 )
+from corridors.bounds import regular_graph_diameter_bound
 from conftest import graph_from_edges
 
 TRIANGLE = Complex(2, 3, ((1, 2), (1, 3), (2, 3)))

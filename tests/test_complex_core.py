@@ -33,6 +33,7 @@ from conftest import (
     incidence_dense,
     incidence_rows,
     random_complex,
+    random_facets,
     record_calls,
     time_limit,
 )
@@ -174,6 +175,61 @@ def test_validation_matches_facet_scan(seed):
     else:
         with pytest.raises(ValueError) as info:
             Complex(d, n, facets)
+        assert str(info.value) == expected
+
+
+MUTATIONS = ("short facet", "vertex out of range", "swapped pair", "duplicate facet")
+
+
+def mutate(rng, n, facets, kind):
+    """facets with one defect of the given kind, at a random facet."""
+    facets = list(facets)
+    i = rng.randrange(len(facets))
+    F = list(facets[i])
+    if kind == "short facet":
+        del F[-1]
+    elif kind == "vertex out of range":
+        if rng.random() < 0.5:
+            F[0] = 0
+        else:
+            F[-1] = n + 1
+    elif kind == "swapped pair":
+        j = rng.randrange(len(F) - 1)
+        F[j], F[j + 1] = F[j + 1], F[j]
+    else:
+        facets.insert(rng.randrange(len(facets) + 1), facets[i])
+    facets[i] = tuple(F)
+    return tuple(facets)
+
+
+@given(st.integers(0, 10_000), st.sampled_from(MUTATIONS))
+@settings(max_examples=200, deadline=None)
+def test_column_storage_matches_the_reference(seed, kind):
+    rng = random.Random(seed)
+    d, n, facets = random_facets(rng)
+    # any facet order: the duplicate check may not rely on ascending codes
+    if rng.random() < 0.5:
+        facets = tuple(rng.sample(facets, len(facets)))
+    c = Complex(d, n, facets)
+    assert c.columns == tuple(array("q", col) for col in zip(*facets))
+    assert c.facets == facets and c.facet_count == len(facets)
+    assert Complex._from_columns(d, n, c.columns) == c
+    assert [c.facet_index(F) for F in facets] == list(range(len(facets)))
+    outside = tuple(sorted(rng.sample(range(1, n + 1), d)))
+    if outside not in facets:
+        with pytest.raises(ValueError):
+            c.facet_index(outside)
+
+    bad = mutate(rng, n, facets, kind)
+    expected = ref_facet_error(d, n, bad)
+    assert expected is not None
+    with pytest.raises(ValueError) as info:
+        Complex(d, n, bad)
+    assert str(info.value) == expected
+    if kind != "short facet":
+        # the column entry point names the same facet
+        with pytest.raises(ValueError) as info:
+            Complex._from_columns(d, n, [array("q", col) for col in zip(*bad)])
         assert str(info.value) == expected
 
 
@@ -551,3 +607,16 @@ class TestFileFormat:
     def test_missing_header(self):
         with pytest.raises(ValueError):
             complex_from_text("# nothing here\n")
+
+    def test_bad_facet_lines_name_the_facet(self):
+        # the tuple entry point's messages, whether a line is short or only
+        # its columns fail
+        with pytest.raises(ValueError, match=r"^facet \(1, 2\) does not have 3 vertices$"):
+            complex_from_text("dim 3 vertices 5\n1 2 3\n1 2\n2 3 4\n")
+        with pytest.raises(ValueError, match=r"^facet \(2, 3, 6\) leaves the vertex range 1..5$"):
+            complex_from_text("dim 3 vertices 5\n1 2 3\n2 3 6\n")
+        with pytest.raises(ValueError, match=r"^duplicate facet \(1, 2, 3\)$"):
+            complex_from_text("dim 3 vertices 5\n1 2 3\n2 3 4\n1 2 3\n")
+        big = 2 ** 64
+        with pytest.raises(ValueError, match=r"integers below 2\*\*63"):
+            complex_from_text(f"dim 3 vertices {big}\n1 2 {big}\n")

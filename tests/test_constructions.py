@@ -17,13 +17,13 @@ from corridors import (
     diameter_exact,
     diameter_lower_bound_boundary,
     dual_graph,
-    facet_label,
     facet_labels,
     is_pseudomanifold,
     pair_distance,
     scaled_potential,
     straight_corridor,
 )
+from corridors.constructions import facet_label
 from naive_reference import ref_boundary_corridor
 
 

@@ -1,4 +1,5 @@
-"""Transient heap peaks of the two stages that set a verified run's memory.
+"""Heap held by the built complexes, and transient peaks of the two stages
+that set a verified run's memory.
 
 SC(2*10^4, 3) at pipeline seed 1 is staged as run_pipeline stages it: stage
 one, refinement, the quotient, then the boundary-preservation check with the
@@ -7,6 +8,10 @@ leave it.  Each measured call runs under tracemalloc started just before it,
 so the peak is what the call itself allocates on top of the heap it finds.
 The bounds are per incidence entry and per ridge: a per-entry set or dict
 costs well above them, flat arrays and one sorted list stay below.
+
+A built complex holds its facets as d vertex columns of 8-byte integers,
+so the corridor and the quotient each hold about 8d bytes per facet; one
+facet tuple with its vertex ints costs several times that.
 """
 
 import random
@@ -30,6 +35,7 @@ from corridors.pipeline import DEFAULT_RETRIES, _derive_seed, _first_stage
 N, DIM, C1, EPSILON, SEED = 20000, 3, 13, 0.2, 1
 CHECK_BYTES_PER_ENTRY = 80
 REFINE_BYTES_PER_RIDGE = 260
+HELD_BYTES_PER_FACET = 40
 
 
 def traced_peak(fn, *args):
@@ -40,6 +46,21 @@ def traced_peak(fn, *args):
         return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def traced_held(fn, *args):
+    """fn(*args) and the bytes still allocated when it returns, traced from
+    its start: what the result holds."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+def quotient_complex(c, f):
+    return pattern_complex(c, f).quotient
 
 
 @pytest.fixture(scope="module")
@@ -54,18 +75,31 @@ def staged():
     t = intersecting_ridge_bound("corridor", DIM)
     params = RefinementParams(t, s, lll_target_colors(t, s, DIM), _derive_seed(master))
     refine, refine_peak = traced_peak(moser_tardos_refine, carrier, f, params)
+    quotient, quotient_held = traced_held(quotient_complex, carrier, refine.coloring)
     q = pattern_complex(carrier, refine.coloring)
+    assert q.quotient == quotient
     q.quotient.incidence
     preserved, check_peak = traced_peak(verify_boundary_preservation, carrier, q)
     assert preserved
-    return carrier.incidence, refine_peak, check_peak
+    return carrier.incidence, refine_peak, check_peak, quotient, quotient_held
 
 
 def test_boundary_check_peak_per_entry(staged):
-    inc, _, check_peak = staged
+    inc, _, check_peak, _, _ = staged
     assert check_peak <= CHECK_BYTES_PER_ENTRY * len(inc.fids)
 
 
 def test_refine_peak_per_ridge(staged):
-    inc, refine_peak, _ = staged
+    inc, refine_peak, _, _, _ = staged
     assert refine_peak <= REFINE_BYTES_PER_RIDGE * len(inc)
+
+
+def test_corridor_held_per_facet():
+    c, held = traced_held(straight_corridor, CorridorSpec(N, DIM))
+    assert c.facet_count == N - DIM + 1
+    assert held <= HELD_BYTES_PER_FACET * c.facet_count
+
+
+def test_quotient_held_per_facet(staged):
+    *_, quotient, held = staged
+    assert held <= HELD_BYTES_PER_FACET * quotient.facet_count
