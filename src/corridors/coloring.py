@@ -34,6 +34,7 @@ from bisect import bisect_left, bisect_right, insort
 from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import chain, combinations, compress, islice, repeat
 from math import ceil, comb, inf
 from operator import add, eq, mul, ne, sub
@@ -405,12 +406,14 @@ def _require_refinable(inc: Incidence, columns, index, f: Coloring, S):
         raise PreconditionViolated(f"a ridge class has size {worst} > S = {S}")
 
 
-def _move_ridge(alone, crowds, rid, old, new):
+def _move_ridge(alone, crowds, heap, rid, old, new):
     """Move ridge rid from the class of pattern old to that of pattern new.
 
     A pattern held by one ridge maps to it in `alone`; a pattern held by two
     or more maps to the list of them in `crowds`, whose keys are therefore
-    exactly the colliding patterns.
+    exactly the colliding patterns.  A pattern is pushed on `heap` when its
+    crowd forms and is left there when the crowd breaks up, so the heap holds
+    every colliding pattern and possibly stale ones.
     """
     crowd = crowds.get(old)
     if crowd is None:
@@ -425,6 +428,7 @@ def _move_ridge(alone, crowds, rid, old, new):
         crowd.append(rid)
     elif new in alone:
         crowds[new] = [alone.pop(new), rid]
+        heappush(heap, new)
     else:
         alone[new] = rid
 
@@ -475,12 +479,18 @@ def moser_tardos_refine(c: Complex, f: Coloring, p: RefinementParams) -> RefineR
             crowds.setdefault(keys[rid], []).append(rid)
         for key, crowd in crowds.items():
             crowd.append(alone.pop(key))
+    # the smallest colliding pattern is the smallest heap entry still in
+    # crowds; stale entries are dropped when they reach the top
+    heap = list(crowds)
+    heapify(heap)
 
     resamples = 0
     while crowds:
         if resamples >= p.max_resamples:
             raise ResampleCapExceeded(len(crowds), resamples)
-        key = min(crowds)
+        while heap[0] not in crowds:
+            heappop(heap)
+        key = heap[0]
         first, second = sorted(crowds[key])[:2]
         vertices = sorted(set(inc.ridge(first)) | set(inc.ridge(second)))
         for v in vertices:
@@ -494,7 +504,7 @@ def moser_tardos_refine(c: Complex, f: Coloring, p: RefinementParams) -> RefineR
             base,
         )
         for rid, new in zip(touched, new_keys):
-            _move_ridge(alone, crowds, rid, keys[rid], new)
+            _move_ridge(alone, crowds, heap, rid, keys[rid], new)
             keys[rid] = new
         resamples += 1
 

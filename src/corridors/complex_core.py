@@ -468,7 +468,10 @@ def diameter_exact(g: DualGraph) -> int:
     mid = b
     for _ in range(dist_a[b] // 2):
         closer = dist_a[mid] - 1
-        mid = next(v for v in adj[mid] if dist_a[v] == closer)
+        for v in adj[mid]:
+            if dist_a[v] == closer:
+                mid = v
+                break
     dist_mid, order = _bfs(adj, mid)
     ecc_mid = dist_mid[order[-1]]
     known = {a: dist_a[b], mid: ecc_mid}

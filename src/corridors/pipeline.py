@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from math import ceil, factorial, inf
 
@@ -348,6 +347,9 @@ def run_bench(
                     )
                     index += 1
     if jobs > 1 and len(cells) > 1:
+        # imported here so that a serial run never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(jobs, len(cells))) as pool:
             rows = list(pool.map(_bench_cell, cells))
     else:

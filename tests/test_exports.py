@@ -1,6 +1,9 @@
 """The package's public surface is its `__all__`, and every name in it resolves."""
 
 import inspect
+import subprocess
+import sys
+from pathlib import Path
 
 import corridors
 
@@ -33,3 +36,20 @@ def test_layer_only_helpers_stay_in_their_modules():
         assert not hasattr(corridors, name)
     assert callable(corridors.constructions.facet_label)
     assert callable(corridors.bounds.regular_graph_diameter_bound)
+
+
+def test_import_loads_no_process_pool():
+    # a fresh interpreter, so modules this test session loaded do not count;
+    # only `run_bench(jobs > 1)` needs the pool, and it imports it itself
+    src = str(Path(corridors.__file__).resolve().parent.parent)
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); "
+        "import corridors, corridors.cli; "
+        "print(' '.join(m for m in ('concurrent.futures', 'multiprocessing') "
+        "if m in sys.modules))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-E", "-c", code, src],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert done.stdout.split() == []

@@ -265,7 +265,8 @@ class TestBench:
             def map(self, fn, cells):
                 return map(fn, cells)
 
-        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", InlinePool)
+        # run_bench imports the pool at call time, so patch it at its source
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
         table = run_bench("simplicial", [3], [30], [13], [0, 1], jobs=5000)
         assert requested == [2]
         assert [row["status"] for row in table["rows"]] == ["ok", "ok"]
