@@ -17,6 +17,7 @@ from pathlib import Path
 
 from . import bounds as bounds_mod
 from .coloring import (
+    DEFAULT_MAX_RESAMPLES,
     FirstColoringParams,
     RefinementParams,
     default_window,
@@ -43,7 +44,7 @@ from .complex_core import (
 )
 from .constructions import CorridorSpec, boundary_corridor, facet_labels, straight_corridor
 from .errors import EXHAUSTION_ERRORS, CorridorsError, InvalidSpec
-from .pipeline import run_bench, run_pipeline
+from .pipeline import DEFAULT_RETRIES, run_bench, run_pipeline
 from .quotient import pattern_complex, quotient_report, verify_boundary_preservation
 
 
@@ -117,7 +118,7 @@ def cmd_color(args):
         "c1": args.c1,
         "epsilon": args.epsilon,
         "seed": args.seed,
-        "window": params.window if params.window is not None else default_window(c),
+        "window": params.window if params.window is not None else default_window(c.dim_facet),
         "codim": args.codim,
         "face_count": hist.face_count,
         "class_count": hist.class_count,
@@ -329,7 +330,7 @@ def build_parser():
     p.add_argument("--shape", choices=["corridor", "boundary"], required=True)
     p.add_argument("--c2", type=int, default=None)
     p.add_argument("--class-cap", type=int, default=None, help="override S")
-    p.add_argument("--max-resamples", type=int, default=10 ** 6)
+    p.add_argument("--max-resamples", type=int, default=DEFAULT_MAX_RESAMPLES)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_refine)
 
@@ -371,8 +372,8 @@ def build_parser():
     p.add_argument("--epsilon", type=float, default=0.2)
     p.add_argument("--window", type=int, default=None)
     p.add_argument("--c2", type=int, default=None)
-    p.add_argument("--max-resamples", type=int, default=10 ** 6)
-    p.add_argument("--retries", type=int, default=10)
+    p.add_argument("--max-resamples", type=int, default=DEFAULT_MAX_RESAMPLES)
+    p.add_argument("--retries", type=int, default=DEFAULT_RETRIES)
     p.add_argument("--s-policy", choices=["adaptive", "strict"], default="adaptive")
     p.add_argument("--out", default=None, help="write the report JSON here")
     p.set_defaults(func=cmd_pipeline)

@@ -9,7 +9,8 @@ reportable error instead of a hang.  first_stage_class_cap is the one
 source of stage one's class-size cap, (1+eps) N C(d-1,k) / C(c1,d-k);
 pattern_class_histogram only counts the classes it is held against.  The
 faces of every codimension come from complex_core.face_columns, the one
-packed-code enumeration that also yields the ridges.
+packed-code enumeration that also yields the ridges; the pipeline counts
+stage one's classes over its target's ridges in both modes.
 
 All randomness flows through one MT19937 stream per operation (seeded
 `random.Random`), consumed in a fixed documented order: vertex order for the
@@ -96,6 +97,9 @@ class FirstColoringParams:
             raise ValueError(f"window must be nonnegative, got {self.window}")
 
 
+DEFAULT_MAX_RESAMPLES = 10 ** 6
+
+
 @dataclass(frozen=True)
 class RefinementParams:
     """Resampling stage parameters.
@@ -109,7 +113,7 @@ class RefinementParams:
     S: int
     c2: int
     seed: int
-    max_resamples: int = 10 ** 6
+    max_resamples: int = DEFAULT_MAX_RESAMPLES
 
     def __post_init__(self):
         if self.t < 0 or self.S < 0:
@@ -134,8 +138,10 @@ def _draw_index(rng: random.Random, k: int) -> int:
             return r
 
 
-def default_window(c: Complex) -> int:
-    return 2 * (c.dim_facet - 1)
+def default_window(dim_facet: int) -> int:
+    """Window 2(d-1) that separates intersecting ridges on a corridor of
+    facet size d."""
+    return 2 * (dim_facet - 1)
 
 
 def greedy_window_coloring(c: Complex, p: FirstColoringParams) -> Coloring:
@@ -145,7 +151,7 @@ def greedy_window_coloring(c: Complex, p: FirstColoringParams) -> Coloring:
     `window` of each other, hence on any pair of intersecting ridges once
     window >= 2(d-1).  Deterministic given the seed.
     """
-    window = p.window if p.window is not None else default_window(c)
+    window = p.window if p.window is not None else default_window(c.dim_facet)
     if p.c1 <= window:
         raise NoLegalColor(f"window {window} excludes all {p.c1} colors")
     rng = random.Random(p.seed)

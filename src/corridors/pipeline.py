@@ -5,21 +5,32 @@ in it except the "timing" section is a pure function of the parameters and
 seed.  Every verification flag is recomputed from the finished artifacts
 (never trusted from a stage's own post-conditions), and the quotient diameter
 is always re-measured by BFS on the quotient's own dual graph.
+
+Stage one counts pattern classes over the target's own ridges in both
+modes.  The pseudomanifold construction colors the corridor one dimension
+up, SC(N, d+1), caps the classes of its codimension-2 faces and quotients
+its boundary.  In a stacked ball every face below codimension 1 lies on the
+boundary, so those faces are exactly the boundary's ridges, in the same
+lexicographic order; and a greedy coloring depends only on the vertex count
+and the window, which the two complexes share.  So no second complex is
+built: of that corridor only its facet size is kept, for the class cap and
+the default window.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from fractions import Fraction
 from math import ceil, factorial, inf
 
 from . import bounds as bounds_mod
 from .coloring import (
+    DEFAULT_MAX_RESAMPLES,
     PRNG_ID,
     FirstColoringParams,
     RefinementParams,
     class_sizes,
+    default_window,
     first_stage_class_cap,
     greedy_window_coloring,
     intersecting_ridge_bound,
@@ -32,7 +43,6 @@ from .complex_core import (
     DisconnectedGraph,
     diameter_exact,
     dual_graph,
-    face_columns,
     is_pseudomanifold,
     pair_distance,
 )
@@ -46,7 +56,6 @@ from .errors import InvalidSpec, RetriesExhausted
 from .quotient import pattern_complex, verify_boundary_preservation
 
 DEFAULT_RETRIES = 10
-DEFAULT_MAX_RESAMPLES = 10 ** 6
 
 
 def _derive_seed(master: random.Random) -> int:
@@ -58,22 +67,25 @@ def _require_epsilon(epsilon) -> None:
         raise InvalidSpec(f"need a finite positive epsilon, got {epsilon}")
 
 
-def _first_stage(carrier, codim, c1, epsilon, window, master, retries, cap):
-    """Greedy attempts until one's largest codim-k class fits the cap.
+def _first_stage(target, c1, epsilon, window, master, retries, cap):
+    """Greedy attempts until one's largest ridge class fits the cap.
 
-    Returns (largest class, coloring, seed) of the best attempt, the first
-    one to fit or else the smallest, and the seeds of all attempts.  The
-    carrier's faces are enumerated once and dropped on return, before the
-    refinement stage allocates its own structures.
+    Classes are counted over the target's own ridges, from the incidence
+    the later stages read too; in pseudomanifold mode these are the codim-2
+    faces of the corridor one dimension up (see the module docstring).  The
+    decoded ridge columns are dropped on return, before refinement allocates
+    its own structures.  Returns (largest class, coloring, seed) of the best
+    attempt, the first one to fit or else the smallest, and the seeds of all
+    attempts.
     """
-    columns = face_columns(carrier, codim)
+    columns = target.incidence.columns()
     seeds = []
     best = None
     for _ in range(retries):
         gseed = _derive_seed(master)
         seeds.append(gseed)
         f = greedy_window_coloring(
-            carrier, FirstColoringParams(c1, epsilon, gseed, window)
+            target, FirstColoringParams(c1, epsilon, gseed, window)
         )
         largest = max(class_sizes(f.colors, c1, columns).values(), default=0)
         if best is None or largest < best[0]:
@@ -99,7 +111,12 @@ def run_pipeline(
     """One full randomized construction at the given scale, fully verified.
 
     mode "simplicial" quotients the corridor itself; mode "pseudomanifold"
-    colors the corridor one dimension up and quotients its boundary sphere.
+    quotients the boundary sphere of the corridor one dimension up.  Either
+    way stage one colors the target and counts classes over its own ridges,
+    which are the codim-k faces of the corridor the paper colors (k = 1, or
+    2 for the corridor one dimension up).  That corridor's facet size,
+    carrier_dim, sets the class cap and the default window 2(carrier_dim - 1);
+    params.window records the caller's window, None for the default.
 
     The stage-one class cap is the asymptotic formula value; because it only
     binds for large N, s_policy "adaptive" (the default) falls back to the
@@ -120,23 +137,21 @@ def run_pipeline(
     _require_epsilon(epsilon)
 
     if mode == "simplicial":
-        carrier = straight_corridor(CorridorSpec(n_corridor, dim))
-        target = carrier
+        target = straight_corridor(CorridorSpec(n_corridor, dim))
         codim = 1
         t_bound = intersecting_ridge_bound("corridor", dim)
     else:
-        carrier = straight_corridor(CorridorSpec(n_corridor, dim + 1))
         target = boundary_corridor(n_corridor, dim)
         codim = 2
         t_bound = intersecting_ridge_bound("boundary", dim)
+    carrier_dim = dim + codim - 1
 
-    s_formula = first_stage_class_cap(
-        n_corridor, carrier.dim_facet, c1, codim, epsilon
-    )
+    s_formula = first_stage_class_cap(n_corridor, carrier_dim, c1, codim, epsilon)
+    greedy_window = window if window is not None else default_window(carrier_dim)
 
     master = random.Random(seed)
     best, greedy_seeds = _first_stage(
-        carrier, codim, c1, epsilon, window, master, retries, s_formula
+        target, c1, epsilon, greedy_window, master, retries, s_formula
     )
     histogram_max, first_coloring, greedy_seed_used = best
     attempts = len(greedy_seeds)
@@ -202,25 +217,25 @@ def run_pipeline(
     if mode == "simplicial":
         expected = n_corridor - dim
         verification["diameter_expected"] = diameter == expected
+        lower = bounds_mod.hs_lower(n_prime, dim)
         upper = bounds_mod.hs_upper(n_prime, dim)
-        bounds["hs_lower_asymptotic"] = float(bounds_mod.hs_lower(n_prime, dim))
+        bounds["hs_lower_asymptotic"] = float(lower)
         bounds["hs_upper"] = float(upper)
-        bounds["ratio_asymptotic"] = float(
-            Fraction(1) / (4 * bounds_mod.E * dim * dim)
-        )
+        # diameter d! / n'^(d-1) at the lower bound: 1/(4e d^2)
+        bounds["ratio_asymptotic"] = float(lower * d_fact / n_prime ** (dim - 1))
         verification["diameter_within_upper_bound"] = (
             diameter is not None and diameter <= upper
         )
     else:
         lemma8 = ceil(diameter_lower_bound_boundary(n_corridor, dim))
+        lower = bounds_mod.hpm_lower(n_prime, dim)
         sharp, loose = bounds_mod.hpm_upper(n_prime, dim)
-        bounds["hpm_lower_asymptotic"] = float(bounds_mod.hpm_lower(n_prime, dim))
+        bounds["hpm_lower_asymptotic"] = float(lower)
         bounds["hpm_upper_sharp"] = float(sharp)
         bounds["hpm_upper_loose"] = float(loose)
         bounds["lemma8_lower"] = lemma8
-        bounds["ratio_asymptotic"] = float(
-            Fraction(1) / (4 * bounds_mod.E * dim ** 4)
-        )
+        # diameter d! / n'^(d-1) at the lower bound: 1/(4e d^4)
+        bounds["ratio_asymptotic"] = float(lower * d_fact / n_prime ** (dim - 1))
 
         dist_ao = None
         regular_ok = False

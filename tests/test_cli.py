@@ -3,7 +3,8 @@ import json
 import pytest
 
 from corridors import read_coloring, read_complex
-from corridors.cli import main
+from corridors.cli import build_parser, main
+from corridors.pipeline import DEFAULT_MAX_RESAMPLES, DEFAULT_RETRIES
 from conftest import time_limit
 
 
@@ -450,12 +451,35 @@ class TestPipelineCommand:
         assert code == 3 and out == ""
         assert err.splitlines() == ["error: best class size 3 > cap 1 after 3 attempts"]
 
+    @pytest.mark.parametrize("n", ["3", "4"])
+    def test_boundary_too_small_exit_2(self, capsys, n):
+        code, out, err = run(
+            capsys, "pipeline", "--mode", "pseudomanifold", "--dim", "3", "--n", n,
+            "--c1", "13",
+        )
+        assert code == 2 and out == ""
+        assert err.splitlines() == [f"error: need at least 5 vertices, got {n}"]
+
     def test_pseudomanifold_run_exit_0(self, capsys):
         code, _, _ = run(
             capsys, "pipeline", "--mode", "pseudomanifold", "--dim", "3", "--n", "12",
             "--c1", "13", "--seed", "1", "--quiet",
         )
         assert code == 0
+
+
+def test_parser_defaults_are_the_library_constants():
+    assert (DEFAULT_MAX_RESAMPLES, DEFAULT_RETRIES) == (10 ** 6, 10)
+    parser = build_parser()
+    run_args = parser.parse_args(
+        ["pipeline", "--mode", "simplicial", "--dim", "3", "--n", "40", "--c1", "13"]
+    )
+    assert run_args.max_resamples == DEFAULT_MAX_RESAMPLES
+    assert run_args.retries == DEFAULT_RETRIES
+    refine_args = parser.parse_args(
+        ["refine", "--in", "x", "--coloring", "y", "--shape", "corridor", "--out", "z"]
+    )
+    assert refine_args.max_resamples == DEFAULT_MAX_RESAMPLES
 
 
 class TestBenchCommand:

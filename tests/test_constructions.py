@@ -23,6 +23,7 @@ from corridors import (
     scaled_potential,
     straight_corridor,
 )
+from corridors.complex_core import face_columns
 from corridors.constructions import facet_label
 from naive_reference import ref_boundary_corridor
 
@@ -93,6 +94,15 @@ class TestBoundaryCorridor:
         for d in range(2, 6):
             for n in range(d + 2, 30):
                 assert len(boundary_corridor(n, d).facets) == (n - d) * (d - 1) + 2
+
+    def test_ridges_are_the_codim_2_faces_one_dimension_up(self):
+        # every face of a stacked ball below codimension 1 lies on its
+        # boundary, which lets the pseudomanifold pipeline count the corridor's
+        # codim-2 classes over the boundary's own ridges
+        for d in range(2, 7):
+            for n in range(d + 2, d + 41):
+                ridges = boundary_corridor(n, d).incidence.columns()
+                assert face_columns(sc(n, d + 1), 2) == ridges
 
     def test_small_boundary_is_cycle(self):
         g = dual_graph(boundary_corridor(8, 2))

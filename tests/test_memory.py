@@ -65,23 +65,23 @@ def quotient_complex(c, f):
 
 @pytest.fixture(scope="module")
 def staged():
-    carrier = straight_corridor(CorridorSpec(N, DIM))
+    corridor = straight_corridor(CorridorSpec(N, DIM))
     cap = first_stage_class_cap(N, DIM, C1, 1, EPSILON)
     master = random.Random(SEED)
     (largest, f, _), _ = _first_stage(
-        carrier, 1, C1, EPSILON, None, master, DEFAULT_RETRIES, cap
+        corridor, C1, EPSILON, None, master, DEFAULT_RETRIES, cap
     )
     s = max(largest, cap)
     t = intersecting_ridge_bound("corridor", DIM)
     params = RefinementParams(t, s, lll_target_colors(t, s, DIM), _derive_seed(master))
-    refine, refine_peak = traced_peak(moser_tardos_refine, carrier, f, params)
-    quotient, quotient_held = traced_held(quotient_complex, carrier, refine.coloring)
-    q = pattern_complex(carrier, refine.coloring)
+    refine, refine_peak = traced_peak(moser_tardos_refine, corridor, f, params)
+    quotient, quotient_held = traced_held(quotient_complex, corridor, refine.coloring)
+    q = pattern_complex(corridor, refine.coloring)
     assert q.quotient == quotient
     q.quotient.incidence
-    preserved, check_peak = traced_peak(verify_boundary_preservation, carrier, q)
+    preserved, check_peak = traced_peak(verify_boundary_preservation, corridor, q)
     assert preserved
-    return carrier.incidence, refine_peak, check_peak, quotient, quotient_held
+    return corridor.incidence, refine_peak, check_peak, quotient, quotient_held
 
 
 def test_boundary_check_peak_per_entry(staged):

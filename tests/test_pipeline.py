@@ -5,7 +5,7 @@ import pickle
 
 import pytest
 
-from corridors import coloring, complex_core, pipeline
+from corridors import coloring, complex_core, constructions, pipeline
 from corridors import (
     InvalidSpec,
     ResampleCapExceeded,
@@ -37,23 +37,26 @@ def test_quotient_diameter_is_measured_once(monkeypatch, mode):
     assert [g.n_nodes for g in measured] == [report["results"]["facet_count"]]
 
 
-def test_carrier_faces_are_enumerated_once(monkeypatch):
-    # all ten greedy attempts count classes over one enumeration
+def test_pseudomanifold_run_builds_no_carrier(monkeypatch):
+    # all ten greedy attempts count classes over the boundary's own ridges:
+    # no corridor one dimension up is built and no other faces are enumerated
+    built = record_calls(monkeypatch, "straight_corridor", constructions)
     enumerated = record_calls(monkeypatch, "face_columns")
     report = run_pipeline("pseudomanifold", 3, 500, 13, 0.2, 0)
     assert report["ok"]
     assert report["results"]["greedy_attempts"] == 10
-    assert [c.dim_facet for c in enumerated] == [4]
+    assert built == []
+    assert enumerated == []
 
 
 class StageOneDone(Exception):
     pass
 
 
-@pytest.mark.parametrize("mode,sorts", [("simplicial", 0), ("pseudomanifold", 1)])
-def test_retry_loop_sorts_no_face(monkeypatch, mode, sorts):
-    # classes are counted by an additive key: neither pattern_codes nor a
-    # per-face sort runs, only face_columns' one sort of the codim-2 face codes
+@pytest.mark.parametrize("mode", ["simplicial", "pseudomanifold"])
+def test_retry_loop_sorts_no_face(monkeypatch, mode):
+    # classes are counted by an additive key over the target's incidence:
+    # neither pattern_codes nor any sort runs in stage one
     keyed = record_calls(monkeypatch, "pattern_codes", coloring)
     sorted_calls = []
 
@@ -70,7 +73,7 @@ def test_retry_loop_sorts_no_face(monkeypatch, mode, sorts):
     with pytest.raises(StageOneDone):
         run_pipeline(mode, 3, 500, 13, 0.2, 0)
     assert keyed == []
-    assert len(sorted_calls) == sorts
+    assert sorted_calls == []
 
 
 # sha256 of the compact JSON of strip_volatile(run_pipeline(mode, d, 250, c1,
@@ -171,6 +174,13 @@ class TestParameterGuards:
     def test_retry_budget_checked(self):
         with pytest.raises(InvalidSpec):
             run_pipeline("simplicial", 3, 40, 13, 0.2, 0, retries=0)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_boundary_size_checked(self, n):
+        # the boundary needs d + 2 vertices, one more than its corridor
+        with pytest.raises(InvalidSpec) as info:
+            run_pipeline("pseudomanifold", 3, n, 13, 0.2, 0)
+        assert str(info.value) == f"need at least 5 vertices, got {n}"
 
 
 class TestExhaustion:
