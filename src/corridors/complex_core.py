@@ -27,9 +27,11 @@ face size in one pass over whole columns.  `ridges_of` groups its streams
 into the incidence, and `face_columns` decodes the distinct codes of any
 other codimension.
 
-A dual graph is stored as its edge list; its adjacency tuples are built
-from the list on first use.  Exact diameters come from one algorithm, the
-fringe-pruned BFS search in `diameter_exact`.
+A dual graph is its adjacency alone: `dual_graph` reads the incidence
+rows and builds every node's sorted neighbour tuple once, and every reader
+(the diameter, distances, connectivity and degrees) reads those rows.
+Exact diameters come from one algorithm, the fringe-pruned BFS search in
+`diameter_exact`.
 """
 
 from __future__ import annotations
@@ -97,16 +99,6 @@ class Complex:
         object.__setattr__(self, "dim_facet", d)
         object.__setattr__(self, "n_vertices", n)
         object.__setattr__(self, "columns", columns)
-
-    @classmethod
-    def from_facets(cls, facets, n_vertices=None):
-        """Build a complex from any iterable of vertex collections."""
-        norm = tuple(tuple(sorted(F)) for F in facets)
-        if not norm:
-            raise ValueError("from_facets needs at least one facet")
-        if n_vertices is None:
-            n_vertices = max(F[-1] for F in norm)
-        return cls(len(norm[0]), n_vertices, norm)
 
     @property
     def facets(self) -> tuple[Facet, ...]:
@@ -241,40 +233,16 @@ class Incidence:
 class DualGraph:
     """Facet-adjacency graph: nodes are facet indices, edges shared ridges.
 
-    Stored as its edge list: edge k joins tails[k] < heads[k], each edge
-    once, in array('q').  The construction checks the list at C level:
-    equal lengths, nodes in 0..n_nodes-1, tails below heads (so no loop)
-    and no repeated edge.  `adjacency` is built on first use from the list,
-    so it is symmetric and loop-free by construction.
+    adjacency[u] is the ascending tuple of u's neighbours, one row per
+    node.  dual_graph builds the rows symmetric and loop-free, each edge in
+    both of its rows once.
     """
 
-    n_nodes: int
-    tails: array
-    heads: array
-
-    def __post_init__(self):
-        n, tails, heads = self.n_nodes, self.tails, self.heads
-        if len(tails) != len(heads):
-            raise ValueError(f"{len(tails)} tails but {len(heads)} heads")
-        if tails and (min(min(tails), min(heads)) < 0 or max(max(tails), max(heads)) >= n):
-            raise ValueError(f"an edge leaves the node range 0..{n - 1}")
-        if not all(map(lt, tails, heads)):
-            raise ValueError("an edge has its tail at or above its head")
-        if len(set(map(add, map(mul, tails, repeat(n)), heads))) < len(tails):
-            raise ValueError("an edge repeats")
-
-    @cached_property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """Sorted neighbour tuple of every node, built on first use."""
-        nbrs = [[] for _ in range(self.n_nodes)]
-        for u, v in zip(self.tails, self.heads):
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        return tuple(map(tuple, map(sorted, nbrs)))
+    adjacency: tuple[tuple[int, ...], ...]
 
     @property
-    def edge_count(self):
-        return len(self.tails)
+    def n_nodes(self) -> int:
+        return len(self.adjacency)
 
     def degrees(self):
         return [len(nbrs) for nbrs in self.adjacency]
@@ -384,20 +352,26 @@ def face_columns(c: Complex, k: int) -> list:
 
 
 def dual_graph(c: Complex) -> DualGraph:
-    """Facets become adjacent exactly when they share a full ridge."""
+    """Facets become adjacent exactly when they share a full ridge.
+
+    Each pair of facets in one incidence row is appended to both rows, and
+    each row is sorted once.  The facet ids of a row are distinct, so no row
+    holds its own node; two distinct facets share at most one ridge, and
+    Complex keeps its facets distinct, so no pair is appended twice.
+    """
     inc = c.incidence
     fids, widths = inc.fids, inc.widths()
-    # facet ids ascend within a row, so each pair of columns gives tails
-    # below heads; two distinct facets share at most one ridge, so no edge
-    # repeats
-    tails, heads = array("q"), array("q")
+    nbrs = [[] for _ in range(c.facet_count)]
     for w in set(widths) - {1}:
         # the first entry of every row of width w, then each pair of columns
-        starts = list(compress(inc.offsets, map(eq, widths, repeat(w))))
+        starts = array("q", compress(inc.offsets, map(eq, widths, repeat(w))))
         for a, b in combinations(range(w), 2):
-            tails.extend(map(fids.__getitem__, map(add, starts, repeat(a))))
-            heads.extend(map(fids.__getitem__, map(add, starts, repeat(b))))
-    return DualGraph(c.facet_count, tails, heads)
+            us = map(fids.__getitem__, map(add, starts, repeat(a)))
+            vs = map(fids.__getitem__, map(add, starts, repeat(b)))
+            for u, v in zip(us, vs):
+                nbrs[u].append(v)
+                nbrs[v].append(u)
+    return DualGraph(tuple(map(tuple, map(sorted, nbrs))))
 
 
 def is_pseudomanifold(c: Complex) -> bool:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import random
 import time
+from itertools import product
 from math import ceil, factorial, inf
 
 from . import bounds as bounds_mod
@@ -342,7 +343,9 @@ def run_bench(
 ) -> dict:
     """Grid of pipeline runs with per-cell status and per-parameter aggregates.
 
-    Cells own independent seeds (the grid enumerates them explicitly), so any
+    Every grid point (d, n, c1), a value a list repeats included, has one
+    cell per seed and one aggregate over those cells.  Cells own
+    independent seeds (the grid enumerates them explicitly), so any
     execution order, including the parallel one, yields the same table.  At
     most `jobs` worker processes run, and never more than there are cells.
     A `jobs` below one or an epsilon that is not finite and positive raises
@@ -351,16 +354,11 @@ def run_bench(
     if jobs < 1:
         raise InvalidSpec(f"need at least one job, got {jobs}")
     _require_epsilon(epsilon)
-    cells = []
-    index = 0
-    for d in dims:
-        for n in ns:
-            for c1 in c1s:
-                for seed in seeds:
-                    cells.append(
-                        (index, mode, d, n, c1, seed, epsilon, pipeline_kwargs)
-                    )
-                    index += 1
+    points = list(product(dims, ns, c1s))
+    cells = [
+        (index, mode, d, n, c1, seed, epsilon, pipeline_kwargs)
+        for index, ((d, n, c1), seed) in enumerate(product(points, seeds))
+    ]
     if jobs > 1 and len(cells) > 1:
         # imported here so that a serial run never loads multiprocessing
         from concurrent.futures import ProcessPoolExecutor
@@ -370,40 +368,36 @@ def run_bench(
     else:
         rows = [_bench_cell(cell) for cell in cells]
 
+    # the cells of grid point k are the k-th run of len(seeds) rows
     aggregates = []
-    for d in dims:
-        for n in ns:
-            for c1 in c1s:
-                group = [
-                    r
-                    for r in rows
-                    if r["d"] == d and r["n_corridor"] == n and r["c1"] == c1
-                ]
-                ok_rows = [r for r in group if r["status"] == "ok"]
-                agg = {
-                    "mode": mode,
-                    "d": d,
-                    "n_corridor": n,
-                    "c1": c1,
-                    "cells": len(group),
-                    "ok": len(ok_rows),
-                    "failed": len(group) - len(ok_rows),
-                }
-                if ok_rows:
-                    n_primes = [r["n_prime"] for r in ok_rows]
-                    ratios = [
-                        r["ratio_achieved"]
-                        for r in ok_rows
-                        if r["ratio_achieved"] is not None
-                    ]
-                    agg["mean_n_prime"] = sum(n_primes) / len(n_primes)
-                    agg["max_n_prime"] = max(n_primes)
-                    agg["mean_resamples"] = sum(
-                        r["resamples"] for r in ok_rows
-                    ) / len(ok_rows)
-                    if ratios:
-                        agg["mean_ratio"] = sum(ratios) / len(ratios)
-                        agg["max_ratio"] = max(ratios)
-                    agg["ratio_asymptotic"] = ok_rows[0]["ratio_asymptotic"]
-                aggregates.append(agg)
+    per_point = len(seeds)
+    for k, (d, n, c1) in enumerate(points):
+        group = rows[k * per_point:(k + 1) * per_point]
+        ok_rows = [r for r in group if r["status"] == "ok"]
+        agg = {
+            "mode": mode,
+            "d": d,
+            "n_corridor": n,
+            "c1": c1,
+            "cells": len(group),
+            "ok": len(ok_rows),
+            "failed": len(group) - len(ok_rows),
+        }
+        if ok_rows:
+            n_primes = [r["n_prime"] for r in ok_rows]
+            ratios = [
+                r["ratio_achieved"]
+                for r in ok_rows
+                if r["ratio_achieved"] is not None
+            ]
+            agg["mean_n_prime"] = sum(n_primes) / len(n_primes)
+            agg["max_n_prime"] = max(n_primes)
+            agg["mean_resamples"] = sum(
+                r["resamples"] for r in ok_rows
+            ) / len(ok_rows)
+            if ratios:
+                agg["mean_ratio"] = sum(ratios) / len(ratios)
+                agg["max_ratio"] = max(ratios)
+            agg["ratio_asymptotic"] = ok_rows[0]["ratio_asymptotic"]
+        aggregates.append(agg)
     return {"mode": mode, "rows": rows, "aggregates": aggregates}

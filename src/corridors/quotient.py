@@ -57,19 +57,26 @@ class QuotientResult:
     array('q') with -1 where that facet's pattern collides; it has no -1
     exactly when facets_injective.  ridge_map[i] is the code, in the
     quotient's own incidence base, of the quotient ridge that source ridge
-    row i becomes; it is an array('q'), or an int list when codes outgrow
-    64 bits, and None as soon as two ridges collide.  Collision witnesses
-    hold the first offending pair in scan order, as vertex tuples.
+    row i becomes, collisions included; it is an array('q'), or an int list
+    when codes outgrow 64 bits.  Collision witnesses hold the first
+    offending pair in scan order, as vertex tuples, and None where there is
+    none: each map is injective exactly when its witness is None.
     """
 
     quotient: Complex
     color_to_vertex: dict
     facet_map: array
-    ridge_map: array | list | None
-    facets_injective: bool
-    ridges_injective: bool
+    ridge_map: array | list
     facet_collision: tuple | None
     ridge_collision: tuple | None
+
+    @property
+    def facets_injective(self) -> bool:
+        return self.facet_collision is None
+
+    @property
+    def ridges_injective(self) -> bool:
+        return self.ridge_collision is None
 
 
 def _facet_correspondence(facet_codes, qcodes):
@@ -123,7 +130,6 @@ def pattern_complex(c: Complex, f: Coloring) -> QuotientResult:
     )
     del qcolumns
     facet_map, facet_collision = _facet_correspondence(facet_codes, qcodes)
-    facets_injective = facet_collision is None
     del facet_codes, qcodes
 
     inc = c.incidence
@@ -136,15 +142,12 @@ def pattern_complex(c: Complex, f: Coloring) -> QuotientResult:
     del codes
     pair = _first_repeat(ridge_map)
     ridge_collision = None if pair is None else tuple(map(inc.ridge, pair))
-    ridges_injective = ridge_collision is None
 
     return QuotientResult(
         quotient=quotient,
         color_to_vertex=color_to_vertex,
         facet_map=facet_map,
-        ridge_map=ridge_map if ridges_injective else None,
-        facets_injective=facets_injective,
-        ridges_injective=ridges_injective,
+        ridge_map=ridge_map,
         facet_collision=facet_collision,
         ridge_collision=ridge_collision,
     )
@@ -164,11 +167,11 @@ def verify_boundary_preservation(c: Complex, q: QuotientResult) -> bool:
     equal length mean equal multisets of entries, and the quotient's are
     distinct: the matrices are equal.  Every quotient row holds an entry,
     and every facet on either side holds the same number, so they also make
-    both maps bijections.  A facet or ridge pattern collision leaves no bijection, so
-    the check fails; so does any count mismatch.
+    both maps bijections.  A collision leaves no bijection, and the checks
+    below already fail on it: a ridge collision leaves the quotient fewer
+    ridges than the source, and a facet collision puts a -1 in facet_map;
+    any other count mismatch fails them too.
     """
-    if not (q.facets_injective and q.ridges_injective) or q.ridge_map is None:
-        return False
     src, dst = c.incidence, q.quotient.incidence
     facet_map, m = q.facet_map, q.quotient.facet_count
     if (

@@ -3,7 +3,6 @@ import dataclasses
 import random
 import signal
 import sys
-from array import array
 
 import pytest
 
@@ -44,15 +43,33 @@ def identity_coloring(n):
 def graph_from_edges(n_nodes, edges):
     """DualGraph of undirected edges (u, v): orientation does not matter,
     duplicates merge, and a self-loop raises ValueError."""
-    pairs = set()
+    nbrs = [set() for _ in range(n_nodes)]
     for u, v in edges:
         if u == v:
             raise ValueError(f"self-loop at node {u}")
-        pairs.add((u, v) if u < v else (v, u))
-    ordered = sorted(pairs)
-    tails = array("q", [u for u, _ in ordered])
-    heads = array("q", [v for _, v in ordered])
-    return DualGraph(n_nodes, tails, heads)
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    return DualGraph(tuple(tuple(sorted(row)) for row in nbrs))
+
+
+def adjacency_edges(g):
+    """The edges (u, v), u < v, of g's adjacency, after checking that every
+    row is sorted, loop-free and symmetric, each neighbour once."""
+    for u, row in enumerate(g.adjacency):
+        assert list(row) == sorted(set(row)) and u not in row
+        assert all(u in g.adjacency[v] for v in row)
+    return {(u, v) for u, row in enumerate(g.adjacency) for v in row if u < v}
+
+
+def complex_from_facets(facets, n_vertices=None):
+    """Complex of any iterable of vertex collections, each sorted; the
+    vertex count defaults to the largest vertex."""
+    norm = tuple(tuple(sorted(F)) for F in facets)
+    if not norm:
+        raise ValueError("complex_from_facets needs at least one facet")
+    if n_vertices is None:
+        n_vertices = max(F[-1] for F in norm)
+    return Complex(len(norm[0]), n_vertices, norm)
 
 
 def incidence_dense(c):

@@ -58,6 +58,8 @@ def ref_boundary_preserved(c, q):
     Source ridge r becomes quotient ridge q.ridge_map[r] and source facet i
     becomes quotient facet q.facet_map[i]; both relabelings must be
     bijections, and the permuted source matrix must equal the quotient's.
+    A facet or ridge pattern collision leaves the quotient fewer facets or
+    ridges than the source, so the counts alone refuse it.
     """
     rows, cols, dense = ref_boundary_dense(c)
     qrows, qcols, qdense = ref_boundary_dense(q.quotient)

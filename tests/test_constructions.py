@@ -58,7 +58,7 @@ class TestStraightCorridor:
         n = d + extra
         g = dual_graph(sc(n, d))
         assert g.n_nodes == n - d + 1
-        assert g.edge_count == n - d
+        assert sum(g.degrees()) // 2 == n - d
         degs = sorted(g.degrees())
         if g.n_nodes == 1:
             assert degs == [0]

@@ -242,6 +242,18 @@ class TestBench:
         assert agg["max_n_prime"] >= agg["mean_n_prime"]
         assert agg["ratio_asymptotic"] == pytest.approx(1 / (4 * 2.718281828459045 * 9))
 
+    @pytest.mark.parametrize(
+        "dims,ns,seeds", [([3, 3], [40], [0]), ([3], [30, 30], [0, 1]), ([3], [30, 40], [])]
+    )
+    def test_aggregates_count_each_cell_once(self, dims, ns, seeds):
+        # a repeated grid value is its own point, with its own cells; no
+        # seeds still give one aggregate, of no cells, per point
+        table = run_bench("simplicial", dims, ns, [13], seeds)
+        aggregates = table["aggregates"]
+        assert len(aggregates) == len(dims) * len(ns)
+        assert sum(agg["cells"] for agg in aggregates) == len(table["rows"])
+        assert [agg["cells"] for agg in aggregates] == [len(seeds)] * len(aggregates)
+
     def test_empty_grid(self):
         table = run_bench("simplicial", [], [], [], [])
         assert table["rows"] == [] and table["aggregates"] == []

@@ -125,7 +125,9 @@ class TestPatternComplex:
         assert q.facet_collision == (0, 1)
         assert not q.facets_injective
         assert not q.ridges_injective
-        assert q.ridge_map is None
+        # the ridge map still holds one code per source row, repeats included
+        assert len(q.ridge_map) == len(c.incidence)
+        assert len(set(q.ridge_map)) < len(q.ridge_map)
         assert q.quotient.facets == ((1, 2, 3), (1, 2, 4))
         # only the facet with a unique pattern is mapped; the rest read -1
         assert list(q.facet_map) == [-1, -1, -1, 1]
@@ -180,8 +182,6 @@ class TestBoundaryPreservation:
             color_to_vertex=q.color_to_vertex,
             facet_map=q.facet_map,
             ridge_map=q.ridge_map,
-            facets_injective=True,
-            ridges_injective=True,
             facet_collision=None,
             ridge_collision=None,
         )
@@ -265,6 +265,7 @@ class TestBoundaryPreservation:
         q = pattern_complex(c, random_proper_coloring(c, rng))
         if not (q.facets_injective and q.ridges_injective):
             assert verify_boundary_preservation(c, q) is False
+            assert not ref_boundary_preserved(c, tuple_ridge_map(c, q))
             return
         assert verify_boundary_preservation(c, q)
         assert ref_boundary_preserved(c, tuple_ridge_map(c, q))
@@ -284,7 +285,8 @@ class TestBoundaryPreservation:
         f = random_proper_coloring(c, random.Random(seed))
         q = pattern_complex(c, f)
         assert q.ridge_collision == ref_first_pattern_collision(c, f.colors)
-        assert (q.ridge_map is None) == (q.ridge_collision is not None)
+        assert len(q.ridge_map) == len(c.incidence)
+        assert q.ridges_injective == (len(set(q.ridge_map)) == len(q.ridge_map))
 
     def test_missing_bijection_fails(self):
         # a proper coloring whose facets and ridges collide: no bijection
@@ -293,6 +295,20 @@ class TestBoundaryPreservation:
         q = pattern_complex(c, Coloring((1, 2, 3, 1, 2, 3), 3))
         assert not (q.facets_injective or q.ridges_injective)
         assert verify_boundary_preservation(c, q) is False
+
+    def test_ridge_collision_alone_fails(self):
+        # facets 123, 234, 345, 456 get four distinct patterns, but three
+        # pairs of ridges share one, (1, 3) and (3, 5) first: the quotient
+        # has three ridges fewer than the source, and the length check
+        # fails on that alone
+        c = sc(6, 3)
+        q = pattern_complex(c, Coloring((1, 2, 3, 4, 1, 2), 4))
+        assert q.facets_injective and not q.ridges_injective
+        assert q.ridge_collision == ((1, 3), (3, 5))
+        assert len(q.quotient.incidence) == len(c.incidence) - 3
+        assert verify_boundary_preservation(c, q) is False
+        assert not ref_boundary_preserved(c, tuple_ridge_map(c, q))
+        assert quotient_report(c, q)["boundary_preserved"] is None
 
     def test_preservation_transfers_structure(self):
         # where the check passes, diameter / pm-ness / dual graph all transfer;
