@@ -3,15 +3,16 @@
 All combinatorial factors are exact integers; where Euler's number enters,
 a 40-digit rational approximation keeps every comparison exact and every
 reported value stable well past 12 significant digits.
+check_regular_graph_bound reads a dual graph as its adjacency rows and
+returns the bound alone; the caller holds its measured diameter against it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from .complex_core import Complex, DualGraph, is_pseudomanifold
+from .complex_core import Complex, is_pseudomanifold
 from .errors import DimensionTooSmall, NotPseudomanifold, NotRegular
 
 E = Fraction("2.7182818284590452353602874713526624977572")
@@ -60,27 +61,19 @@ def regular_graph_diameter_bound(n_nodes: int, degree: int) -> Fraction:
     return Fraction(3 * n_nodes, degree + 1)
 
 
-@dataclass(frozen=True)
-class RegularBoundCheck:
-    actual: int
-    bound: Fraction
-    ok: bool
+def check_regular_graph_bound(adj) -> Fraction:
+    """The diameter bound 3n/(k+1) of a k-regular graph, from its adjacency
+    rows; NotRegular unless every row has one length.
 
-
-def check_regular_graph_bound(g: DualGraph, actual: int) -> RegularBoundCheck:
-    """Compare a regular graph's exact diameter `actual` against 3n/(k+1).
-
-    The caller measures the diameter (diameter_exact) and passes it in, so a
-    graph whose diameter is already known is not searched a second time.
+    The caller holds the diameter (diameter_exact) against the bound, so no
+    graph is searched here.
     """
-    degrees = g.degrees()
-    if not degrees:
+    if not adj:
         raise NotRegular("empty graph has no degree")
-    k = degrees[0]
-    if any(deg != k for deg in degrees):
-        raise NotRegular(f"degrees range over {sorted(set(degrees))}")
-    bound = regular_graph_diameter_bound(g.n_nodes, k)
-    return RegularBoundCheck(actual, bound, actual <= bound)
+    degrees = set(map(len, adj))
+    if len(degrees) > 1:
+        raise NotRegular(f"degrees range over {sorted(degrees)}")
+    return regular_graph_diameter_bound(len(adj), len(adj[0]))
 
 
 def pm_fvector_check(c: Complex) -> bool:

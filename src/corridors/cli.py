@@ -44,7 +44,7 @@ from .complex_core import (
 )
 from .constructions import CorridorSpec, boundary_corridor, facet_labels, straight_corridor
 from .errors import EXHAUSTION_ERRORS, CorridorsError, InvalidSpec
-from .pipeline import DEFAULT_RETRIES, run_bench, run_pipeline
+from .pipeline import DEFAULT_RETRIES, _require_epsilon, run_bench, run_pipeline
 from .quotient import pattern_complex, quotient_report, verify_boundary_preservation
 
 
@@ -111,7 +111,8 @@ def cmd_build(args):
 
 def cmd_color(args):
     c = read_complex(args.infile)
-    params = FirstColoringParams(args.c1, args.epsilon, args.seed, args.window)
+    params = FirstColoringParams(args.c1, args.seed, args.window)
+    _require_epsilon(args.epsilon)
     f = greedy_window_coloring(c, params)
     hist = pattern_class_histogram(c, f, args.codim)
     stats = {
@@ -143,7 +144,7 @@ def cmd_refine(args):
         s = pattern_class_histogram(c, f, 1).max_class_size
     c2 = args.c2 if args.c2 is not None else lll_target_colors(t, s, c.dim_facet)
     result = moser_tardos_refine(
-        c, f, RefinementParams(t, s, c2, args.seed, args.max_resamples)
+        c, f, RefinementParams(s, c2, args.seed, args.max_resamples)
     )
     unique, witness = verify_unique_ridge_patterns(c, result.coloring)
     write_coloring(result.coloring, args.out)
@@ -215,18 +216,18 @@ def cmd_verify(args):
 
 def cmd_diameter(args):
     c = read_complex(args.infile)
-    g = dual_graph(c)
+    rows = dual_graph(c)
     if args.pair is not None:
-        value = pair_distance(g, args.pair[0], args.pair[1])
+        value = pair_distance(rows, args.pair[0], args.pair[1])
         label = f"distance({args.pair[0]}, {args.pair[1]})"
     elif args.method == "double-sweep":
-        value = double_sweep_lower_bound(g)
+        value = double_sweep_lower_bound(rows)
         label = "diameter lower bound (double sweep)"
     else:
-        value = diameter_exact(g)
+        value = diameter_exact(rows)
         label = "diameter (ifub)"
     if args.json:
-        _emit_json({"nodes": g.n_nodes, "value": value, "mode": label})
+        _emit_json({"nodes": len(rows), "value": value, "mode": label})
     else:
         _say(args, f"{label}: {value}")
     return 0

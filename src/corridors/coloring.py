@@ -5,8 +5,10 @@ a color unseen in the trailing window; that alone separates the patterns of
 any two intersecting ridges.  Stage two draws an independent refinement
 coloring and resamples the vertices of colliding disjoint ridge pairs until
 every ridge pattern is unique, with a safety cap turning bad luck into a
-reportable error instead of a hang.  first_stage_class_cap is the one
-source of stage one's class-size cap, (1+eps) N C(d-1,k) / C(c1,d-k);
+reportable error instead of a hang; it returns the product coloring, from
+which the refinement color of each vertex is read back.
+first_stage_class_cap is the one source of stage one's class-size cap,
+(1+eps) N C(d-1,k) / C(c1,d-k), and the only reader of the slack eps;
 pattern_class_histogram only counts the classes it is held against.  The
 faces of every codimension come from complex_core.face_columns, the one
 packed-code enumeration that also yields the ridges; the pipeline counts
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import chain, combinations, compress, islice, repeat
-from math import ceil, comb, inf
+from math import ceil, comb
 from operator import add, eq, mul, ne, sub
 from pathlib import Path
 
@@ -81,18 +83,19 @@ class Coloring:
 
 @dataclass(frozen=True)
 class FirstColoringParams:
-    """Greedy stage parameters; window defaults to 2(d-1) of the target complex."""
+    """Greedy stage parameters; window defaults to 2(d-1) of the target complex.
+
+    The draw reads no class-size slack: epsilon goes to
+    first_stage_class_cap, its one reader.
+    """
 
     c1: int
-    epsilon: float
     seed: int
     window: int | None = None
 
     def __post_init__(self):
         if self.c1 < 1:
             raise ValueError(f"need at least one color, got {self.c1}")
-        if not 0 < self.epsilon < inf:
-            raise ValueError(f"need a finite positive epsilon, got {self.epsilon}")
         if self.window is not None and self.window < 0:
             raise ValueError(f"window must be nonnegative, got {self.window}")
 
@@ -106,18 +109,18 @@ class RefinementParams:
 
     c2 below the target of lll_target_colors is allowed (the cap catches
     non-convergence); S must dominate the actual ridge class sizes of the
-    coloring being refined.
+    coloring being refined.  The intersecting-ridge bound t sizes c2 alone,
+    so it goes to lll_target_colors.
     """
 
-    t: int
     S: int
     c2: int
     seed: int
     max_resamples: int = DEFAULT_MAX_RESAMPLES
 
     def __post_init__(self):
-        if self.t < 0 or self.S < 0:
-            raise ValueError("t and S must be nonnegative")
+        if self.S < 0:
+            raise ValueError("S must be nonnegative")
         if self.c2 < 1:
             raise ValueError(f"need at least one refinement color, got {self.c2}")
         if self.max_resamples < 0:
@@ -354,8 +357,10 @@ def verify_unique_ridge_patterns(c: Complex, f: Coloring):
 
 @dataclass(frozen=True)
 class RefineResult:
+    """The product coloring on f.c * c2 colors and the resample count; the
+    refinement color of vertex v is (coloring.colors[v-1] - 1) % c2 + 1."""
+
     coloring: Coloring
-    g: Coloring
     resamples: int
 
 
@@ -448,9 +453,8 @@ def moser_tardos_refine(c: Complex, f: Coloring, p: RefinementParams) -> RefineR
     Each round picks the lexicographically smallest colliding combined
     pattern, then the two smallest ridges in it, and redraws the refinement
     color of their 2(d-1) vertices in ascending vertex order.  Returns the
-    flattened product coloring on f.c * c2 colors together with the
-    refinement coloring and the resample count; raises ResampleCapExceeded
-    after max_resamples rounds.
+    flattened product coloring on f.c * c2 colors and the resample count;
+    raises ResampleCapExceeded after max_resamples rounds.
     """
     _require_total(c, f)
     if not verify_proper(c, f):
@@ -464,11 +468,11 @@ def moser_tardos_refine(c: Complex, f: Coloring, p: RefinementParams) -> RefineR
 
     rng = random.Random(p.seed)
     c2 = p.c2
-    g = [_draw_index(rng, c2) + 1 for _ in range(c.n_vertices)]
+    draws = (_draw_index(rng, c2) + 1 for _ in range(c.n_vertices))
 
-    # product color of every vertex, kept current as g is resampled; h[v]
-    # is vertex v's, so it serves pattern_codes as it stands
-    h = [0, *map(add, map(mul, map(sub, colors, repeat(1)), repeat(c2)), g)]
+    # product color of every vertex, kept current as vertices are
+    # resampled; h[v] is vertex v's, so it serves pattern_codes as it stands
+    h = [0, *map(add, map(mul, map(sub, colors, repeat(1)), repeat(c2)), draws)]
     base = f.c * c2 + 1
 
     keys = pattern_codes(h, columns, base)
@@ -500,8 +504,7 @@ def moser_tardos_refine(c: Complex, f: Coloring, p: RefinementParams) -> RefineR
         first, second = sorted(crowds[key])[:2]
         vertices = sorted(set(inc.ridge(first)) | set(inc.ridge(second)))
         for v in vertices:
-            g[v - 1] = _draw_index(rng, c2) + 1
-            h[v] = (colors[v - 1] - 1) * c2 + g[v - 1]
+            h[v] = (colors[v - 1] - 1) * c2 + _draw_index(rng, c2) + 1
         # _move_ridge reaches the same state in any order of the touched ridges
         touched = list({rid for v in vertices for rid in _ridges_through(index, v)})
         new_keys = pattern_codes(
@@ -514,11 +517,7 @@ def moser_tardos_refine(c: Complex, f: Coloring, p: RefinementParams) -> RefineR
             keys[rid] = new
         resamples += 1
 
-    return RefineResult(
-        coloring=Coloring(tuple(h[1:]), f.c * c2),
-        g=Coloring(tuple(g), c2),
-        resamples=resamples,
-    )
+    return RefineResult(Coloring(tuple(h[1:]), f.c * c2), resamples)
 
 
 # ---------------------------------------------------------------------------

@@ -27,9 +27,11 @@ face size in one pass over whole columns.  `ridges_of` groups its streams
 into the incidence, and `face_columns` decodes the distinct codes of any
 other codimension.
 
-A dual graph is its adjacency alone: `dual_graph` reads the incidence
-rows and builds every node's sorted neighbour tuple once, and every reader
-(the diameter, distances, connectivity and degrees) reads those rows.
+A dual graph is its adjacency rows: `dual_graph` reads the incidence
+rows and returns every node's ascending neighbour tuple, built once, and
+every reader (the diameter, distances, connectivity and the regular-graph
+bound) takes those rows; the node count is len(rows) and a degree a row's
+length.
 Exact diameters come from one algorithm, the fringe-pruned BFS search in
 `diameter_exact`.
 """
@@ -229,25 +231,6 @@ class Incidence:
         return list(map(sub, islice(offsets, 1, None), offsets))
 
 
-@dataclass(frozen=True)
-class DualGraph:
-    """Facet-adjacency graph: nodes are facet indices, edges shared ridges.
-
-    adjacency[u] is the ascending tuple of u's neighbours, one row per
-    node.  dual_graph builds the rows symmetric and loop-free, each edge in
-    both of its rows once.
-    """
-
-    adjacency: tuple[tuple[int, ...], ...]
-
-    @property
-    def n_nodes(self) -> int:
-        return len(self.adjacency)
-
-    def degrees(self):
-        return [len(nbrs) for nbrs in self.adjacency]
-
-
 def _encode_columns(columns, base: int):
     """Code of each row of nonempty digit columns, as an iterator.
 
@@ -351,11 +334,13 @@ def face_columns(c: Complex, k: int) -> list:
     return _decode_codes(codes, c.n_vertices, size)
 
 
-def dual_graph(c: Complex) -> DualGraph:
-    """Facets become adjacent exactly when they share a full ridge.
+def dual_graph(c: Complex) -> tuple[tuple[int, ...], ...]:
+    """Facet adjacency rows: rows[u] is the ascending tuple of the facets
+    that share a full ridge with facet u, one row per facet.
 
-    Each pair of facets in one incidence row is appended to both rows, and
-    each row is sorted once.  The facet ids of a row are distinct, so no row
+    The rows are symmetric and loop-free, each edge in both of its rows
+    once.  Each pair of facets in one incidence row is appended to both
+    rows, and each row is sorted once.  The facet ids of a row are distinct, so no row
     holds its own node; two distinct facets share at most one ridge, and
     Complex keeps its facets distinct, so no pair is appended twice.
     """
@@ -371,7 +356,7 @@ def dual_graph(c: Complex) -> DualGraph:
             for u, v in zip(us, vs):
                 nbrs[u].append(v)
                 nbrs[v].append(u)
-    return DualGraph(tuple(map(tuple, map(sorted, nbrs))))
+    return tuple(map(tuple, map(sorted, nbrs)))
 
 
 def is_pseudomanifold(c: Complex) -> bool:
@@ -382,10 +367,10 @@ def is_pseudomanifold(c: Complex) -> bool:
 
 def is_strongly_connected(c: Complex) -> bool:
     """True iff the dual graph is connected (vacuously true below 2 facets)."""
-    g = dual_graph(c)
-    if g.n_nodes <= 1:
+    rows = dual_graph(c)
+    if len(rows) <= 1:
         return True
-    return min(_bfs(g.adjacency, 0)[0]) >= 0
+    return min(_bfs(rows, 0)[0]) >= 0
 
 
 def _bfs(adj, src):
@@ -404,10 +389,10 @@ def _bfs(adj, src):
     return dist, order
 
 
-def _require_connected(g: DualGraph):
-    if g.n_nodes == 0:
+def _require_connected(adj):
+    if not adj:
         raise DisconnectedGraph("graph has no nodes")
-    dist, _ = _bfs(g.adjacency, 0)
+    dist, _ = _bfs(adj, 0)
     if min(dist) < 0:
         raise DisconnectedGraph("graph is not connected")
     return dist
@@ -418,8 +403,9 @@ def _argmax(values):
     return values.index(max(values))
 
 
-def diameter_exact(g: DualGraph) -> int:
-    """Exact diameter of a connected graph, by fringe-pruned BFS (iFUB).
+def diameter_exact(adj) -> int:
+    """Exact diameter of a connected graph given by its adjacency rows, by
+    fringe-pruned BFS (iFUB).
 
     Roots a BFS at the midpoint of a double-sweep path and processes its
     fringe sets in decreasing depth; any pair realizing a distance above
@@ -435,8 +421,7 @@ def diameter_exact(g: DualGraph) -> int:
     length, the deepest fringe is that root alone) costs no second pass.
     Raises DisconnectedGraph.
     """
-    adj = g.adjacency
-    a = _argmax(_require_connected(g))
+    a = _argmax(_require_connected(adj))
     dist_a, _ = _bfs(adj, a)
     b = _argmax(dist_a)
     mid = b
@@ -472,20 +457,20 @@ def diameter_exact(g: DualGraph) -> int:
     return lower
 
 
-def pair_distance(g: DualGraph, u: int, v: int) -> int:
-    """BFS distance between two nodes of a connected graph."""
-    if not (0 <= u < g.n_nodes and 0 <= v < g.n_nodes):
-        raise ValueError(f"nodes {u}, {v} out of range 0..{g.n_nodes - 1}")
-    dist, _ = _bfs(g.adjacency, u)
+def pair_distance(adj, u: int, v: int) -> int:
+    """BFS distance between two nodes of a connected graph's adjacency rows."""
+    if not (0 <= u < len(adj) and 0 <= v < len(adj)):
+        raise ValueError(f"nodes {u}, {v} out of range 0..{len(adj) - 1}")
+    dist, _ = _bfs(adj, u)
     if min(dist) < 0:
         raise DisconnectedGraph("graph is not connected")
     return dist[v]
 
 
-def double_sweep_lower_bound(g: DualGraph) -> int:
+def double_sweep_lower_bound(adj) -> int:
     """Certified diameter lower bound: eccentricity of a farthest-from-0 node."""
-    a = _argmax(_require_connected(g))
-    return max(_bfs(g.adjacency, a)[0])
+    a = _argmax(_require_connected(adj))
+    return max(_bfs(adj, a)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -68,7 +68,7 @@ def _require_epsilon(epsilon) -> None:
         raise InvalidSpec(f"need a finite positive epsilon, got {epsilon}")
 
 
-def _first_stage(target, c1, epsilon, window, master, retries, cap):
+def _first_stage(target, c1, window, master, retries, cap):
     """Greedy attempts until one's largest ridge class fits the cap.
 
     Classes are counted over the target's own ridges, from the incidence
@@ -85,9 +85,7 @@ def _first_stage(target, c1, epsilon, window, master, retries, cap):
     for _ in range(retries):
         gseed = _derive_seed(master)
         seeds.append(gseed)
-        f = greedy_window_coloring(
-            target, FirstColoringParams(c1, epsilon, gseed, window)
-        )
+        f = greedy_window_coloring(target, FirstColoringParams(c1, gseed, window))
         largest = max(class_sizes(f.colors, c1, columns).values(), default=0)
         if best is None or largest < best[0]:
             best = (largest, f, gseed)
@@ -152,7 +150,7 @@ def run_pipeline(
 
     master = random.Random(seed)
     best, greedy_seeds = _first_stage(
-        target, c1, epsilon, greedy_window, master, retries, s_formula
+        target, c1, greedy_window, master, retries, s_formula
     )
     histogram_max, first_coloring, greedy_seed_used = best
     attempts = len(greedy_seeds)
@@ -168,7 +166,7 @@ def run_pipeline(
     refine = moser_tardos_refine(
         target,
         first_coloring,
-        RefinementParams(t_bound, s_used, c2_used, refine_seed, max_resamples),
+        RefinementParams(s_used, c2_used, refine_seed, max_resamples),
     )
     product = refine.coloring
 
@@ -242,15 +240,12 @@ def run_pipeline(
         regular_ok = False
         regular_bound = None
         if connected and q.facets_injective:
-            alpha = tuple(range(1, dim + 1))
-            omega = tuple(range(n_corridor - dim + 1, n_corridor + 1))
-            qa = q.facet_map[target.facet_index(alpha)]
-            qo = q.facet_map[target.facet_index(omega)]
-            dist_ao = pair_distance(qgraph, qa, qo)
+            # alpha and omega are the boundary's first and last facets
+            dist_ao = pair_distance(qgraph, q.facet_map[0], q.facet_map[-1])
             try:
-                check = bounds_mod.check_regular_graph_bound(qgraph, diameter)
-                regular_ok = check.ok
-                regular_bound = float(check.bound)
+                bound = bounds_mod.check_regular_graph_bound(qgraph)
+                regular_ok = diameter <= bound
+                regular_bound = float(bound)
             except bounds_mod.NotRegular:
                 regular_ok = False
         results["dist_alpha_omega"] = dist_ao

@@ -59,12 +59,14 @@ class QuotientResult:
     quotient's own incidence base, of the quotient ridge that source ridge
     row i becomes, collisions included; it is an array('q'), or an int list
     when codes outgrow 64 bits.  Collision witnesses hold the first
-    offending pair in scan order, as vertex tuples, and None where there is
-    none: each map is injective exactly when its witness is None.
+    offending pair in scan order, None where there is none, so each map is
+    injective exactly when its witness is None: facet_collision is a pair
+    of source facet indices, ridge_collision a pair of source ridges as
+    vertex tuples.  Quotient vertex i is the i-th smallest color the
+    facets use.
     """
 
     quotient: Complex
-    color_to_vertex: dict
     facet_map: array
     ridge_map: array | list
     facet_collision: tuple | None
@@ -145,7 +147,6 @@ def pattern_complex(c: Complex, f: Coloring) -> QuotientResult:
 
     return QuotientResult(
         quotient=quotient,
-        color_to_vertex=color_to_vertex,
         facet_map=facet_map,
         ridge_map=ridge_map,
         facet_collision=facet_collision,

@@ -10,7 +10,6 @@ from corridors import (
     Coloring,
     Complex,
     CorridorSpec,
-    DualGraph,
     boundary_corridor,
     complex_core,
     straight_corridor,
@@ -41,24 +40,25 @@ def identity_coloring(n):
 
 
 def graph_from_edges(n_nodes, edges):
-    """DualGraph of undirected edges (u, v): orientation does not matter,
-    duplicates merge, and a self-loop raises ValueError."""
+    """Adjacency rows, as dual_graph returns them, of undirected edges
+    (u, v): orientation does not matter, duplicates merge, and a self-loop
+    raises ValueError."""
     nbrs = [set() for _ in range(n_nodes)]
     for u, v in edges:
         if u == v:
             raise ValueError(f"self-loop at node {u}")
         nbrs[u].add(v)
         nbrs[v].add(u)
-    return DualGraph(tuple(tuple(sorted(row)) for row in nbrs))
+    return tuple(tuple(sorted(row)) for row in nbrs)
 
 
-def adjacency_edges(g):
-    """The edges (u, v), u < v, of g's adjacency, after checking that every
+def adjacency_edges(rows):
+    """The edges (u, v), u < v, of adjacency rows, after checking that every
     row is sorted, loop-free and symmetric, each neighbour once."""
-    for u, row in enumerate(g.adjacency):
+    for u, row in enumerate(rows):
         assert list(row) == sorted(set(row)) and u not in row
-        assert all(u in g.adjacency[v] for v in row)
-    return {(u, v) for u, row in enumerate(g.adjacency) for v in row if u < v}
+        assert all(u in rows[v] for v in row)
+    return {(u, v) for u, row in enumerate(rows) for v in row if u < v}
 
 
 def complex_from_facets(facets, n_vertices=None):

@@ -233,7 +233,7 @@ class TestColoringCommands:
         assert code == 2 and "proper" in err
 
 
-    @pytest.mark.parametrize("epsilon", ["nan", "inf"])
+    @pytest.mark.parametrize("epsilon", ["nan", "inf", "0", "-1"])
     def test_color_bad_epsilon_exit_2(self, built, capsys, epsilon):
         tmp_path, sc_path = built
         code, out, err = run(

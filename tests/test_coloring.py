@@ -16,6 +16,7 @@ from corridors import (
     E,
     FirstColoringParams,
     IncompleteColoring,
+    InvalidSpec,
     NoLegalColor,
     PreconditionViolated,
     RefinementParams,
@@ -43,6 +44,7 @@ from corridors.coloring import (
     pattern_codes,
 )
 from corridors.complex_core import face_columns
+from corridors.pipeline import _require_epsilon
 from conftest import identity_coloring, random_complex, time_limit
 from naive_reference import (
     all_faces,
@@ -56,6 +58,12 @@ from naive_reference import (
 
 def sc(n, d):
     return straight_corridor(CorridorSpec(n, d))
+
+
+def refinement_colors(product, c2):
+    """The refinement coloring read back from a product coloring on c1 * c2
+    colors: product color (f - 1) c2 + g has g = (h - 1) mod c2 + 1."""
+    return tuple((h - 1) % c2 + 1 for h in product.colors)
 
 
 def periodic_coloring(n, period):
@@ -75,31 +83,31 @@ class TestGreedyWindowColoring:
     def test_window_distinctness(self, n, d, c1, seed):
         c = sc(n, d)
         window = 2 * (d - 1)
-        f = greedy_window_coloring(c, FirstColoringParams(c1, 0.2, seed))
+        f = greedy_window_coloring(c, FirstColoringParams(c1, seed))
         for i in range(1, n + 1):
             for j in range(i + 1, min(i + window, n) + 1):
                 assert f.colors[i - 1] != f.colors[j - 1]
 
     def test_no_legal_color(self):
         with pytest.raises(NoLegalColor):
-            greedy_window_coloring(sc(5, 3), FirstColoringParams(4, 0.2, 0, window=4))
+            greedy_window_coloring(sc(5, 3), FirstColoringParams(4, 0, window=4))
 
     def test_deterministic_given_seed(self):
         c = sc(100, 3)
-        a = greedy_window_coloring(c, FirstColoringParams(13, 0.2, 3))
-        b = greedy_window_coloring(c, FirstColoringParams(13, 0.2, 3))
-        other = greedy_window_coloring(c, FirstColoringParams(13, 0.2, 4))
+        a = greedy_window_coloring(c, FirstColoringParams(13, 3))
+        b = greedy_window_coloring(c, FirstColoringParams(13, 3))
+        other = greedy_window_coloring(c, FirstColoringParams(13, 4))
         assert a == b
         assert a != other
 
     def test_frozen_stream(self):
         # pins the documented draw schedule; a change here is a compatibility break
-        f = greedy_window_coloring(sc(12, 3), FirstColoringParams(13, 0.2, 42))
+        f = greedy_window_coloring(sc(12, 3), FirstColoringParams(13, 42))
         assert f.colors == (11, 2, 1, 7, 6, 8, 4, 2, 13, 3, 10, 1)
 
     def test_frozen_long_stream(self):
         # 10^4 draws pinned by digest, so drift late in a long stream shows too
-        f = greedy_window_coloring(sc(10**4, 4), FirstColoringParams(19, 0.2, 7))
+        f = greedy_window_coloring(sc(10**4, 4), FirstColoringParams(19, 7))
         digest = hashlib.sha256(coloring_to_text(f).encode()).hexdigest()
         assert digest == "143d2067b9e52cf7216845d939851d80ba2d2249b2406727eca54f351e9f2a8b"
 
@@ -107,24 +115,23 @@ class TestGreedyWindowColoring:
     @settings(max_examples=150, deadline=None)
     def test_matches_allowed_list_reference(self, case):
         n, c1, seed, window = case
-        f = greedy_window_coloring(sc(n, 3), FirstColoringParams(c1, 0.2, seed, window))
+        f = greedy_window_coloring(sc(n, 3), FirstColoringParams(c1, seed, window))
         assert f.colors == ref_greedy_window_coloring(n, c1, seed, window)
 
     def test_output_is_proper(self):
         c = sc(200, 3)
-        f = greedy_window_coloring(c, FirstColoringParams(13, 0.2, 1))
+        f = greedy_window_coloring(c, FirstColoringParams(13, 1))
         assert verify_proper(c, f)
 
     def test_param_validation(self):
         with pytest.raises(ValueError):
-            FirstColoringParams(0, 0.2, 0)
+            FirstColoringParams(0, 0)
+        # the slack is checked where it is read, before the class cap
+        for epsilon in (0.0, math.nan, math.inf):
+            with pytest.raises(InvalidSpec, match="need a finite positive epsilon"):
+                _require_epsilon(epsilon)
         with pytest.raises(ValueError):
-            FirstColoringParams(13, 0.0, 0)
-        for epsilon in (math.nan, math.inf):
-            with pytest.raises(ValueError, match="epsilon"):
-                FirstColoringParams(13, epsilon, 0)
-        with pytest.raises(ValueError):
-            FirstColoringParams(13, 0.2, 0, window=-1)
+            FirstColoringParams(13, 0, window=-1)
 
 
 class TestCorridorSkeletonFacts:
@@ -148,7 +155,7 @@ class TestCorridorSkeletonFacts:
     @pytest.mark.parametrize("seed", [17, 91])
     def test_window_blocks_intersecting_ridge_collisions(self, d, seed):
         c = sc(200, d)
-        f = greedy_window_coloring(c, FirstColoringParams(6 * (d - 1) + 1, 0.2, seed))
+        f = greedy_window_coloring(c, FirstColoringParams(6 * (d - 1) + 1, seed))
         ridges = ridges_of(c).ridges
         patterns = [tuple(sorted(f.colors[v - 1] for v in r)) for r in ridges]
         for (ra, pa), (rb, pb) in itertools.combinations(zip(ridges, patterns), 2):
@@ -177,7 +184,7 @@ class TestPatternHistogram:
 
     def test_greedy_meets_cap_at_desk_scale(self):
         c = sc(10**4, 3)
-        f = greedy_window_coloring(c, FirstColoringParams(13, 0.1, 38))
+        f = greedy_window_coloring(c, FirstColoringParams(13, 38))
         hist = pattern_class_histogram(c, f, 1)
         cap = first_stage_class_cap(10**4, 3, 13, 1, 0.1)
         assert cap == 282
@@ -395,17 +402,17 @@ class TestMoserTardosRefine:
     def test_unique_input_needs_no_resamples(self):
         c = sc(8, 3)
         f = identity_coloring(8)
-        result = moser_tardos_refine(c, f, RefinementParams(18, 1, 1, 0))
+        result = moser_tardos_refine(c, f, RefinementParams(1, 1, 0))
         assert result.resamples == 0
         assert verify_unique_ridge_patterns(c, result.coloring) == (True, None)
         assert result.coloring.c == 8
 
     def test_corridor_40_3_end_to_end(self):
         c = sc(40, 3)
-        f = greedy_window_coloring(c, FirstColoringParams(13, 0.2, 2))
+        f = greedy_window_coloring(c, FirstColoringParams(13, 2))
         s = pattern_class_histogram(c, f, 1).max_class_size
         c2 = lll_target_colors(18, s, 3)
-        result = moser_tardos_refine(c, f, RefinementParams(18, s, c2, 2))
+        result = moser_tardos_refine(c, f, RefinementParams(s, c2, 2))
         ok, witness = verify_unique_ridge_patterns(c, result.coloring)
         assert ok, witness
         assert verify_proper(c, result.coloring)
@@ -423,17 +430,17 @@ class TestMoserTardosRefine:
 
         monkeypatch.setattr(coloring, "_draw_index", constant_start)
         c = sc(10, 3)
-        result = moser_tardos_refine(c, periodic_coloring(10, 5), RefinementParams(18, 2, 40, 3))
+        result = moser_tardos_refine(c, periodic_coloring(10, 5), RefinementParams(2, 40, 3))
         assert result.resamples == 2
-        assert result.g == Coloring((16, 38, 24, 39, 1, 35, 9, 31, 38, 1), 40)
+        assert refinement_colors(result.coloring, 40) == (16, 38, 24, 39, 1, 35, 9, 31, 38, 1)
         assert result.coloring == Coloring((16, 78, 104, 159, 161, 35, 49, 111, 158, 161), 200)
         assert verify_unique_ridge_patterns(c, result.coloring) == (True, None)
 
     def test_deterministic(self):
         c = sc(60, 3)
-        f = greedy_window_coloring(c, FirstColoringParams(13, 0.2, 5))
+        f = greedy_window_coloring(c, FirstColoringParams(13, 5))
         s = pattern_class_histogram(c, f, 1).max_class_size
-        params = RefinementParams(18, s, 6, 11)
+        params = RefinementParams(s, 6, 11)
         a = moser_tardos_refine(c, f, params)
         b = moser_tardos_refine(c, f, params)
         assert a.coloring == b.coloring
@@ -442,19 +449,19 @@ class TestMoserTardosRefine:
     def test_rejects_improper_first_coloring(self):
         c = sc(6, 3)
         with pytest.raises(PreconditionViolated):
-            moser_tardos_refine(c, Coloring((1,) * 6, 2), RefinementParams(18, 9, 4, 0))
+            moser_tardos_refine(c, Coloring((1,) * 6, 2), RefinementParams(9, 4, 0))
 
     def test_rejects_intersecting_collision(self):
         c = sc(6, 3)
         f = Coloring((1, 2, 3, 1, 2, 4), 4)  # ridges {1,2} and {2,4} share {1,2}
         assert verify_proper(c, f)
         with pytest.raises(PreconditionViolated):
-            moser_tardos_refine(c, f, RefinementParams(18, 9, 4, 0))
+            moser_tardos_refine(c, f, RefinementParams(9, 4, 0))
 
     def test_rejects_oversized_class(self):
         c = sc(8, 3)
         with pytest.raises(PreconditionViolated):
-            moser_tardos_refine(c, identity_coloring(8), RefinementParams(18, 0, 4, 0))
+            moser_tardos_refine(c, identity_coloring(8), RefinementParams(0, 4, 0))
 
     @pytest.mark.parametrize(
         "colors,message",
@@ -465,12 +472,12 @@ class TestMoserTardosRefine:
     )
     def test_intersecting_collision_names_its_pair(self, colors, message):
         with pytest.raises(PreconditionViolated) as info:
-            moser_tardos_refine(sc(6, 3), Coloring(colors, 4), RefinementParams(18, 9, 4, 0))
+            moser_tardos_refine(sc(6, 3), Coloring(colors, 4), RefinementParams(9, 4, 0))
         assert str(info.value) == message
 
     def test_oversized_class_message(self):
         with pytest.raises(PreconditionViolated) as info:
-            moser_tardos_refine(sc(8, 3), identity_coloring(8), RefinementParams(18, 0, 4, 0))
+            moser_tardos_refine(sc(8, 3), identity_coloring(8), RefinementParams(0, 4, 0))
         assert str(info.value) == "a ridge class has size 1 > S = 0"
 
     @given(
@@ -484,9 +491,9 @@ class TestMoserTardosRefine:
         # few refinement colors force long resampling runs, and some hit the cap
         d, c1 = shape
         c = sc(n, d)
-        f = greedy_window_coloring(c, FirstColoringParams(c1, 0.2, seed))
+        f = greedy_window_coloring(c, FirstColoringParams(c1, seed))
         s = pattern_class_histogram(c, f, 1).max_class_size
-        params = RefinementParams(18, s, c2, seed + 1, max_resamples=200)
+        params = RefinementParams(s, c2, seed + 1, max_resamples=200)
         expected = ref_refine(c, f.colors, c2, seed + 1, 200)
         if expected is None:
             with pytest.raises(ResampleCapExceeded) as info:
@@ -494,14 +501,15 @@ class TestMoserTardosRefine:
             assert info.value.resamples == 200
             return
         result = moser_tardos_refine(c, f, params)
-        assert (result.coloring.colors, result.g.colors, result.resamples) == expected
+        g = refinement_colors(result.coloring, c2)
+        assert (result.coloring.colors, g, result.resamples) == expected
 
     def test_resample_cap(self):
         # one refinement color can never separate the colliding disjoint pair
         c = sc(10, 3)
         f = periodic_coloring(10, 5)
         with pytest.raises(ResampleCapExceeded):
-            moser_tardos_refine(c, f, RefinementParams(18, 2, 1, 0, max_resamples=5))
+            moser_tardos_refine(c, f, RefinementParams(2, 1, 0, max_resamples=5))
 
 
 def first_fit_window_coloring(c, window=None):
@@ -530,7 +538,7 @@ class TestDeterministicBaseline:
         assert verify_proper(c, f)
         s = pattern_class_histogram(c, f, 1).max_class_size
         c2 = lll_target_colors(18, s, 3)
-        result = moser_tardos_refine(c, f, RefinementParams(18, s, c2, 0))
+        result = moser_tardos_refine(c, f, RefinementParams(s, c2, 0))
         assert verify_unique_ridge_patterns(c, result.coloring) == (True, None)
 
     def test_classes_grow_linearly(self):
@@ -545,7 +553,7 @@ class TestDeterministicBaseline:
 
 class TestColoringFormat:
     def test_round_trip_bit_exact(self, tmp_path):
-        f = greedy_window_coloring(sc(30, 3), FirstColoringParams(13, 0.2, 0))
+        f = greedy_window_coloring(sc(30, 3), FirstColoringParams(13, 0))
         path = tmp_path / "f.coloring"
         write_coloring(f, path)
         text = path.read_text(encoding="utf-8")

@@ -68,12 +68,10 @@ def staged():
     corridor = straight_corridor(CorridorSpec(N, DIM))
     cap = first_stage_class_cap(N, DIM, C1, 1, EPSILON)
     master = random.Random(SEED)
-    (largest, f, _), _ = _first_stage(
-        corridor, C1, EPSILON, None, master, DEFAULT_RETRIES, cap
-    )
+    (largest, f, _), _ = _first_stage(corridor, C1, None, master, DEFAULT_RETRIES, cap)
     s = max(largest, cap)
     t = intersecting_ridge_bound("corridor", DIM)
-    params = RefinementParams(t, s, lll_target_colors(t, s, DIM), _derive_seed(master))
+    params = RefinementParams(s, lll_target_colors(t, s, DIM), _derive_seed(master))
     refine, refine_peak = traced_peak(moser_tardos_refine, corridor, f, params)
     quotient, quotient_held = traced_held(quotient_complex, corridor, refine.coloring)
     q = pattern_complex(corridor, refine.coloring)

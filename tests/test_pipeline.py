@@ -34,7 +34,7 @@ def test_quotient_diameter_is_measured_once(monkeypatch, mode):
     measured = record_calls(monkeypatch, "diameter_exact")
     report = run_pipeline(mode, 3, 200, 13, 0.2, 0)
     assert report["ok"]
-    assert [g.n_nodes for g in measured] == [report["results"]["facet_count"]]
+    assert [len(g) for g in measured] == [report["results"]["facet_count"]]
 
 
 def test_pseudomanifold_run_builds_no_carrier(monkeypatch):

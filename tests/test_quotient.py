@@ -46,11 +46,11 @@ def refined_quotient(c, c1, shape, seed):
     ridges can sit up to 2d apart, beyond the in-complex default 2(d-1).
     """
     window = 2 * c.dim_facet if shape == "boundary" else None
-    f = greedy_window_coloring(c, FirstColoringParams(c1, 0.2, seed, window))
+    f = greedy_window_coloring(c, FirstColoringParams(c1, seed, window))
     s = pattern_class_histogram(c, f, 1).max_class_size
     t = intersecting_ridge_bound(shape, c.dim_facet)
     c2 = lll_target_colors(t, s, c.dim_facet)
-    result = moser_tardos_refine(c, f, RefinementParams(t, s, c2, seed))
+    result = moser_tardos_refine(c, f, RefinementParams(s, c2, seed))
     return pattern_complex(c, result.coloring)
 
 
@@ -113,8 +113,13 @@ class TestPatternComplex:
         f = Coloring((5, 2, 9), 9)
         q = pattern_complex(c, f)
         assert q.quotient.n_vertices == 3
-        assert q.color_to_vertex == {2: 1, 5: 2, 9: 3}
-        assert q.quotient.facets == ((1, 2), (1, 3))
+        # quotient vertex i is the i-th smallest used color
+        used = sorted({f.colors[v - 1] for F in c.facets for v in F})
+        assert used == [2, 5, 9]
+        relabeled = tuple(
+            sorted(tuple(sorted(used.index(f.colors[v - 1]) + 1 for v in F)) for F in c.facets)
+        )
+        assert q.quotient.facets == relabeled == ((1, 2), (1, 3))
 
     def test_facet_collision_flagged_not_fatal(self):
         c = sc(6, 3)
@@ -144,10 +149,10 @@ class TestPatternComplex:
         # vertices sit in no facet and drop out of the numbering
         for c in corpus:
             q = pattern_complex(c, identity_coloring(c.n_vertices))
+            # the used colors are the vertices in some facet, ascending
+            used = sorted({v for F in c.facets for v in F})
             relabeled = tuple(
-                sorted(
-                    tuple(q.color_to_vertex[v] for v in F) for F in c.facets
-                )
+                sorted(tuple(used.index(v) + 1 for v in F) for F in c.facets)
             )
             assert q.quotient.facets == relabeled
             assert q.facets_injective and q.ridges_injective
@@ -179,7 +184,6 @@ class TestBoundaryPreservation:
         broken_complex = Complex(3, 5, ((1, 2, 3), (2, 3, 4), (2, 4, 5)))
         broken = type(q)(
             quotient=broken_complex,
-            color_to_vertex=q.color_to_vertex,
             facet_map=q.facet_map,
             ridge_map=q.ridge_map,
             facet_collision=None,
@@ -325,11 +329,11 @@ class TestBoundaryPreservation:
             assert is_pseudomanifold(c) == is_pseudomanifold(q.quotient)
             mapped = {
                 (q.facet_map[u], q.facet_map[v])
-                for u, nbrs in enumerate(gs.adjacency)
+                for u, nbrs in enumerate(gs)
                 for v in nbrs
             }
             actual = {
-                (u, v) for u, nbrs in enumerate(gq.adjacency) for v in nbrs
+                (u, v) for u, nbrs in enumerate(gq) for v in nbrs
             }
             assert mapped == actual
 
