@@ -32,10 +32,10 @@ key of class_sizes.
 from __future__ import annotations
 
 import random
+import sys
 from array import array
 from bisect import bisect_left, bisect_right, insort
-from collections import Counter, deque
-from dataclasses import dataclass
+from collections import Counter, deque, namedtuple
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import chain, combinations, compress, islice, repeat
@@ -54,6 +54,7 @@ from .complex_core import (
 )
 from .errors import (
     IncompleteColoring,
+    InvalidSpec,
     NoLegalColor,
     PreconditionViolated,
     ResampleCapExceeded,
@@ -62,48 +63,58 @@ from .errors import (
 PRNG_ID = "mt19937(random.Random)+getrandbits-rejection"
 
 
-@dataclass(frozen=True)
 class Coloring:
-    """Total map vertex -> color: colors[v-1] is the color of vertex v."""
+    """Total map vertex -> color: colors[v-1] is the color of vertex v.
 
-    colors: tuple[int, ...]
-    c: int
+    Colorings compare equal when their colors and color counts do.
+    """
 
-    def __post_init__(self):
-        if self.c < 1:
-            raise ValueError(f"color count must be positive, got {self.c}")
-        for v, col in enumerate(self.colors, start=1):
-            if not 1 <= col <= self.c:
-                raise ValueError(f"vertex {v} has color {col} outside 1..{self.c}")
+    __slots__ = ("colors", "c")
+
+    def __init__(self, colors: tuple[int, ...], c: int):
+        if c < 1:
+            raise ValueError(f"color count must be positive, got {c}")
+        # min and max check the range at C level; only a failure scans the
+        # vertices, to name the first bad one
+        if colors and not (1 <= min(colors) and max(colors) <= c):
+            for v, col in enumerate(colors, start=1):
+                if not 1 <= col <= c:
+                    raise ValueError(f"vertex {v} has color {col} outside 1..{c}")
+        self.colors, self.c = colors, c
+
+    def __eq__(self, other):
+        if type(other) is not Coloring:
+            return NotImplemented
+        return (self.colors, self.c) == (other.colors, other.c)
 
     @property
     def n_vertices(self):
         return len(self.colors)
 
 
-@dataclass(frozen=True)
 class FirstColoringParams:
     """Greedy stage parameters; window defaults to 2(d-1) of the target complex.
 
     The draw reads no class-size slack: epsilon goes to
-    first_stage_class_cap, its one reader.
+    first_stage_class_cap, its one reader.  c1 may not exceed sys.maxsize,
+    the largest color list Python can index.
     """
 
-    c1: int
-    seed: int
-    window: int | None = None
+    __slots__ = ("c1", "seed", "window")
 
-    def __post_init__(self):
-        if self.c1 < 1:
-            raise ValueError(f"need at least one color, got {self.c1}")
-        if self.window is not None and self.window < 0:
-            raise ValueError(f"window must be nonnegative, got {self.window}")
+    def __init__(self, c1: int, seed: int, window: int | None = None):
+        if c1 < 1:
+            raise ValueError(f"need at least one color, got {c1}")
+        if c1 > sys.maxsize:
+            raise InvalidSpec(f"need c1 <= {sys.maxsize}, got {c1}")
+        if window is not None and window < 0:
+            raise ValueError(f"window must be nonnegative, got {window}")
+        self.c1, self.seed, self.window = c1, seed, window
 
 
 DEFAULT_MAX_RESAMPLES = 10 ** 6
 
 
-@dataclass(frozen=True)
 class RefinementParams:
     """Resampling stage parameters.
 
@@ -113,18 +124,18 @@ class RefinementParams:
     so it goes to lll_target_colors.
     """
 
-    S: int
-    c2: int
-    seed: int
-    max_resamples: int = DEFAULT_MAX_RESAMPLES
+    __slots__ = ("S", "c2", "seed", "max_resamples")
 
-    def __post_init__(self):
-        if self.S < 0:
+    def __init__(
+        self, S: int, c2: int, seed: int, max_resamples: int = DEFAULT_MAX_RESAMPLES
+    ):
+        if S < 0:
             raise ValueError("S must be nonnegative")
-        if self.c2 < 1:
-            raise ValueError(f"need at least one refinement color, got {self.c2}")
-        if self.max_resamples < 0:
+        if c2 < 1:
+            raise ValueError(f"need at least one refinement color, got {c2}")
+        if max_resamples < 0:
             raise ValueError("resample cap must be nonnegative")
+        self.S, self.c2, self.seed, self.max_resamples = S, c2, seed, max_resamples
 
 
 def _draw_index(rng: random.Random, k: int) -> int:
@@ -259,8 +270,9 @@ def class_sizes(colors, n_colors: int, columns) -> Counter:
     return Counter(keys)
 
 
-@dataclass(frozen=True)
-class PatternHistogram:
+class PatternHistogram(
+    namedtuple("PatternHistogram", ("max_class_size", "class_count", "face_count"))
+):
     """Pattern-class statistics of one coloring over all codim-k faces.
 
     class_count is the number of distinct patterns and max_class_size the
@@ -269,9 +281,7 @@ class PatternHistogram:
     are held to is first_stage_class_cap's.
     """
 
-    max_class_size: int
-    class_count: int
-    face_count: int
+    __slots__ = ()
 
 
 def pattern_class_histogram(c: Complex, f: Coloring, codim: int = 1) -> PatternHistogram:
@@ -355,13 +365,11 @@ def verify_unique_ridge_patterns(c: Complex, f: Coloring):
     return False, tuple(map(inc.ridge, pair))
 
 
-@dataclass(frozen=True)
-class RefineResult:
+class RefineResult(namedtuple("RefineResult", ("coloring", "resamples"))):
     """The product coloring on f.c * c2 colors and the resample count; the
     refinement color of vertex v is (coloring.colors[v-1] - 1) % c2 + 1."""
 
-    coloring: Coloring
-    resamples: int
+    __slots__ = ()
 
 
 def _ridges_by_vertex(columns):

@@ -8,7 +8,7 @@ Facet tuples exist only on demand (`Complex.facets`), for labels, witnesses
 and tests; every stage, the text writer included, reads the columns.
 
 Each complex enumerates its ridges once: `Complex.incidence` runs
-`ridges_of` on first use and keeps the result as an immutable `Incidence`,
+`ridges_of` on first use and keeps the result as an `Incidence`,
 the ridge-by-facet GF(2) boundary matrix in compressed sparse row (CSR)
 form.  It holds flat integers only, no container per ridge.  A sorted face
 (v1 < ... < vs) on vertices 1..n is packed into the code
@@ -39,7 +39,6 @@ Exact diameters come from one algorithm, the fringe-pruned BFS search in
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, combinations, compress, islice, repeat
 from operator import add, eq, floordiv, indexOf, lt, mod, mul, ne, sub
@@ -51,7 +50,6 @@ Facet = tuple[int, ...]
 Ridge = tuple[int, ...]
 
 
-@dataclass(frozen=True, init=False)
 class Complex:
     """Pure (dim_facet - 1)-dimensional complex on vertices 1..n_vertices.
 
@@ -65,11 +63,9 @@ class Complex:
     constructions and quotients hand their columns to _from_columns.  Both
     end in the one column constructor, _set_columns, which checks whole
     columns at C level.  `facets` decodes the facet tuples on demand.
+    Complexes compare equal when their facet size, vertex count and columns
+    do, and are not hashable.
     """
-
-    dim_facet: int
-    n_vertices: int
-    columns: tuple[array, ...]
 
     def __init__(self, dim_facet: int, n_vertices: int, facets: tuple[Facet, ...]):
         self._set_columns(dim_facet, n_vertices, _transpose(facets, dim_facet), facets)
@@ -98,9 +94,14 @@ class Complex:
             if facets is None:
                 raise ValueError("facet columns differ in length")
             raise ValueError("facet vertices must be integers below 2**63")
-        object.__setattr__(self, "dim_facet", d)
-        object.__setattr__(self, "n_vertices", n)
-        object.__setattr__(self, "columns", columns)
+        self.dim_facet, self.n_vertices, self.columns = d, n, columns
+
+    def __eq__(self, other):
+        if type(other) is not Complex:
+            return NotImplemented
+        return (self.dim_facet, self.n_vertices, self.columns) == (
+            other.dim_facet, other.n_vertices, other.columns
+        )
 
     @property
     def facets(self) -> tuple[Facet, ...]:
@@ -186,7 +187,6 @@ def _reject_first_bad_facet(d, n, facets):
         seen.add(F)
 
 
-@dataclass(frozen=True)
 class Incidence:
     """Ridges of one complex in lexicographic order, with their facets, in CSR.
 
@@ -200,11 +200,11 @@ class Incidence:
     on demand, for witnesses and tests.
     """
 
-    n_vertices: int
-    size: int
-    codes: array | list
-    offsets: array
-    fids: array
+    __slots__ = ("n_vertices", "size", "codes", "offsets", "fids")
+
+    def __init__(self, n_vertices: int, size: int, codes, offsets: array, fids: array):
+        self.n_vertices, self.size, self.codes = n_vertices, size, codes
+        self.offsets, self.fids = offsets, fids
 
     def __len__(self):
         return len(self.codes)

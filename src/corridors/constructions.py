@@ -9,7 +9,6 @@ certifies a lower bound on that boundary's diameter.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, cycle, repeat
 from operator import add
@@ -18,20 +17,17 @@ from .complex_core import Complex, Facet
 from .errors import InvalidSpec, NotMiddleFacet, UnknownFacet
 
 
-@dataclass(frozen=True)
 class CorridorSpec:
     """Vertex count and facet size of a straight corridor."""
 
-    n_vertices: int
-    dim_facet: int
+    __slots__ = ("n_vertices", "dim_facet")
 
-    def __post_init__(self):
-        if self.dim_facet < 2:
-            raise InvalidSpec(f"facet size must be at least 2, got {self.dim_facet}")
-        if self.n_vertices < self.dim_facet:
-            raise InvalidSpec(
-                f"need at least {self.dim_facet} vertices, got {self.n_vertices}"
-            )
+    def __init__(self, n_vertices: int, dim_facet: int):
+        if dim_facet < 2:
+            raise InvalidSpec(f"facet size must be at least 2, got {dim_facet}")
+        if n_vertices < dim_facet:
+            raise InvalidSpec(f"need at least {dim_facet} vertices, got {n_vertices}")
+        self.n_vertices, self.dim_facet = n_vertices, dim_facet
 
 
 def straight_corridor(spec: CorridorSpec) -> Complex:
@@ -42,26 +38,30 @@ def straight_corridor(spec: CorridorSpec) -> Complex:
     return Complex._from_columns(d, n, columns)
 
 
-@dataclass(frozen=True)
 class BoundaryFacetLabel:
     """Position of a boundary-corridor facet: the two ends or middle (i, j).
 
     middle(i, j) names the facet {i, ..., i+d} minus {i+j}; alpha and omega
-    are the runs {1..d} and {N-d+1..N}.
+    are the runs {1..d} and {N-d+1..N}.  Labels compare equal when their
+    kind and indices do.
     """
 
-    kind: str
-    i: int | None = None
-    j: int | None = None
+    __slots__ = ("kind", "i", "j")
 
-    def __post_init__(self):
-        if self.kind not in ("alpha", "omega", "middle"):
-            raise ValueError(f"unknown label kind {self.kind!r}")
-        if self.kind == "middle":
-            if self.i is None or self.j is None:
+    def __init__(self, kind: str, i: int | None = None, j: int | None = None):
+        if kind not in ("alpha", "omega", "middle"):
+            raise ValueError(f"unknown label kind {kind!r}")
+        if kind == "middle":
+            if i is None or j is None:
                 raise ValueError("middle labels need both indices")
-        elif self.i is not None or self.j is not None:
-            raise ValueError(f"{self.kind} labels carry no indices")
+        elif i is not None or j is not None:
+            raise ValueError(f"{kind} labels carry no indices")
+        self.kind, self.i, self.j = kind, i, j
+
+    def __eq__(self, other):
+        if type(other) is not BoundaryFacetLabel:
+            return NotImplemented
+        return (self.kind, self.i, self.j) == (other.kind, other.i, other.j)
 
     def __str__(self):
         if self.kind == "middle":
@@ -106,27 +106,32 @@ def facet_label(c: Complex, facet) -> BoundaryFacetLabel:
         c.facet_index(F)
     except ValueError:
         raise UnknownFacet(f"{F} is not a facet of the complex") from None
-    return _classify(F, c.n_vertices, c.dim_facet)
+    return _classify(F, c.dim_facet, *_ends(c.n_vertices, c.dim_facet))
 
 
 def facet_labels(c: Complex) -> list[BoundaryFacetLabel]:
     """Labels for every facet, in the complex's facet order."""
-    return [_classify(F, c.n_vertices, c.dim_facet) for F in c.facets]
+    d = c.dim_facet
+    alpha, omega = _ends(c.n_vertices, d)
+    return [_classify(F, d, alpha, omega) for F in c.facets]
 
 
-def _classify(F: Facet, n: int, d: int) -> BoundaryFacetLabel:
-    if F == tuple(range(1, d + 1)):
+def _ends(n: int, d: int) -> tuple[Facet, Facet]:
+    """The facets alpha = (1..d) and omega = (n-d+1..n)."""
+    return tuple(range(1, d + 1)), tuple(range(n - d + 1, n + 1))
+
+
+def _classify(F: Facet, d: int, alpha: Facet, omega: Facet) -> BoundaryFacetLabel:
+    if F == alpha:
         return ALPHA
-    if F == tuple(range(n - d + 1, n + 1)):
+    if F == omega:
         return OMEGA
     i = F[0]
-    if F[-1] == i + d:
-        missing = set(range(i, i + d + 1)).difference(F)
-        if len(missing) == 1:
-            j = missing.pop() - i
-            if 1 <= j <= d - 1:
-                return BoundaryFacetLabel("middle", i, j)
-    raise UnknownFacet(f"{F} is not a boundary-corridor facet")
+    if F[-1] != i + d:
+        raise UnknownFacet(f"{F} is not a boundary-corridor facet")
+    # a facet is strictly increasing, so d vertices spanning i..i+d miss
+    # exactly one, i + j with 0 < j < d: the sum of i..i+d less theirs
+    return BoundaryFacetLabel("middle", i, d * i + d * (d + 1) // 2 - sum(F))
 
 
 def scaled_potential(label: BoundaryFacetLabel, dim_facet: int) -> int:

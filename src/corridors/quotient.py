@@ -26,8 +26,7 @@ the first-collision witnesses are those a tuple scan would give.
 from __future__ import annotations
 
 from array import array
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from itertools import chain, compress, repeat
 from operator import add, eq, mul, ne
 
@@ -49,8 +48,12 @@ from .coloring import (
 from .errors import ImproperColoring
 
 
-@dataclass(frozen=True)
-class QuotientResult:
+class QuotientResult(
+    namedtuple(
+        "QuotientResult",
+        ("quotient", "facet_map", "ridge_map", "facet_collision", "ridge_collision"),
+    )
+):
     """Quotient complex plus the facet/ridge correspondences, where defined.
 
     facet_map[i] is the quotient facet index of source facet i, an
@@ -66,11 +69,7 @@ class QuotientResult:
     facets use.
     """
 
-    quotient: Complex
-    facet_map: array
-    ridge_map: array | list
-    facet_collision: tuple | None
-    ridge_collision: tuple | None
+    __slots__ = ()
 
     @property
     def facets_injective(self) -> bool:

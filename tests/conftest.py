@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import random
 import signal
 import sys
@@ -119,7 +118,7 @@ def tuple_ridge_map(c, q):
     rows = [r for r, _ in ref_ridges(c)]
     n, size = q.quotient.n_vertices, c.dim_facet - 1
     decoded = {r: decode_code(code, n, size) for r, code in zip(rows, q.ridge_map)}
-    return dataclasses.replace(q, ridge_map=decoded)
+    return q._replace(ridge_map=decoded)
 
 
 def record_calls(monkeypatch, name, module=complex_core):

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -6,6 +7,10 @@ from corridors import read_coloring, read_complex
 from corridors.cli import build_parser, main
 from corridors.pipeline import DEFAULT_MAX_RESAMPLES, DEFAULT_RETRIES
 from conftest import time_limit
+
+# c1 values the free color list cannot index; a c1 that fits in sys.maxsize
+# but not in memory is never run, since the list would be allocated
+HUGE_C1 = [str(sys.maxsize + 1), "99999999999999999999"]
 
 
 def run(capsys, *argv):
@@ -286,6 +291,17 @@ class TestNoOutputOnError:
         assert err.splitlines() == ["error: 1 colors cannot fill faces of size 2"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("c1", HUGE_C1)
+    def test_color_with_c1_beyond_sys_maxsize(self, built, capsys, c1):
+        tmp_path, sc_path = built
+        out = tmp_path / "f.coloring"
+        code, stdout, err = run(
+            capsys, "color", "--in", str(sc_path), "--c1", c1, "--out", str(out),
+        )
+        assert code == 2 and stdout == ""
+        assert err.splitlines() == [f"error: need c1 <= {sys.maxsize}, got {c1}"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("codim", ["3", "-1"])
     def test_color_codim_out_of_range(self, built, capsys, codim):
         tmp_path, sc_path = built
@@ -410,6 +426,15 @@ class TestPipelineCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("c1", HUGE_C1)
+    def test_c1_beyond_sys_maxsize_exit_2(self, capsys, c1):
+        code, out, err = run(
+            capsys, "pipeline", "--mode", "simplicial", "--dim", "3", "--n", "10",
+            "--c1", c1, "--seed", "0",
+        )
+        assert code == 2 and out == ""
+        assert err.splitlines() == [f"error: need c1 <= {sys.maxsize}, got {c1}"]
+
     @pytest.mark.parametrize("epsilon", ["nan", "inf"])
     def test_bad_epsilon_exit_2(self, capsys, epsilon):
         code, out, err = run(
@@ -528,6 +553,16 @@ class TestBenchCommand:
         )
         assert code == 0
         assert out.splitlines()[-1] == "cell 0: precondition-failed: need c1 > 12, got 12"
+
+    @pytest.mark.parametrize("c1", HUGE_C1)
+    def test_c1_beyond_sys_maxsize_fails_its_cell(self, capsys, c1):
+        code, out, _ = run(
+            capsys, "bench", "--dims", "3", "--ns", "10", "--c1s", c1, "--seeds", "0",
+        )
+        assert code == 0
+        assert out.splitlines()[-1] == (
+            f"cell 0: precondition-failed: need c1 <= {sys.maxsize}, got {c1}"
+        )
 
 
 class TestFacetlessComplex:

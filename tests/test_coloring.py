@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -132,6 +133,15 @@ class TestGreedyWindowColoring:
                 _require_epsilon(epsilon)
         with pytest.raises(ValueError):
             FirstColoringParams(13, 0, window=-1)
+
+    @pytest.mark.parametrize("c1", [sys.maxsize + 1, 99999999999999999999])
+    def test_c1_beyond_sys_maxsize_rejected(self, c1):
+        # the free color list cannot hold more than sys.maxsize colors; never
+        # run a c1 that fits there but not in memory, as the list is allocated
+        with pytest.raises(InvalidSpec) as info:
+            FirstColoringParams(c1, 0)
+        assert str(info.value) == f"need c1 <= {sys.maxsize}, got {c1}"
+        assert FirstColoringParams(sys.maxsize, 0).c1 == sys.maxsize
 
 
 class TestCorridorSkeletonFacts:
@@ -572,6 +582,27 @@ class TestColoringFormat:
             Coloring((1, 5), 3)
         with pytest.raises(ValueError):
             Coloring((0, 1), 3)
+
+    @pytest.mark.parametrize(
+        "colors,message",
+        [
+            ((1, 2, 4, 3, 0), "vertex 3 has color 4 outside 1..3"),
+            ((1, 2, 0, 3, 4), "vertex 3 has color 0 outside 1..3"),
+            ((4,), "vertex 1 has color 4 outside 1..3"),
+            ((2, 3, 1, 2, -1), "vertex 5 has color -1 outside 1..3"),
+        ],
+    )
+    def test_first_bad_vertex_named(self, colors, message):
+        with pytest.raises(ValueError) as info:
+            Coloring(colors, 3)
+        assert str(info.value) == message
+
+    def test_empty_and_boundary_colorings_accepted(self):
+        assert Coloring((), 3).n_vertices == 0
+        assert Coloring((1, 3, 2, 1), 3).colors == (1, 3, 2, 1)
+        with pytest.raises(ValueError) as info:
+            Coloring((), 0)
+        assert str(info.value) == "color count must be positive, got 0"
 
 
 @given(st.integers(0, 10_000))

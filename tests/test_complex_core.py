@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from array import array
 
@@ -128,6 +127,31 @@ class TestComplexValidation:
         c = complex_from_facets([[3, 1, 2], [2, 4, 3]])
         assert c.facets == ((1, 2, 3), (2, 3, 4))
         assert c.n_vertices == 4
+
+
+class TestEquality:
+    """`corridors verify --against` reads complex equality: same facet size,
+    vertex count and facets in the same order, whichever builder made them."""
+
+    FACETS = ((1, 2, 3), (2, 3, 4), (3, 4, 5), (4, 5, 6), (5, 6, 7))
+
+    def test_every_builder_gives_an_equal_complex(self):
+        text = "dim 3 vertices 7\n" + "".join(f"{a} {b} {c}\n" for a, b, c in self.FACETS)
+        built, by_tuples, parsed = sc(7, 3), Complex(3, 7, self.FACETS), complex_from_text(text)
+        assert built == by_tuples == parsed
+        assert not (built != by_tuples or by_tuples != parsed)
+        assert Complex(3, 4, ()) == complex_from_text("dim 3 vertices 4\n")
+
+    def test_any_difference_is_unequal(self):
+        assert Complex(3, 8, self.FACETS) != sc(7, 3)
+        assert Complex(3, 7, self.FACETS[:-1]) != sc(7, 3)
+        assert Complex(3, 7, self.FACETS[::-1]) != sc(7, 3)
+        assert Complex(4, 4, ()) != Complex(3, 4, ())
+        assert sc(7, 3) != self.FACETS
+
+    def test_not_hashable(self):
+        with pytest.raises(TypeError):
+            hash(sc(7, 3))
 
 
 class TestRidges:
@@ -482,13 +506,17 @@ def test_flat_incidence_decodes_to_the_reference(seed):
     assert len(inc) == len(reference) == len(inc.offsets) - 1
 
 
+INCIDENCE_FIELDS = ("n_vertices", "size", "codes", "offsets", "fids")
+
+
 def check_incidence_fields(inc):
-    for field in dataclasses.fields(Incidence):
-        value = getattr(inc, field.name)
+    assert Incidence.__slots__ == INCIDENCE_FIELDS
+    for name in INCIDENCE_FIELDS:
+        value = getattr(inc, name)
         if isinstance(value, int):
             continue
-        assert isinstance(value, (array, list)), field.name
-        assert all(type(x) is int for x in value), field.name
+        assert isinstance(value, (array, list)), name
+        assert all(type(x) is int for x in value), name
 
 
 class TestIncidence:
@@ -542,7 +570,8 @@ class TestIncidence:
     def test_equal_complexes_build_their_own(self):
         a, b = sc(6, 3), sc(6, 3)
         assert a == b and a.incidence is not b.incidence
-        assert a.incidence == b.incidence
+        for name in INCIDENCE_FIELDS:
+            assert getattr(a.incidence, name) == getattr(b.incidence, name), name
 
 
 def test_dual_graph_matches_gram_matrix_support(corpus):

@@ -38,18 +38,30 @@ def test_layer_only_helpers_stay_in_their_modules():
     assert callable(corridors.bounds.regular_graph_diameter_bound)
 
 
-def test_import_loads_no_process_pool():
-    # a fresh interpreter, so modules this test session loaded do not count;
-    # only `run_bench(jobs > 1)` needs the pool, and it imports it itself
+# modules the package never calls: the process pool, which only
+# `run_bench(jobs > 1)` imports, and what `dataclasses` would pull in
+UNUSED_AT_IMPORT = (
+    "concurrent.futures",
+    "multiprocessing",
+    "dataclasses",
+    "inspect",
+    "ast",
+    "dis",
+    "tokenize",
+)
+
+
+def test_import_loads_none_of_the_unused_modules():
+    # a fresh interpreter, so modules this test session loaded do not count,
+    # and without `site`, so only the package's own imports do
     src = str(Path(corridors.__file__).resolve().parent.parent)
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); "
         "import corridors, corridors.cli; "
-        "print(' '.join(m for m in ('concurrent.futures', 'multiprocessing') "
-        "if m in sys.modules))"
+        "print(' '.join(m for m in sys.argv[2:] if m in sys.modules))"
     )
     done = subprocess.run(
-        [sys.executable, "-E", "-c", code, src],
+        [sys.executable, "-E", "-S", "-c", code, src, *UNUSED_AT_IMPORT],
         capture_output=True, text=True, timeout=60, check=True,
     )
     assert done.stdout.split() == []

@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import itertools
 import random
 
@@ -196,7 +195,7 @@ class TestBoundaryPreservation:
         q = pattern_complex(c, identity_coloring(5))
         swapped = copy.copy(q.facet_map)
         swapped[0], swapped[1] = q.facet_map[1], q.facet_map[0]
-        broken = dataclasses.replace(q, facet_map=swapped)
+        broken = q._replace(facet_map=swapped)
         assert not verify_boundary_preservation(c, broken)
         assert not ref_boundary_preserved(c, tuple_ridge_map(c, broken))
 
@@ -205,15 +204,13 @@ class TestBoundaryPreservation:
         q = pattern_complex(c, identity_coloring(5))
         unmapped = copy.copy(q.facet_map)
         unmapped[1] = -1
-        assert not verify_boundary_preservation(
-            c, dataclasses.replace(q, facet_map=unmapped)
-        )
+        assert not verify_boundary_preservation(c, q._replace(facet_map=unmapped))
 
     def test_short_facet_map_detected(self):
         c = sc(5, 3)
         q = pattern_complex(c, identity_coloring(5))
         short = q.facet_map[:-1]
-        assert not verify_boundary_preservation(c, dataclasses.replace(q, facet_map=short))
+        assert not verify_boundary_preservation(c, q._replace(facet_map=short))
 
     def test_swapped_ridge_map_entries_detected(self):
         # ridges (2, 3) and (3, 4) both lie in two facets, so the swap keeps
@@ -223,7 +220,7 @@ class TestBoundaryPreservation:
         assert c.incidence.widths()[2] == c.incidence.widths()[4] == 2
         swapped = copy.copy(q.ridge_map)
         swapped[2], swapped[4] = q.ridge_map[4], q.ridge_map[2]
-        broken = dataclasses.replace(q, ridge_map=swapped)
+        broken = q._replace(ridge_map=swapped)
         assert not verify_boundary_preservation(c, broken)
         assert not ref_boundary_preserved(c, tuple_ridge_map(c, broken))
 
@@ -235,7 +232,7 @@ class TestBoundaryPreservation:
         replaced = Complex(3, 5, ((1, 3, 4), (2, 3, 4), (3, 4, 5)))
         assert len(replaced.incidence) == len(c.incidence)
         assert len(replaced.incidence.fids) == len(c.incidence.fids)
-        broken = dataclasses.replace(q, quotient=replaced)
+        broken = q._replace(quotient=replaced)
         assert not verify_boundary_preservation(c, broken)
 
     def test_swapped_ridge_codes_detected(self):
@@ -244,7 +241,7 @@ class TestBoundaryPreservation:
         # ridge (1, 2) lies in facet 0 only, ridge (2, 3) in facets 0 and 1
         swapped = copy.copy(q.ridge_map)
         swapped[0], swapped[2] = q.ridge_map[2], q.ridge_map[0]
-        broken = dataclasses.replace(q, ridge_map=swapped)
+        broken = q._replace(ridge_map=swapped)
         assert not verify_boundary_preservation(c, broken)
         assert not ref_boundary_preserved(c, tuple_ridge_map(c, broken))
 
@@ -276,9 +273,7 @@ class TestBoundaryPreservation:
         for field in ("facet_map", "ridge_map"):
             mapping = getattr(q, field)
             if len(mapping) > 1:
-                broken = dataclasses.replace(
-                    q, **{field: swap_two_images(mapping, rng)}
-                )
+                broken = q._replace(**{field: swap_two_images(mapping, rng)})
                 fast = verify_boundary_preservation(c, broken)
                 assert fast == ref_boundary_preserved(c, tuple_ridge_map(c, broken))
 
