@@ -18,8 +18,8 @@ from pathlib import Path
 from . import bounds as bounds_mod
 from .coloring import (
     DEFAULT_MAX_RESAMPLES,
-    FirstColoringParams,
-    RefinementParams,
+    _require_greedy_params,
+    _require_refine_params,
     default_window,
     first_stage_class_cap,
     greedy_window_coloring,
@@ -111,15 +111,17 @@ def cmd_build(args):
 
 def cmd_color(args):
     c = read_complex(args.infile)
-    params = FirstColoringParams(args.c1, args.seed, args.window)
+    window = args.window if args.window is not None else default_window(c.dim_facet)
+    # a bad c1 or window is reported before a bad epsilon, and both before the draw
+    _require_greedy_params(args.c1, window)
     _require_epsilon(args.epsilon)
-    f = greedy_window_coloring(c, params)
+    f = greedy_window_coloring(c, args.c1, args.seed, window)
     hist = pattern_class_histogram(c, f, args.codim)
     stats = {
         "c1": args.c1,
         "epsilon": args.epsilon,
         "seed": args.seed,
-        "window": params.window if params.window is not None else default_window(c.dim_facet),
+        "window": window,
         "codim": args.codim,
         "face_count": hist.face_count,
         "class_count": hist.class_count,
@@ -142,10 +144,9 @@ def cmd_refine(args):
         s = args.class_cap
     else:
         s = pattern_class_histogram(c, f, 1).max_class_size
+    _require_refine_params(s, args.c2, args.max_resamples)
     c2 = args.c2 if args.c2 is not None else lll_target_colors(t, s, c.dim_facet)
-    result = moser_tardos_refine(
-        c, f, RefinementParams(s, c2, args.seed, args.max_resamples)
-    )
+    result = moser_tardos_refine(c, f, s, c2, args.seed, args.max_resamples)
     unique, witness = verify_unique_ridge_patterns(c, result.coloring)
     write_coloring(result.coloring, args.out)
     stats = {

@@ -92,50 +92,34 @@ class Coloring:
         return len(self.colors)
 
 
-class FirstColoringParams:
-    """Greedy stage parameters; window defaults to 2(d-1) of the target complex.
+def _require_greedy_params(c1: int, window: int) -> None:
+    """Range checks of the greedy stage, on the window it will use.
 
-    The draw reads no class-size slack: epsilon goes to
-    first_stage_class_cap, its one reader.  c1 may not exceed sys.maxsize,
-    the largest color list Python can index.
+    c1 may not exceed sys.maxsize, the largest color list Python can
+    index, and must leave a color outside a full window.
     """
-
-    __slots__ = ("c1", "seed", "window")
-
-    def __init__(self, c1: int, seed: int, window: int | None = None):
-        if c1 < 1:
-            raise ValueError(f"need at least one color, got {c1}")
-        if c1 > sys.maxsize:
-            raise InvalidSpec(f"need c1 <= {sys.maxsize}, got {c1}")
-        if window is not None and window < 0:
-            raise ValueError(f"window must be nonnegative, got {window}")
-        self.c1, self.seed, self.window = c1, seed, window
+    if c1 < 1:
+        raise InvalidSpec(f"need at least one color, got {c1}")
+    if c1 > sys.maxsize:
+        raise InvalidSpec(f"need c1 <= {sys.maxsize}, got {c1}")
+    if window < 0:
+        raise InvalidSpec(f"window must be nonnegative, got {window}")
+    if c1 <= window:
+        raise NoLegalColor(f"window {window} excludes all {c1} colors")
 
 
 DEFAULT_MAX_RESAMPLES = 10 ** 6
 
 
-class RefinementParams:
-    """Resampling stage parameters.
-
-    c2 below the target of lll_target_colors is allowed (the cap catches
-    non-convergence); S must dominate the actual ridge class sizes of the
-    coloring being refined.  The intersecting-ridge bound t sizes c2 alone,
-    so it goes to lll_target_colors.
-    """
-
-    __slots__ = ("S", "c2", "seed", "max_resamples")
-
-    def __init__(
-        self, S: int, c2: int, seed: int, max_resamples: int = DEFAULT_MAX_RESAMPLES
-    ):
-        if S < 0:
-            raise ValueError("S must be nonnegative")
-        if c2 < 1:
-            raise ValueError(f"need at least one refinement color, got {c2}")
-        if max_resamples < 0:
-            raise ValueError("resample cap must be nonnegative")
-        self.S, self.c2, self.seed, self.max_resamples = S, c2, seed, max_resamples
+def _require_refine_params(S: int, c2: int | None, max_resamples: int) -> None:
+    """Range checks of the resampling stage; c2 None stands for the
+    lll_target_colors value, which is at least 1."""
+    if S < 0:
+        raise InvalidSpec("S must be nonnegative")
+    if c2 is not None and c2 < 1:
+        raise InvalidSpec(f"need at least one refinement color, got {c2}")
+    if max_resamples < 0:
+        raise InvalidSpec("resample cap must be nonnegative")
 
 
 def _draw_index(rng: random.Random, k: int) -> int:
@@ -158,20 +142,23 @@ def default_window(dim_facet: int) -> int:
     return 2 * (dim_facet - 1)
 
 
-def greedy_window_coloring(c: Complex, p: FirstColoringParams) -> Coloring:
+def greedy_window_coloring(
+    c: Complex, c1: int, seed: int, window: int | None = None
+) -> Coloring:
     """Color vertices 1..n in order, avoiding the colors of the last `window`.
 
     On a corridor this forces distinct colors on any two vertices within
     `window` of each other, hence on any pair of intersecting ridges once
-    window >= 2(d-1).  Deterministic given the seed.
+    window >= 2(d-1), its default.  Deterministic given the seed; the draw
+    reads no class-size slack, which goes to first_stage_class_cap.
     """
-    window = p.window if p.window is not None else default_window(c.dim_facet)
-    if p.c1 <= window:
-        raise NoLegalColor(f"window {window} excludes all {p.c1} colors")
-    rng = random.Random(p.seed)
+    if window is None:
+        window = default_window(c.dim_facet)
+    _require_greedy_params(c1, window)
+    rng = random.Random(seed)
     # free holds the unblocked colors in ascending order, so the draw indexes
     # the same list as "every color not in the window" would be
-    free = list(range(1, p.c1 + 1))
+    free = list(range(1, c1 + 1))
     recent: deque[int] = deque()
     out = []
     for _ in range(c.n_vertices):
@@ -180,7 +167,7 @@ def greedy_window_coloring(c: Complex, p: FirstColoringParams) -> Coloring:
         recent.append(pick)
         if len(recent) > window:
             insort(free, recent.popleft())
-    return Coloring(tuple(out), p.c1)
+    return Coloring(tuple(out), c1)
 
 
 def _require_total(c: Complex, f: Coloring):
@@ -452,18 +439,27 @@ def _move_ridge(alone, crowds, heap, rid, old, new):
         alone[new] = rid
 
 
-def moser_tardos_refine(c: Complex, f: Coloring, p: RefinementParams) -> RefineResult:
+def moser_tardos_refine(
+    c: Complex,
+    f: Coloring,
+    S: int,
+    c2: int,
+    seed: int,
+    max_resamples: int = DEFAULT_MAX_RESAMPLES,
+) -> RefineResult:
     """Resample a uniform refinement until every ridge pattern is unique.
 
     Requires f proper, free of intersecting-ridge pattern collisions, and with
-    ridge classes of size at most p.S (PreconditionViolated otherwise); under
+    ridge classes of size at most S (PreconditionViolated otherwise); under
     those conditions every surviving collision is between disjoint ridges.
     Each round picks the lexicographically smallest colliding combined
     pattern, then the two smallest ridges in it, and redraws the refinement
     color of their 2(d-1) vertices in ascending vertex order.  Returns the
     flattened product coloring on f.c * c2 colors and the resample count;
-    raises ResampleCapExceeded after max_resamples rounds.
+    raises ResampleCapExceeded after max_resamples rounds, so a c2 below
+    lll_target_colors's is allowed.
     """
+    _require_refine_params(S, c2, max_resamples)
     _require_total(c, f)
     if not verify_proper(c, f):
         raise PreconditionViolated("stage-one coloring is not proper")
@@ -472,10 +468,9 @@ def moser_tardos_refine(c: Complex, f: Coloring, p: RefinementParams) -> RefineR
     columns = inc.columns()
     colors = f.colors
     index = _ridges_by_vertex(columns)
-    _require_refinable(inc, columns, index, f, p.S)
+    _require_refinable(inc, columns, index, f, S)
 
-    rng = random.Random(p.seed)
-    c2 = p.c2
+    rng = random.Random(seed)
     draws = (_draw_index(rng, c2) + 1 for _ in range(c.n_vertices))
 
     # product color of every vertex, kept current as vertices are
@@ -504,7 +499,7 @@ def moser_tardos_refine(c: Complex, f: Coloring, p: RefinementParams) -> RefineR
 
     resamples = 0
     while crowds:
-        if resamples >= p.max_resamples:
+        if resamples >= max_resamples:
             raise ResampleCapExceeded(len(crowds), resamples)
         while heap[0] not in crowds:
             heappop(heap)

@@ -28,8 +28,8 @@ from . import bounds as bounds_mod
 from .coloring import (
     DEFAULT_MAX_RESAMPLES,
     PRNG_ID,
-    FirstColoringParams,
-    RefinementParams,
+    _require_greedy_params,
+    _require_refine_params,
     class_sizes,
     default_window,
     first_stage_class_cap,
@@ -85,7 +85,7 @@ def _first_stage(target, c1, window, master, retries, cap):
     for _ in range(retries):
         gseed = _derive_seed(master)
         seeds.append(gseed)
-        f = greedy_window_coloring(target, FirstColoringParams(c1, gseed, window))
+        f = greedy_window_coloring(target, c1, gseed, window)
         largest = max(class_sizes(f.colors, c1, columns).values(), default=0)
         if best is None or largest < best[0]:
             best = (largest, f, gseed)
@@ -115,7 +115,9 @@ def run_pipeline(
     which are the codim-k faces of the corridor the paper colors (k = 1, or
     2 for the corridor one dimension up).  That corridor's facet size,
     carrier_dim, sets the class cap and the default window 2(carrier_dim - 1);
-    params.window records the caller's window, None for the default.
+    the report's params.window is the caller's window, None for the default.
+    Every parameter, the stages' too, is checked before the target is built,
+    so a bad one costs no construction.
 
     The stage-one class cap is the asymptotic formula value; because it only
     binds for large N, s_policy "adaptive" (the default) falls back to the
@@ -134,19 +136,20 @@ def run_pipeline(
     if retries < 1:
         raise InvalidSpec("need at least one greedy attempt")
     _require_epsilon(epsilon)
+    codim = 1 if mode == "simplicial" else 2
+    carrier_dim = dim + codim - 1
+    greedy_window = window if window is not None else default_window(carrier_dim)
+    _require_greedy_params(c1, greedy_window)
+    # stage one's S is a class size, never negative
+    _require_refine_params(0, c2, max_resamples)
 
     if mode == "simplicial":
         target = straight_corridor(CorridorSpec(n_corridor, dim))
-        codim = 1
         t_bound = intersecting_ridge_bound("corridor", dim)
     else:
         target = boundary_corridor(n_corridor, dim)
-        codim = 2
         t_bound = intersecting_ridge_bound("boundary", dim)
-    carrier_dim = dim + codim - 1
-
     s_formula = first_stage_class_cap(n_corridor, carrier_dim, c1, codim, epsilon)
-    greedy_window = window if window is not None else default_window(carrier_dim)
 
     master = random.Random(seed)
     best, greedy_seeds = _first_stage(
@@ -164,9 +167,7 @@ def run_pipeline(
     refine_seed = _derive_seed(master)
     c2_used = c2 if c2 is not None else lll_target_colors(t_bound, s_used, dim)
     refine = moser_tardos_refine(
-        target,
-        first_coloring,
-        RefinementParams(s_used, c2_used, refine_seed, max_resamples),
+        target, first_coloring, s_used, c2_used, refine_seed, max_resamples
     )
     product = refine.coloring
 

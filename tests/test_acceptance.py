@@ -10,8 +10,6 @@ import math
 from conftest import incidence_dense, incidence_rows
 from corridors import (
     CorridorSpec,
-    FirstColoringParams,
-    RefinementParams,
     boundary_corridor,
     check_regular_graph_bound,
     diameter_exact,
@@ -56,11 +54,11 @@ def sc(n, d):
 
 def staged_run(target, c1, shape, seed, window=None):
     """Greedy -> refine (observed class cap) -> quotient, on one complex."""
-    f = greedy_window_coloring(target, FirstColoringParams(c1, seed, window))
+    f = greedy_window_coloring(target, c1, seed, window)
     s = pattern_class_histogram(target, f, 1).max_class_size
     t = intersecting_ridge_bound(shape, target.dim_facet)
     c2 = lll_target_colors(t, s, target.dim_facet)
-    refined = moser_tardos_refine(target, f, RefinementParams(s, c2, seed))
+    refined = moser_tardos_refine(target, f, s, c2, seed)
     return pattern_complex(target, refined.coloring)
 
 
@@ -119,7 +117,7 @@ def test_criterion_4_pattern_concentration():
     maxima = []
     means = []
     for seed in range(20):
-        f = greedy_window_coloring(target, FirstColoringParams(c1, seed))
+        f = greedy_window_coloring(target, c1, seed)
         hist = pattern_class_histogram(target, f, 1)
         maxima.append(hist.max_class_size)
         means.append(hist.face_count / hist.class_count)
@@ -140,12 +138,10 @@ def test_criterion_5_lll_refinement():
     ok = True
     resamples = []
     for seed in range(20):
-        f = greedy_window_coloring(target, FirstColoringParams(c1, seed))
+        f = greedy_window_coloring(target, c1, seed)
         s = pattern_class_histogram(target, f, 1).max_class_size
         c2 = lll_target_colors(t, s, d)
-        result = moser_tardos_refine(
-            target, f, RefinementParams(s, c2, seed, max_resamples=10 ** 6)
-        )
+        result = moser_tardos_refine(target, f, s, c2, seed, max_resamples=10 ** 6)
         resamples.append(result.resamples)
         unique, witness = verify_unique_ridge_patterns(target, result.coloring)
         if not unique:
@@ -172,11 +168,11 @@ def test_criterion_7_pseudomanifold_pipeline():
     n, d, c1 = 10 ** 3, 3, 13
     carrier = sc(n, d + 1)
     target = boundary_corridor(n, d)
-    f = greedy_window_coloring(carrier, FirstColoringParams(c1, 0))
+    f = greedy_window_coloring(carrier, c1, 0)
     s = pattern_class_histogram(carrier, f, 2).max_class_size
     t = intersecting_ridge_bound("boundary", d)
     c2 = lll_target_colors(t, s, d)
-    refined = moser_tardos_refine(target, f, RefinementParams(s, c2, 0))
+    refined = moser_tardos_refine(target, f, s, c2, 0)
     q = pattern_complex(target, refined.coloring)
     quotient = q.quotient
     pm_ok = is_pseudomanifold(quotient)

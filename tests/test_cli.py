@@ -302,6 +302,39 @@ class TestNoOutputOnError:
         assert err.splitlines() == [f"error: need c1 <= {sys.maxsize}, got {c1}"]
         assert not out.exists()
 
+    def test_color_with_a_negative_window(self, built, capsys):
+        tmp_path, sc_path = built
+        out = tmp_path / "f.coloring"
+        code, stdout, err = run(
+            capsys, "color", "--in", str(sc_path), "--c1", "13", "--window", "-1",
+            "--out", str(out),
+        )
+        assert code == 2 and stdout == ""
+        assert err.splitlines() == ["error: window must be nonnegative, got -1"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "option,value,message",
+        [
+            # refine names its own S, not the t and S of lll_target_colors
+            ("--class-cap", "-1", "S must be nonnegative"),
+            ("--c2", "0", "need at least one refinement color, got 0"),
+            ("--max-resamples", "-1", "resample cap must be nonnegative"),
+        ],
+    )
+    def test_refine_parameter_out_of_range(self, built, capsys, option, value, message):
+        tmp_path, sc_path = built
+        f_path, out = tmp_path / "f.coloring", tmp_path / "fg.coloring"
+        argv = ["color", "--in", str(sc_path), "--c1", "13", "--out", str(f_path), "--quiet"]
+        assert main(argv) == 0
+        code, stdout, err = run(
+            capsys, "refine", "--in", str(sc_path), "--coloring", str(f_path),
+            "--shape", "corridor", option, value, "--out", str(out),
+        )
+        assert code == 2 and stdout == ""
+        assert err.splitlines() == [f"error: {message}"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("codim", ["3", "-1"])
     def test_color_codim_out_of_range(self, built, capsys, codim):
         tmp_path, sc_path = built

@@ -15,12 +15,10 @@ from corridors import (
     Complex,
     CorridorSpec,
     E,
-    FirstColoringParams,
     IncompleteColoring,
     InvalidSpec,
     NoLegalColor,
     PreconditionViolated,
-    RefinementParams,
     ResampleCapExceeded,
     coloring_from_text,
     coloring_to_text,
@@ -39,6 +37,7 @@ from corridors import (
 )
 from corridors import coloring
 from corridors.coloring import (
+    _require_greedy_params,
     _ridges_by_vertex,
     _ridges_through,
     class_sizes,
@@ -84,31 +83,31 @@ class TestGreedyWindowColoring:
     def test_window_distinctness(self, n, d, c1, seed):
         c = sc(n, d)
         window = 2 * (d - 1)
-        f = greedy_window_coloring(c, FirstColoringParams(c1, seed))
+        f = greedy_window_coloring(c, c1, seed)
         for i in range(1, n + 1):
             for j in range(i + 1, min(i + window, n) + 1):
                 assert f.colors[i - 1] != f.colors[j - 1]
 
     def test_no_legal_color(self):
         with pytest.raises(NoLegalColor):
-            greedy_window_coloring(sc(5, 3), FirstColoringParams(4, 0, window=4))
+            greedy_window_coloring(sc(5, 3), 4, 0, window=4)
 
     def test_deterministic_given_seed(self):
         c = sc(100, 3)
-        a = greedy_window_coloring(c, FirstColoringParams(13, 3))
-        b = greedy_window_coloring(c, FirstColoringParams(13, 3))
-        other = greedy_window_coloring(c, FirstColoringParams(13, 4))
+        a = greedy_window_coloring(c, 13, 3)
+        b = greedy_window_coloring(c, 13, 3)
+        other = greedy_window_coloring(c, 13, 4)
         assert a == b
         assert a != other
 
     def test_frozen_stream(self):
         # pins the documented draw schedule; a change here is a compatibility break
-        f = greedy_window_coloring(sc(12, 3), FirstColoringParams(13, 42))
+        f = greedy_window_coloring(sc(12, 3), 13, 42)
         assert f.colors == (11, 2, 1, 7, 6, 8, 4, 2, 13, 3, 10, 1)
 
     def test_frozen_long_stream(self):
         # 10^4 draws pinned by digest, so drift late in a long stream shows too
-        f = greedy_window_coloring(sc(10**4, 4), FirstColoringParams(19, 7))
+        f = greedy_window_coloring(sc(10**4, 4), 19, 7)
         digest = hashlib.sha256(coloring_to_text(f).encode()).hexdigest()
         assert digest == "143d2067b9e52cf7216845d939851d80ba2d2249b2406727eca54f351e9f2a8b"
 
@@ -116,32 +115,32 @@ class TestGreedyWindowColoring:
     @settings(max_examples=150, deadline=None)
     def test_matches_allowed_list_reference(self, case):
         n, c1, seed, window = case
-        f = greedy_window_coloring(sc(n, 3), FirstColoringParams(c1, seed, window))
+        f = greedy_window_coloring(sc(n, 3), c1, seed, window)
         assert f.colors == ref_greedy_window_coloring(n, c1, seed, window)
 
     def test_output_is_proper(self):
         c = sc(200, 3)
-        f = greedy_window_coloring(c, FirstColoringParams(13, 1))
+        f = greedy_window_coloring(c, 13, 1)
         assert verify_proper(c, f)
 
     def test_param_validation(self):
-        with pytest.raises(ValueError):
-            FirstColoringParams(0, 0)
+        with pytest.raises(InvalidSpec, match="^need at least one color, got 0$"):
+            greedy_window_coloring(sc(5, 3), 0, 0)
         # the slack is checked where it is read, before the class cap
         for epsilon in (0.0, math.nan, math.inf):
             with pytest.raises(InvalidSpec, match="need a finite positive epsilon"):
                 _require_epsilon(epsilon)
-        with pytest.raises(ValueError):
-            FirstColoringParams(13, 0, window=-1)
+        with pytest.raises(InvalidSpec, match="^window must be nonnegative, got -1$"):
+            greedy_window_coloring(sc(5, 3), 13, 0, window=-1)
 
     @pytest.mark.parametrize("c1", [sys.maxsize + 1, 99999999999999999999])
     def test_c1_beyond_sys_maxsize_rejected(self, c1):
         # the free color list cannot hold more than sys.maxsize colors; never
         # run a c1 that fits there but not in memory, as the list is allocated
         with pytest.raises(InvalidSpec) as info:
-            FirstColoringParams(c1, 0)
+            greedy_window_coloring(sc(5, 3), c1, 0)
         assert str(info.value) == f"need c1 <= {sys.maxsize}, got {c1}"
-        assert FirstColoringParams(sys.maxsize, 0).c1 == sys.maxsize
+        assert _require_greedy_params(sys.maxsize, 4) is None
 
 
 class TestCorridorSkeletonFacts:
@@ -165,7 +164,7 @@ class TestCorridorSkeletonFacts:
     @pytest.mark.parametrize("seed", [17, 91])
     def test_window_blocks_intersecting_ridge_collisions(self, d, seed):
         c = sc(200, d)
-        f = greedy_window_coloring(c, FirstColoringParams(6 * (d - 1) + 1, seed))
+        f = greedy_window_coloring(c, 6 * (d - 1) + 1, seed)
         ridges = ridges_of(c).ridges
         patterns = [tuple(sorted(f.colors[v - 1] for v in r)) for r in ridges]
         for (ra, pa), (rb, pb) in itertools.combinations(zip(ridges, patterns), 2):
@@ -194,7 +193,7 @@ class TestPatternHistogram:
 
     def test_greedy_meets_cap_at_desk_scale(self):
         c = sc(10**4, 3)
-        f = greedy_window_coloring(c, FirstColoringParams(13, 38))
+        f = greedy_window_coloring(c, 13, 38)
         hist = pattern_class_histogram(c, f, 1)
         cap = first_stage_class_cap(10**4, 3, 13, 1, 0.1)
         assert cap == 282
@@ -412,17 +411,17 @@ class TestMoserTardosRefine:
     def test_unique_input_needs_no_resamples(self):
         c = sc(8, 3)
         f = identity_coloring(8)
-        result = moser_tardos_refine(c, f, RefinementParams(1, 1, 0))
+        result = moser_tardos_refine(c, f, 1, 1, 0)
         assert result.resamples == 0
         assert verify_unique_ridge_patterns(c, result.coloring) == (True, None)
         assert result.coloring.c == 8
 
     def test_corridor_40_3_end_to_end(self):
         c = sc(40, 3)
-        f = greedy_window_coloring(c, FirstColoringParams(13, 2))
+        f = greedy_window_coloring(c, 13, 2)
         s = pattern_class_histogram(c, f, 1).max_class_size
         c2 = lll_target_colors(18, s, 3)
-        result = moser_tardos_refine(c, f, RefinementParams(s, c2, 2))
+        result = moser_tardos_refine(c, f, s, c2, 2)
         ok, witness = verify_unique_ridge_patterns(c, result.coloring)
         assert ok, witness
         assert verify_proper(c, result.coloring)
@@ -440,7 +439,7 @@ class TestMoserTardosRefine:
 
         monkeypatch.setattr(coloring, "_draw_index", constant_start)
         c = sc(10, 3)
-        result = moser_tardos_refine(c, periodic_coloring(10, 5), RefinementParams(2, 40, 3))
+        result = moser_tardos_refine(c, periodic_coloring(10, 5), 2, 40, 3)
         assert result.resamples == 2
         assert refinement_colors(result.coloring, 40) == (16, 38, 24, 39, 1, 35, 9, 31, 38, 1)
         assert result.coloring == Coloring((16, 78, 104, 159, 161, 35, 49, 111, 158, 161), 200)
@@ -448,30 +447,29 @@ class TestMoserTardosRefine:
 
     def test_deterministic(self):
         c = sc(60, 3)
-        f = greedy_window_coloring(c, FirstColoringParams(13, 5))
+        f = greedy_window_coloring(c, 13, 5)
         s = pattern_class_histogram(c, f, 1).max_class_size
-        params = RefinementParams(s, 6, 11)
-        a = moser_tardos_refine(c, f, params)
-        b = moser_tardos_refine(c, f, params)
+        a = moser_tardos_refine(c, f, s, 6, 11)
+        b = moser_tardos_refine(c, f, s, 6, 11)
         assert a.coloring == b.coloring
         assert a.resamples == b.resamples
 
     def test_rejects_improper_first_coloring(self):
         c = sc(6, 3)
         with pytest.raises(PreconditionViolated):
-            moser_tardos_refine(c, Coloring((1,) * 6, 2), RefinementParams(9, 4, 0))
+            moser_tardos_refine(c, Coloring((1,) * 6, 2), 9, 4, 0)
 
     def test_rejects_intersecting_collision(self):
         c = sc(6, 3)
         f = Coloring((1, 2, 3, 1, 2, 4), 4)  # ridges {1,2} and {2,4} share {1,2}
         assert verify_proper(c, f)
         with pytest.raises(PreconditionViolated):
-            moser_tardos_refine(c, f, RefinementParams(9, 4, 0))
+            moser_tardos_refine(c, f, 9, 4, 0)
 
     def test_rejects_oversized_class(self):
         c = sc(8, 3)
         with pytest.raises(PreconditionViolated):
-            moser_tardos_refine(c, identity_coloring(8), RefinementParams(0, 4, 0))
+            moser_tardos_refine(c, identity_coloring(8), 0, 4, 0)
 
     @pytest.mark.parametrize(
         "colors,message",
@@ -482,12 +480,12 @@ class TestMoserTardosRefine:
     )
     def test_intersecting_collision_names_its_pair(self, colors, message):
         with pytest.raises(PreconditionViolated) as info:
-            moser_tardos_refine(sc(6, 3), Coloring(colors, 4), RefinementParams(9, 4, 0))
+            moser_tardos_refine(sc(6, 3), Coloring(colors, 4), 9, 4, 0)
         assert str(info.value) == message
 
     def test_oversized_class_message(self):
         with pytest.raises(PreconditionViolated) as info:
-            moser_tardos_refine(sc(8, 3), identity_coloring(8), RefinementParams(0, 4, 0))
+            moser_tardos_refine(sc(8, 3), identity_coloring(8), 0, 4, 0)
         assert str(info.value) == "a ridge class has size 1 > S = 0"
 
     @given(
@@ -501,25 +499,37 @@ class TestMoserTardosRefine:
         # few refinement colors force long resampling runs, and some hit the cap
         d, c1 = shape
         c = sc(n, d)
-        f = greedy_window_coloring(c, FirstColoringParams(c1, seed))
+        f = greedy_window_coloring(c, c1, seed)
         s = pattern_class_histogram(c, f, 1).max_class_size
-        params = RefinementParams(s, c2, seed + 1, max_resamples=200)
         expected = ref_refine(c, f.colors, c2, seed + 1, 200)
         if expected is None:
             with pytest.raises(ResampleCapExceeded) as info:
-                moser_tardos_refine(c, f, params)
+                moser_tardos_refine(c, f, s, c2, seed + 1, max_resamples=200)
             assert info.value.resamples == 200
             return
-        result = moser_tardos_refine(c, f, params)
+        result = moser_tardos_refine(c, f, s, c2, seed + 1, max_resamples=200)
         g = refinement_colors(result.coloring, c2)
         assert (result.coloring.colors, g, result.resamples) == expected
+
+    @pytest.mark.parametrize(
+        "S,c2,max_resamples,message",
+        [
+            (-1, 4, 10, "S must be nonnegative"),
+            (9, 0, 10, "need at least one refinement color, got 0"),
+            (9, 4, -1, "resample cap must be nonnegative"),
+        ],
+    )
+    def test_param_validation(self, S, c2, max_resamples, message):
+        with pytest.raises(InvalidSpec) as info:
+            moser_tardos_refine(sc(8, 3), identity_coloring(8), S, c2, 0, max_resamples)
+        assert str(info.value) == message
 
     def test_resample_cap(self):
         # one refinement color can never separate the colliding disjoint pair
         c = sc(10, 3)
         f = periodic_coloring(10, 5)
         with pytest.raises(ResampleCapExceeded):
-            moser_tardos_refine(c, f, RefinementParams(2, 1, 0, max_resamples=5))
+            moser_tardos_refine(c, f, 2, 1, 0, max_resamples=5)
 
 
 def first_fit_window_coloring(c, window=None):
@@ -548,7 +558,7 @@ class TestDeterministicBaseline:
         assert verify_proper(c, f)
         s = pattern_class_histogram(c, f, 1).max_class_size
         c2 = lll_target_colors(18, s, 3)
-        result = moser_tardos_refine(c, f, RefinementParams(s, c2, 0))
+        result = moser_tardos_refine(c, f, s, c2, 0)
         assert verify_unique_ridge_patterns(c, result.coloring) == (True, None)
 
     def test_classes_grow_linearly(self):
@@ -563,7 +573,7 @@ class TestDeterministicBaseline:
 
 class TestColoringFormat:
     def test_round_trip_bit_exact(self, tmp_path):
-        f = greedy_window_coloring(sc(30, 3), FirstColoringParams(13, 0))
+        f = greedy_window_coloring(sc(30, 3), 13, 0)
         path = tmp_path / "f.coloring"
         write_coloring(f, path)
         text = path.read_text(encoding="utf-8")

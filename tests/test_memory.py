@@ -21,7 +21,6 @@ import pytest
 
 from corridors import (
     CorridorSpec,
-    RefinementParams,
     first_stage_class_cap,
     intersecting_ridge_bound,
     lll_target_colors,
@@ -71,8 +70,10 @@ def staged():
     (largest, f, _), _ = _first_stage(corridor, C1, None, master, DEFAULT_RETRIES, cap)
     s = max(largest, cap)
     t = intersecting_ridge_bound("corridor", DIM)
-    params = RefinementParams(s, lll_target_colors(t, s, DIM), _derive_seed(master))
-    refine, refine_peak = traced_peak(moser_tardos_refine, corridor, f, params)
+    c2 = lll_target_colors(t, s, DIM)
+    refine, refine_peak = traced_peak(
+        moser_tardos_refine, corridor, f, s, c2, _derive_seed(master)
+    )
     quotient, quotient_held = traced_held(quotient_complex, corridor, refine.coloring)
     q = pattern_complex(corridor, refine.coloring)
     assert q.quotient == quotient

@@ -2,12 +2,14 @@ import hashlib
 import json
 import math
 import pickle
+import sys
 
 import pytest
 
 from corridors import coloring, complex_core, constructions, pipeline
 from corridors import (
     InvalidSpec,
+    NoLegalColor,
     ResampleCapExceeded,
     RetriesExhausted,
     diameter_lower_bound_boundary,
@@ -149,7 +151,59 @@ class TestPseudomanifoldMode:
         assert report["params"]["t"] == 125
 
 
+class TargetBuilt(Exception):
+    pass
+
+
+@pytest.fixture
+def no_target(monkeypatch):
+    """Building either pipeline target raises TargetBuilt."""
+
+    def build(*args, **kwargs):
+        raise TargetBuilt
+
+    for name in ("straight_corridor", "boundary_corridor"):
+        monkeypatch.setattr(pipeline, name, build)
+
+
+# stage parameters out of range, and the message of each
+STAGE_PARAMETER_ERRORS = [
+    ({"window": -1}, "window must be nonnegative, got -1"),
+    ({"c2": 0}, "need at least one refinement color, got 0"),
+    ({"max_resamples": -1}, "resample cap must be nonnegative"),
+]
+
+
 class TestParameterGuards:
+    @pytest.mark.parametrize("mode", ["simplicial", "pseudomanifold"])
+    @pytest.mark.parametrize(
+        "c1,kwargs,message",
+        [
+            (c1, {}, f"need c1 <= {sys.maxsize}, got {c1}")
+            for c1 in (sys.maxsize + 1, 10**20)
+        ]
+        + [(13, kwargs, message) for kwargs, message in STAGE_PARAMETER_ERRORS],
+    )
+    def test_stage_parameters_checked_before_the_target(
+        self, no_target, mode, c1, kwargs, message
+    ):
+        with pytest.raises(InvalidSpec) as info:
+            run_pipeline(mode, 3, 40, c1, 0.2, 0, **kwargs)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("mode", ["simplicial", "pseudomanifold"])
+    def test_window_excluding_every_color_checked_before_the_target(
+        self, no_target, mode
+    ):
+        with pytest.raises(NoLegalColor) as info:
+            run_pipeline(mode, 3, 40, 13, 0.2, 0, window=13)
+        assert str(info.value) == "window 13 excludes all 13 colors"
+
+    @pytest.mark.parametrize("mode", ["simplicial", "pseudomanifold"])
+    def test_valid_parameters_reach_the_target(self, no_target, mode):
+        with pytest.raises(TargetBuilt):
+            run_pipeline(mode, 3, 40, 13, 0.2, 0, window=12, c2=1, max_resamples=0)
+
     def test_mode_checked(self):
         with pytest.raises(InvalidSpec):
             run_pipeline("spherical", 3, 40, 13, 0.2, 0)
@@ -263,6 +317,13 @@ class TestBench:
         statuses = {row["c1"]: row["status"] for row in table["rows"]}
         assert statuses[12] == "precondition-failed"
         assert statuses[13] == "ok"
+
+    @pytest.mark.parametrize("kwargs,message", STAGE_PARAMETER_ERRORS)
+    def test_stage_parameter_errors_fail_as_preconditions(self, kwargs, message):
+        table = run_bench("simplicial", [3], [1000], [13], [1], **kwargs)
+        assert [(row["status"], row["error"]) for row in table["rows"]] == [
+            ("precondition-failed", message)
+        ]
 
     def test_parallel_matches_serial(self):
         serial = run_bench("simplicial", [3], [30], [13], [0, 1], jobs=1)

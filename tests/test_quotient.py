@@ -11,9 +11,7 @@ from corridors import (
     Coloring,
     Complex,
     CorridorSpec,
-    FirstColoringParams,
     ImproperColoring,
-    RefinementParams,
     boundary_corridor,
     diameter_exact,
     dual_graph,
@@ -45,11 +43,11 @@ def refined_quotient(c, c1, shape, seed):
     ridges can sit up to 2d apart, beyond the in-complex default 2(d-1).
     """
     window = 2 * c.dim_facet if shape == "boundary" else None
-    f = greedy_window_coloring(c, FirstColoringParams(c1, seed, window))
+    f = greedy_window_coloring(c, c1, seed, window)
     s = pattern_class_histogram(c, f, 1).max_class_size
     t = intersecting_ridge_bound(shape, c.dim_facet)
     c2 = lll_target_colors(t, s, c.dim_facet)
-    result = moser_tardos_refine(c, f, RefinementParams(s, c2, seed))
+    result = moser_tardos_refine(c, f, s, c2, seed)
     return pattern_complex(c, result.coloring)
 
 

@@ -26,7 +26,6 @@ from hypothesis import strategies as st
 from corridors import (
     CorridorsError,
     CorridorSpec,
-    FirstColoringParams,
     coloring_from_text,
     coloring_to_text,
     complex_from_text,
@@ -39,7 +38,7 @@ from conftest import time_limit
 
 SOURCE = straight_corridor(CorridorSpec(8, 3))
 COMPLEX_TEXT = complex_to_text(SOURCE)
-COLORING_TEXT = coloring_to_text(greedy_window_coloring(SOURCE, FirstColoringParams(5, 0)))
+COLORING_TEXT = coloring_to_text(greedy_window_coloring(SOURCE, 5, 0))
 
 # tokens of both formats, with values around every range edge
 TOKENS = st.one_of(
