@@ -19,6 +19,12 @@ All randomness flows through one MT19937 stream per operation (seeded
 greedy stage and for the initial refinement sample, then resample events in
 the order they fire.  Index draws use rejection sampling on getrandbits, so
 colorings are reproducible bit-for-bit across platforms and Python versions.
+Past its first `window` vertices the greedy stage always draws from
+c1 - window colors, so it takes those draws in one batch (_draw_indices)
+without changing one: a draw from at most 256 options is the top bits of
+one 32-bit word, and getrandbits(32 j) returns j successive words, least
+significant first, as CPython's _randommodule.c fills them.  PRNG_ID and
+the pinned streams are unchanged.
 
 A face's pattern, the sorted tuple of its colors, is handled as one integer
 (pattern_codes): the tuple read as base-(c+1) digits for colors 1..c.  For
@@ -35,12 +41,13 @@ import random
 import sys
 from array import array
 from bisect import bisect_left, bisect_right, insort
-from collections import Counter, deque, namedtuple
+from collections import Counter, namedtuple
 from fractions import Fraction
+from functools import cache
 from heapq import heapify, heappop, heappush
 from itertools import chain, combinations, compress, islice, repeat
 from math import ceil, comb
-from operator import add, eq, mul, ne, sub
+from operator import add, eq, itemgetter, mul, ne, sub
 from pathlib import Path
 
 from .bounds import E
@@ -136,6 +143,36 @@ def _draw_index(rng: random.Random, k: int) -> int:
             return r
 
 
+@cache
+def _top_bits(bits: int) -> bytes:
+    """Translate table from a 32-bit word's top byte to its top `bits` bits;
+    built on first use, not at import."""
+    return bytes(byte >> (8 - bits) for byte in range(256))
+
+
+def _draw_indices(rng: random.Random, k: int, count: int) -> list[int]:
+    """The next `count` values of _draw_index(rng, k), leaving rng as they would.
+
+    For 2 <= k <= 256 a draw is the top bits of one 32-bit word, kept when
+    below k, and getrandbits(32 j) returns j successive words, least
+    significant first.  Each pending draw reads at least one word, so one
+    call fetches a word per pending draw without overdrawing, and one
+    translate shifts each word's top byte and drops the rejected ones; the
+    shortfall is drawn the same way.  Other k draw one at a time.
+    """
+    if not 2 <= k <= 256:
+        return [_draw_index(rng, k) for _ in range(count)]
+    bits = (k - 1).bit_length()
+    table, rejected = _top_bits(bits), bytes(range(k << (8 - bits), 256))
+    out = bytearray()
+    while len(out) < count:
+        # at most 2^16 words a call, so the transient bytes stay small
+        need = min(count - len(out), 1 << 16)
+        words = rng.getrandbits(32 * need).to_bytes(4 * need, "little")
+        out += words[3::4].translate(table, rejected)
+    return list(out)
+
+
 def default_window(dim_facet: int) -> int:
     """Window 2(d-1) that separates intersecting ridges on a corridor of
     facet size d."""
@@ -158,15 +195,18 @@ def greedy_window_coloring(
     rng = random.Random(seed)
     # free holds the unblocked colors in ascending order, so the draw indexes
     # the same list as "every color not in the window" would be
-    free = list(range(1, c1 + 1))
-    recent: deque[int] = deque()
-    out = []
-    for _ in range(c.n_vertices):
-        pick = free.pop(_draw_index(rng, len(free)))
-        out.append(pick)
-        recent.append(pick)
-        if len(recent) > window:
-            insort(free, recent.popleft())
+    try:
+        free = list(range(1, c1 + 1))
+    except MemoryError:
+        raise InvalidSpec(f"no memory for a list of c1 = {c1} colors") from None
+    # the first `window` vertices draw from a shrinking list; every later
+    # one from c1 - window colors, so those draws are taken in one batch
+    head = min(c.n_vertices, window)
+    out = [free.pop(_draw_index(rng, c1 - i)) for i in range(head)]
+    pop, append = free.pop, out.append
+    for old, r in enumerate(_draw_indices(rng, c1 - window, c.n_vertices - head)):
+        append(pop(r))
+        insort(free, out[old])
     return Coloring(tuple(out), c1)
 
 
@@ -175,6 +215,17 @@ def _require_total(c: Complex, f: Coloring):
         raise IncompleteColoring(
             f"coloring covers {f.n_vertices} vertices, complex has {c.n_vertices}"
         )
+
+
+def _gather(table, col) -> tuple:
+    """table[v] for each v of col, as a tuple, from one C-level itemgetter.
+
+    itemgetter of one index returns the bare item and of none cannot be
+    built, so shorter columns are mapped.
+    """
+    if len(col) < 2:
+        return tuple(map(table.__getitem__, col))
+    return itemgetter(*col)(table)
 
 
 def pattern_codes(color_of, columns, base: int) -> list[int]:
@@ -191,9 +242,11 @@ def pattern_codes(color_of, columns, base: int) -> list[int]:
     loop, larger ones by sorted(); class_sizes is the cheaper key when only
     the class counts matter.
     """
-    looked_up = [list(map(color_of.__getitem__, col)) for col in columns]
+    # map drops each column once gathered, so lazily decoded columns
+    # (_decode_codes) are held one at a time
+    looked_up = list(map(_gather, repeat(color_of), columns))
     if len(looked_up) <= 1:
-        return looked_up[0] if looked_up else []
+        return list(looked_up[0]) if looked_up else []
     if len(looked_up) == 2:
         return [a * base + b if a < b else b * base + a for a, b in zip(*looked_up)]
     if len(looked_up) == 3:
@@ -210,7 +263,8 @@ def pattern_codes(color_of, columns, base: int) -> list[int]:
         return codes
     rows = list(map(sorted, zip(*looked_up)))
     del looked_up
-    return list(_encode_columns(list(zip(*rows)), base))
+    # empty columns are no faces, which give no codes
+    return list(_encode_columns(list(zip(*rows)), base)) if rows else []
 
 
 def first_stage_class_cap(
@@ -248,12 +302,11 @@ def class_sizes(colors, n_colors: int, columns) -> Counter:
         col: sum(col ** k * m ** (k - 1) for k in range(1, s + 1)) for col in set(colors)
     }
     # of_vertex[v] is the weight of vertex v's color
-    of_vertex = [0]
-    of_vertex += map(weight.__getitem__, colors)
+    of_vertex = (0, *map(weight.__getitem__, colors))
     first, *rest = columns
-    keys = map(of_vertex.__getitem__, first)
+    keys = _gather(of_vertex, first)
     for column in rest:
-        keys = map(add, keys, map(of_vertex.__getitem__, column))
+        keys = map(add, keys, _gather(of_vertex, column))
     return Counter(keys)
 
 
@@ -322,8 +375,8 @@ def verify_proper(c: Complex, f: Coloring) -> bool:
     position by position through the colors, at C level.
     """
     _require_total(c, f)
-    color_of = [None, *f.colors].__getitem__
-    looked_up = [list(map(color_of, col)) for col in c.columns]
+    color_of = (None, *f.colors)
+    looked_up = [_gather(color_of, col) for col in c.columns]
     return not any(any(map(eq, a, b)) for a, b in combinations(looked_up, 2))
 
 
@@ -346,7 +399,8 @@ def verify_unique_ridge_patterns(c: Complex, f: Coloring):
     """
     _require_total(c, f)
     inc = c.incidence
-    pair = _first_repeat(pattern_codes([0, *f.colors], inc.columns(), f.c + 1))
+    columns = _decode_codes(inc.codes, inc.n_vertices, inc.size)
+    pair = _first_repeat(pattern_codes((0, *f.colors), columns, f.c + 1))
     if pair is None:
         return True, None
     return False, tuple(map(inc.ridge, pair))

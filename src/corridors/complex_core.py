@@ -211,7 +211,7 @@ class Incidence:
 
     def columns(self) -> list:
         """Decoded vertex columns: columns[j][i] is vertex j of ridge i."""
-        return _decode_codes(self.codes, self.n_vertices, self.size)
+        return list(_decode_codes(self.codes, self.n_vertices, self.size))
 
     @property
     def ridges(self) -> list[Ridge]:
@@ -245,23 +245,23 @@ def _encode_columns(columns, base: int):
     return codes
 
 
-def _decode_codes(codes, n_vertices: int, size: int) -> list[list[int]]:
+def _decode_codes(codes, n_vertices: int, size: int):
     """Vertex columns of the size-vertex faces whose codes are given.
 
+    The columns are lists, decoded one at a time as they are taken, so a
+    reader that drops each column before taking the next holds only one.
     No codes give no columns, as list(zip(*faces)) does for no faces, so
     the work is bounded by the codes, not by the size.
     """
     if not codes:
-        return []
+        return
     base = n_vertices + 1
-    columns = []
     for p in reversed(range(size)):
         # the leading digit needs no mod, the last one no division
         digits = map(floordiv, codes, repeat(base ** p)) if p else iter(codes)
         if p < size - 1:
             digits = map(mod, digits, repeat(base))
-        columns.append(list(digits))
-    return columns
+        yield list(digits)
 
 
 def _store_codes(codes, n_vertices: int, size: int):
@@ -331,7 +331,7 @@ def face_columns(c: Complex, k: int) -> list:
         return c.incidence.columns()
     size = c.dim_facet - k
     codes = sorted(set(chain.from_iterable(_subset_codes(c, size))))
-    return _decode_codes(codes, c.n_vertices, size)
+    return list(_decode_codes(codes, c.n_vertices, size))
 
 
 def dual_graph(c: Complex) -> tuple[tuple[int, ...], ...]:

@@ -138,7 +138,8 @@ def pattern_complex(c: Complex, f: Coloring) -> QuotientResult:
     # code is the code of a quotient ridge in the quotient's own base
     codes = repeat(0, len(inc))
     if inc.size:
-        codes = pattern_codes(qcolor_of, inc.columns(), base)
+        columns = _decode_codes(inc.codes, inc.n_vertices, inc.size)
+        codes = pattern_codes(qcolor_of, columns, base)
     ridge_map = _store_codes(codes, n_prime, inc.size)
     del codes
     pair = _first_repeat(ridge_map)

@@ -168,6 +168,16 @@ def ref_first_pattern_collision(c, colors):
     return None
 
 
+def ref_is_proper(c, colors):
+    """True iff no edge of the 1-skeleton has one color at both ends.
+
+    colors[v - 1] is the color of vertex v; the edges are the 2-subsets of
+    the facets.
+    """
+    edges = (face for face in all_faces(c) if len(face) == 2)
+    return all(colors[u - 1] != colors[v - 1] for u, v in edges)
+
+
 def ref_pattern_codes(colors, faces, base):
     """Each face's sorted color tuple, read as a base-`base` number.
 

@@ -302,6 +302,19 @@ class TestNoOutputOnError:
         assert err.splitlines() == [f"error: need c1 <= {sys.maxsize}, got {c1}"]
         assert not out.exists()
 
+    def test_color_with_c1_beyond_memory(self, built, capsys):
+        tmp_path, sc_path = built
+        out = tmp_path / "f.coloring"
+        code, stdout, err = run(
+            capsys, "color", "--in", str(sc_path), "--c1", str(sys.maxsize),
+            "--out", str(out),
+        )
+        assert code == 2 and stdout == ""
+        assert err.splitlines() == [
+            f"error: no memory for a list of c1 = {sys.maxsize} colors"
+        ]
+        assert not out.exists()
+
     def test_color_with_a_negative_window(self, built, capsys):
         tmp_path, sc_path = built
         out = tmp_path / "f.coloring"
@@ -468,6 +481,17 @@ class TestPipelineCommand:
         assert code == 2 and out == ""
         assert err.splitlines() == [f"error: need c1 <= {sys.maxsize}, got {c1}"]
 
+    @pytest.mark.parametrize("mode", ["simplicial", "pseudomanifold"])
+    def test_c1_beyond_memory_exit_2(self, capsys, mode):
+        code, out, err = run(
+            capsys, "pipeline", "--mode", mode, "--dim", "3", "--n", "10",
+            "--c1", str(sys.maxsize), "--seed", "0",
+        )
+        assert code == 2 and out == ""
+        assert err.splitlines() == [
+            f"error: no memory for a list of c1 = {sys.maxsize} colors"
+        ]
+
     @pytest.mark.parametrize("epsilon", ["nan", "inf"])
     def test_bad_epsilon_exit_2(self, capsys, epsilon):
         code, out, err = run(
@@ -586,6 +610,16 @@ class TestBenchCommand:
         )
         assert code == 0
         assert out.splitlines()[-1] == "cell 0: precondition-failed: need c1 > 12, got 12"
+
+    def test_c1_beyond_memory_fails_its_cell(self, capsys):
+        code, out, _ = run(
+            capsys, "bench", "--dims", "3", "--ns", "10", "--c1s", str(sys.maxsize),
+            "--seeds", "0",
+        )
+        assert code == 0
+        assert out.splitlines()[-1] == (
+            f"cell 0: precondition-failed: no memory for a list of c1 = {sys.maxsize} colors"
+        )
 
     @pytest.mark.parametrize("c1", HUGE_C1)
     def test_c1_beyond_sys_maxsize_fails_its_cell(self, capsys, c1):

@@ -47,9 +47,11 @@ from corridors.complex_core import face_columns
 from corridors.pipeline import _require_epsilon
 from conftest import identity_coloring, random_complex, time_limit
 from naive_reference import (
+    _ref_draw_index,
     all_faces,
     ref_first_pattern_collision,
     ref_greedy_window_coloring,
+    ref_is_proper,
     ref_pattern_codes,
     ref_refine,
     ref_ridges,
@@ -72,10 +74,45 @@ def periodic_coloring(n, period):
 
 @st.composite
 def greedy_cases(draw):
-    """(n, c1, seed, window), with the windows 0 and c1 - 1 drawn often."""
-    c1 = draw(st.integers(1, 30))
+    """(n, c1, seed, window), with the windows 0 and c1 - 1 drawn often.
+
+    The draws after the first `window` vertices pick from c1 - window
+    colors, which falls on both sides of 256, the most options a batched
+    draw takes; n runs past the window, so those draws happen.
+    """
+    c1 = draw(st.one_of(st.integers(1, 30), st.integers(250, 300)))
     window = draw(st.one_of(st.just(0), st.just(c1 - 1), st.integers(0, c1 - 1)))
-    return draw(st.integers(3, 80)), c1, draw(st.integers(0, 2**63 - 1)), window
+    n = draw(st.integers(3, window + 80))
+    return n, c1, draw(st.integers(0, 2**63 - 1)), window
+
+
+# option counts around every bit width a batched draw takes, and past it
+DRAW_SIZES = [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65]
+DRAW_SIZES += [127, 128, 129, 255, 256, 257, 1000, 2**32 + 1]
+
+
+class TestBatchedDraws:
+    @given(st.sampled_from(DRAW_SIZES), st.integers(0, 3000), st.integers(0, 2**63 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_equal_to_single_draws(self, k, count, seed):
+        rng, twin = random.Random(seed), random.Random(seed)
+        draws = coloring._draw_indices(rng, k, count)
+        assert draws == [_ref_draw_index(twin, k) for _ in range(count)]
+        # the stream is left where the single draws leave it
+        assert rng.getstate() == twin.getstate()
+
+    @pytest.mark.parametrize("k", [2, 13, 256])
+    def test_more_draws_than_one_fetch_takes(self, k):
+        count = 2**16 + 5
+        rng, twin = random.Random(k), random.Random(k)
+        draws = coloring._draw_indices(rng, k, count)
+        assert draws == [_ref_draw_index(twin, k) for _ in range(count)]
+        assert rng.getstate() == twin.getstate()
+
+    def test_no_options(self):
+        assert coloring._draw_indices(random.Random(0), 0, 0) == []
+        with pytest.raises(ValueError):
+            coloring._draw_indices(random.Random(0), 0, 1)
 
 
 class TestGreedyWindowColoring:
@@ -141,6 +178,13 @@ class TestGreedyWindowColoring:
             greedy_window_coloring(sc(5, 3), c1, 0)
         assert str(info.value) == f"need c1 <= {sys.maxsize}, got {c1}"
         assert _require_greedy_params(sys.maxsize, 4) is None
+
+    def test_c1_beyond_memory_rejected(self):
+        # list() refuses sys.maxsize entries at its size check, before it
+        # allocates anything; no smaller c1 is run, as its list would be built
+        with pytest.raises(InvalidSpec) as info:
+            greedy_window_coloring(sc(5, 3), sys.maxsize, 0)
+        assert str(info.value) == f"no memory for a list of c1 = {sys.maxsize} colors"
 
 
 class TestCorridorSkeletonFacts:
@@ -626,3 +670,34 @@ def test_vertex_lookup_matches_the_reference(seed):
         through = list(_ridges_through(index, v))
         assert len(through) == len(set(through))
         assert sorted(through) == [i for i, r in enumerate(ridges) if v in r]
+
+
+def few_faces(size, count):
+    """The first `count` faces of `size` vertices from 1..5, as tuples."""
+    return list(itertools.combinations(range(1, 6), size))[:count]
+
+
+# one face is the one index for which itemgetter returns a bare item, and no
+# face the case it cannot be built for
+@pytest.mark.parametrize("count", [0, 1, 2])
+@pytest.mark.parametrize("size", [1, 2, 3, 4])
+def test_pattern_keys_of_few_faces(size, count):
+    colors = (3, 1, 3, 2, 1)
+    faces = few_faces(size, count)
+    oracle = ref_pattern_codes(colors, faces, 4)
+    # no faces come as no columns, or as `size` empty ones
+    for columns in (list(zip(*faces)), [list(col) for col in zip(*faces)] or [[]] * size):
+        codes = pattern_codes((0, *colors), columns, 4)
+        assert codes == oracle
+        # refinement rewrites codes in place
+        assert type(codes) is list
+        sizes = class_sizes(colors, 3, columns)
+        assert sorted(sizes.values()) == sorted(Counter(oracle).values())
+
+
+@pytest.mark.parametrize("count", [0, 1, 2])
+@pytest.mark.parametrize("colors", [(1, 2, 3, 4, 5), (3, 1, 3, 2, 1), (1, 1, 2, 3, 4)])
+def test_properness_of_few_facets(count, colors):
+    for d in (1, 2, 3):
+        c = Complex(d, 5, tuple(few_faces(d, count)))
+        assert verify_proper(c, Coloring(colors, 5)) == ref_is_proper(c, colors)

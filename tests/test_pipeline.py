@@ -236,6 +236,14 @@ class TestParameterGuards:
             run_pipeline("pseudomanifold", 3, n, 13, 0.2, 0)
         assert str(info.value) == f"need at least 5 vertices, got {n}"
 
+    @pytest.mark.parametrize("mode", ["simplicial", "pseudomanifold"])
+    def test_c1_beyond_memory_checked(self, mode):
+        # sys.maxsize passes the range check, and list() refuses that many
+        # colors before it allocates; no smaller c1 is run, as it would be
+        with pytest.raises(InvalidSpec) as info:
+            run_pipeline(mode, 3, 40, sys.maxsize, 0.2, 0)
+        assert str(info.value) == f"no memory for a list of c1 = {sys.maxsize} colors"
+
 
 class TestExhaustion:
     def test_strict_policy_fails_at_desk_scale(self):
@@ -323,6 +331,12 @@ class TestBench:
         table = run_bench("simplicial", [3], [1000], [13], [1], **kwargs)
         assert [(row["status"], row["error"]) for row in table["rows"]] == [
             ("precondition-failed", message)
+        ]
+
+    def test_c1_beyond_memory_fails_as_a_precondition(self):
+        table = run_bench("simplicial", [3], [40], [sys.maxsize], [0])
+        assert [(row["status"], row["error"]) for row in table["rows"]] == [
+            ("precondition-failed", f"no memory for a list of c1 = {sys.maxsize} colors")
         ]
 
     def test_parallel_matches_serial(self):

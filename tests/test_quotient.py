@@ -101,6 +101,17 @@ class TestPatternComplex:
         assert len(decoded) == len(ridges_of(c)) == 7
         assert all(decoded[r] == r for r in ridges_of(c).ridges)
 
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_one_facet_matches_the_reference(self, d):
+        # each facet column holds one vertex, the one index for which
+        # itemgetter returns a bare item; sparse colors are renumbered
+        c = Complex(d, d, (tuple(range(1, d + 1)),))
+        q = pattern_complex(c, Coloring(tuple(range(3 * d, 0, -3)), 3 * d))
+        assert q.quotient == c
+        assert list(q.facet_map) == [0]
+        assert verify_boundary_preservation(c, q)
+        assert ref_boundary_preserved(c, tuple_ridge_map(c, q))
+
     def test_constant_coloring_rejected(self):
         with pytest.raises(ImproperColoring):
             pattern_complex(sc(5, 3), Coloring((1,) * 5, 1))
