@@ -147,7 +147,7 @@ def cmd_refine(args):
     _require_refine_params(s, args.c2, args.max_resamples)
     c2 = args.c2 if args.c2 is not None else lll_target_colors(t, s, c.dim_facet)
     result = moser_tardos_refine(c, f, s, c2, args.seed, args.max_resamples)
-    unique, witness = verify_unique_ridge_patterns(c, result.coloring)
+    unique = verify_unique_ridge_patterns(c, result.coloring)
     write_coloring(result.coloring, args.out)
     stats = {
         "shape": args.shape,
@@ -188,8 +188,7 @@ def cmd_verify(args):
     if args.coloring:
         f = read_coloring(args.coloring)
         checks["proper"] = verify_proper(c, f)
-        unique, witness = verify_unique_ridge_patterns(c, f)
-        checks["ridge_unique"] = unique
+        checks["ridge_unique"] = verify_unique_ridge_patterns(c, f)
         required += ["proper", "ridge_unique"]
         if args.against:
             other = read_complex(args.against)

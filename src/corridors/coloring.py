@@ -29,10 +29,11 @@ the pinned streams are unchanged.
 A face's pattern, the sorted tuple of its colors, is handled as one integer
 (pattern_codes): the tuple read as base-(c+1) digits for colors 1..c.  For
 faces of one size, equal codes are equal patterns and code order is tuple
-order, so the resampling order (smallest colliding pattern first) and the
-uniqueness check's witnesses are those of the tuples, and so is the draw
-schedule.  Counting classes needs no order and uses the cheaper additive
-key of class_sizes.
+order, so the resampling order (smallest colliding pattern first) is that
+of the tuples, and so is the draw schedule.  The uniqueness check only
+compares the number of distinct codes with the number of ridges.
+Counting classes needs no order and uses the cheaper additive key of
+class_sizes.
 """
 
 from __future__ import annotations
@@ -345,27 +346,33 @@ def intersecting_ridge_bound(shape: str, dim_facet: int) -> int:
 
 
 def lll_target_colors(t: int, S: int, dim_facet: int) -> int:
-    """Smallest c2 with e(2tS + 1) <= c2^(d-1), by guarded rounding.
+    """Smallest c2 with e(2tS + 1) <= c2^(d-1), an exact integer root.
 
-    Computed with the package's rational approximation of e, so the defining
-    inequality is checked exactly after the floating-point ceiling.  Once
-    d-1 reaches the bit length of ceil(target), 2^(d-1) exceeds the target
-    (which exceeds 1), so the answer is 2 without a power of that size.
+    Computed with the package's rational approximation of e and no float,
+    so any S is exact.  c2^(d-1) reaches the target exactly when it reaches
+    its ceiling T, found by bisection below 2^ceil(b/(d-1)) for T of b
+    bits, whose power exceeds T.  Once d-1 reaches b, 2^(d-1) exceeds the
+    target (which exceeds 1), so the answer is 2 without a power of that
+    size.
     """
     if dim_facet < 2:
         raise ValueError(f"facet size must be at least 2, got {dim_facet}")
     if t < 0 or S < 0:
         raise ValueError("t and S must be nonnegative")
     exponent = dim_facet - 1
-    target = E * (2 * t * S + 1)
-    if exponent >= ceil(target).bit_length():
+    target = ceil(E * (2 * t * S + 1))
+    bits = target.bit_length()
+    if exponent >= bits:
         return 2
-    c2 = max(1, round(float(target) ** (1.0 / exponent)))
-    while c2 ** exponent < target:
-        c2 += 1
-    while c2 > 1 and (c2 - 1) ** exponent >= target:
-        c2 -= 1
-    return c2
+    # lo^(d-1) < target <= hi^(d-1) throughout
+    lo, hi = 1, 1 << -(-bits // exponent)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if mid ** exponent < target:
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 def verify_proper(c: Complex, f: Coloring) -> bool:
@@ -380,30 +387,15 @@ def verify_proper(c: Complex, f: Coloring) -> bool:
     return not any(any(map(eq, a, b)) for a, b in combinations(looked_up, 2))
 
 
-def _first_repeat(values):
-    """(i, j) for the first j whose value already stood at i; None if all differ."""
-    if len(set(values)) == len(values):
-        return None
-    first_at: dict = {}
-    for j, value in enumerate(values):
-        i = first_at.setdefault(value, j)
-        if i != j:
-            return i, j
-
-
-def verify_unique_ridge_patterns(c: Complex, f: Coloring):
-    """Exhaustive pattern-collision check over all ridges.
-
-    Returns (True, None) or (False, (ridge_a, ridge_b)) with the first
-    colliding pair in lexicographic ridge order.
+def verify_unique_ridge_patterns(c: Complex, f: Coloring) -> bool:
+    """True iff no two ridges share a pattern: as many distinct pattern
+    codes as ridges (the count argument of the quotient module docstring).
     """
     _require_total(c, f)
     inc = c.incidence
     columns = _decode_codes(inc.codes, inc.n_vertices, inc.size)
-    pair = _first_repeat(pattern_codes((0, *f.colors), columns, f.c + 1))
-    if pair is None:
-        return True, None
-    return False, tuple(map(inc.ridge, pair))
+    codes = pattern_codes((0, *f.colors), columns, f.c + 1)
+    return len(set(codes)) == len(codes)
 
 
 class RefineResult(namedtuple("RefineResult", ("coloring", "resamples"))):

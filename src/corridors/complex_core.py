@@ -4,8 +4,8 @@ A complex is stored as its facets only, as d vertex columns in array('q');
 ridges and lower faces are the implied subsets.  Vertices are 1-based
 integers and every facet is strictly increasing, so every derived object
 (ridge lists, dual graphs) has a canonical form and equality is structural.
-Facet tuples exist only on demand (`Complex.facets`), for labels, witnesses
-and tests; every stage, the text writer included, reads the columns.
+Facet tuples exist only on demand (`Complex.facets`), for labels and
+tests; every stage, the text writer included, reads the columns.
 
 Each complex enumerates its ridges once: `Complex.incidence` runs
 `ridges_of` on first use and keeps the result as an `Incidence`,
@@ -197,7 +197,7 @@ class Incidence:
     bits, and a plain int list otherwise.  Nothing per ridge is a container,
     so the index costs a few machine words per entry and the garbage
     collector never walks it.  `ridges` and `ridge(i)` decode vertex tuples
-    on demand, for witnesses and tests.
+    on demand, for resampling, error messages and tests.
     """
 
     __slots__ = ("n_vertices", "size", "codes", "offsets", "fids")

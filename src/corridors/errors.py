@@ -25,7 +25,7 @@ class DisconnectedGraph(CorridorsError):
     """Distance queries require a connected dual graph."""
 
 
-class NoLegalColor(CorridorsError):
+class NoLegalColor(InvalidSpec):
     """The window excludes every color (color count <= window size)."""
 
 

@@ -177,7 +177,7 @@ def run_pipeline(
 
     # independent re-checks: none of these reuse a stage's own claims
     proper = verify_proper(target, product)
-    ridge_unique, _ = verify_unique_ridge_patterns(target, product)
+    ridge_unique = verify_unique_ridge_patterns(target, product)
     preserved = verify_boundary_preservation(target, q)
 
     qgraph = dual_graph(quotient)

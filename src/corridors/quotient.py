@@ -9,26 +9,34 @@ directly on the quotient's own facets.  A facet or ridge collision leaves
 no bijection, so verify_boundary_preservation fails (returns False);
 quotient_report, which only describes, records its result as None there.
 
+Injectivity is a count.  Every quotient facet is the pattern of a source
+facet, and under a proper coloring every quotient ridge, a facet's pattern
+less one color, is the pattern of that source facet's ridge less the
+vertex of that color: both correspondences are onto.  So each is injective
+exactly when source and quotient have equally many faces, which
+QuotientResult reads from the quotient's own facets and incidence, and no
+colliding pair is searched for.
+
 Both sides are flat integer incidences (see complex_core).  The facet map
-is one quotient facet index per source facet, -1 where a pattern collides,
-and the ridge map one quotient ridge code per source ridge row, both flat
-integer sequences.  The preservation check codes every matrix entry as one
-integer, sorts the moved source entries once and compares them in step
-with the quotient's, which its incidence yields ascending; no set is
-built.  Quotient vertices are the used colors renumbered in color order,
-so the pattern code of a face (coloring.pattern_codes, base n'+1) is the
-code of its image in the quotient's incidence: the quotient facets are the
-distinct facet codes, ascending and decoded once, and no pattern tuple is
-built.  Codes order faces as tuples do, so the quotient's facet order and
-the first-collision witnesses are those a tuple scan would give.
+is one quotient facet index per source facet, shared where patterns
+collide, and the ridge map one quotient ridge code per source ridge row,
+both flat integer sequences.  The preservation check codes every matrix
+entry as one integer, sorts the moved source entries once and compares
+them in step with the quotient's, which its incidence yields ascending; no
+set is built.  Quotient vertices are the used colors renumbered in color
+order, so the pattern code of a face (coloring.pattern_codes, base n'+1)
+is the code of its image in the quotient's incidence: the quotient facets
+are the distinct facet codes, ascending and decoded once, and no pattern
+tuple is built.  Codes order faces as tuples do, so the quotient's facet
+order is the one a tuple sort would give.
 """
 
 from __future__ import annotations
 
 from array import array
-from collections import Counter, namedtuple
-from itertools import chain, compress, repeat
-from operator import add, eq, mul, ne
+from collections import namedtuple
+from itertools import chain, repeat
+from operator import add, eq, mul
 
 from .complex_core import (
     Complex,
@@ -40,7 +48,6 @@ from .complex_core import (
 )
 from .coloring import (
     Coloring,
-    _first_repeat,
     _require_total,
     pattern_codes,
     verify_proper,
@@ -49,56 +56,29 @@ from .errors import ImproperColoring
 
 
 class QuotientResult(
-    namedtuple(
-        "QuotientResult",
-        ("quotient", "facet_map", "ridge_map", "facet_collision", "ridge_collision"),
-    )
+    namedtuple("QuotientResult", ("quotient", "facet_map", "ridge_map"))
 ):
-    """Quotient complex plus the facet/ridge correspondences, where defined.
+    """Quotient complex plus the facet and ridge correspondences.
 
     facet_map[i] is the quotient facet index of source facet i, an
-    array('q') with -1 where that facet's pattern collides; it has no -1
-    exactly when facets_injective.  ridge_map[i] is the code, in the
-    quotient's own incidence base, of the quotient ridge that source ridge
-    row i becomes, collisions included; it is an array('q'), or an int list
-    when codes outgrow 64 bits.  Collision witnesses hold the first
-    offending pair in scan order, None where there is none, so each map is
-    injective exactly when its witness is None: facet_collision is a pair
-    of source facet indices, ridge_collision a pair of source ridges as
-    vertex tuples.  Quotient vertex i is the i-th smallest color the
-    facets use.
+    array('q'), shared by the source facets whose patterns collide.
+    ridge_map[i] is the code, in the quotient's own incidence base, of the
+    quotient ridge that source ridge row i becomes, collisions included; it
+    is an array('q'), or an int list when codes outgrow 64 bits.  Both maps
+    are onto, so each is injective exactly when the quotient has as many
+    facets or ridges as it has entries (see the module docstring).
+    Quotient vertex i is the i-th smallest color the facets use.
     """
 
     __slots__ = ()
 
     @property
     def facets_injective(self) -> bool:
-        return self.facet_collision is None
+        return self.quotient.facet_count == len(self.facet_map)
 
     @property
     def ridges_injective(self) -> bool:
-        return self.ridge_collision is None
-
-
-def _facet_correspondence(facet_codes, qcodes):
-    """Quotient facet index of every source facet, and the first collision.
-
-    facet_codes holds each source facet's pattern code and qcodes the
-    distinct ones ascending, the quotient's facets in order.  The map is an
-    array('q') indexed by source facet, with -1 where the pattern is shared.
-    A function of its own so that its pattern tables are freed before
-    pattern_complex builds ridge_map; holding both set the peak memory of
-    large runs.
-    """
-    qfacet_index = dict(zip(qcodes, range(len(qcodes))))
-    facet_map = array("q", map(qfacet_index.__getitem__, facet_codes))
-    if len(qcodes) == len(facet_codes):
-        return facet_map, None
-    count = Counter(facet_codes)
-    shared = map(ne, map(count.__getitem__, facet_codes), repeat(1))
-    for i in compress(range(len(facet_codes)), shared):
-        facet_map[i] = -1
-    return facet_map, _first_repeat(facet_codes)
+        return len(self.quotient.incidence) == len(self.ridge_map)
 
 
 def pattern_complex(c: Complex, f: Coloring) -> QuotientResult:
@@ -130,8 +110,12 @@ def pattern_complex(c: Complex, f: Coloring) -> QuotientResult:
         c.dim_facet, n_prime, [array("q", col) for col in qcolumns]
     )
     del qcolumns
-    facet_map, facet_collision = _facet_correspondence(facet_codes, qcodes)
-    del facet_codes, qcodes
+    qfacet_index = dict(zip(qcodes, range(len(qcodes))))
+    del qcodes
+    facet_map = array("q", map(qfacet_index.__getitem__, facet_codes))
+    # the pattern tables go before ridge_map is built; holding both set the
+    # peak memory of large runs
+    del qfacet_index, facet_codes
 
     inc = c.incidence
     # a proper coloring keeps each ridge's colors distinct, so its pattern
@@ -142,16 +126,7 @@ def pattern_complex(c: Complex, f: Coloring) -> QuotientResult:
         codes = pattern_codes(qcolor_of, columns, base)
     ridge_map = _store_codes(codes, n_prime, inc.size)
     del codes
-    pair = _first_repeat(ridge_map)
-    ridge_collision = None if pair is None else tuple(map(inc.ridge, pair))
-
-    return QuotientResult(
-        quotient=quotient,
-        facet_map=facet_map,
-        ridge_map=ridge_map,
-        facet_collision=facet_collision,
-        ridge_collision=ridge_collision,
-    )
+    return QuotientResult(quotient=quotient, facet_map=facet_map, ridge_map=ridge_map)
 
 
 def verify_boundary_preservation(c: Complex, q: QuotientResult) -> bool:
@@ -161,17 +136,17 @@ def verify_boundary_preservation(c: Complex, q: QuotientResult) -> bool:
     enumerated from the quotient's own facets.  Each entry of a matrix is
     coded as (ridge code) * (facet count) + facet.  Source row i takes the
     ridge code ridge_map[i] and its facets their images under facet_map,
-    which must all lie in the quotient's facet range (so no -1); the moved
+    which must all lie in the quotient's facet range; the moved
     entry codes, sorted once, must then match the quotient's element by
     element.  The quotient's incidence yields its codes ascending (rows in
     code order, facets ascending within a row), so equal sorted lists of
     equal length mean equal multisets of entries, and the quotient's are
     distinct: the matrices are equal.  Every quotient row holds an entry,
     and every facet on either side holds the same number, so they also make
-    both maps bijections.  A collision leaves no bijection, and the checks
-    below already fail on it: a ridge collision leaves the quotient fewer
-    ridges than the source, and a facet collision puts a -1 in facet_map;
-    any other count mismatch fails them too.
+    both maps bijections.  A collision leaves no bijection, and the count
+    checks below already fail on it: it leaves the quotient fewer ridges or
+    facets than the source.  The length and range checks also reject a map
+    that was not made for this quotient.
     """
     src, dst = c.incidence, q.quotient.incidence
     facet_map, m = q.facet_map, q.quotient.facet_count

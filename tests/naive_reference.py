@@ -18,9 +18,13 @@ def all_faces(c):
     return faces
 
 
+def ridge_faces(c):
+    """Every (d-1)-subset of a facet, once each."""
+    return {r for F in c.facets for r in itertools.combinations(F, c.dim_facet - 1)}
+
+
 def ref_ridges(c):
-    d = c.dim_facet
-    ridges = sorted(face for face in all_faces(c) if len(face) == d - 1)
+    ridges = sorted(ridge_faces(c))
     out = []
     for r in ridges:
         containing = [
@@ -40,7 +44,7 @@ def ref_dual_edges(c):
 
 
 def ref_boundary_dense(c):
-    rows = sorted(face for face in all_faces(c) if len(face) == c.dim_facet - 1)
+    rows = sorted(ridge_faces(c))
     cols = sorted(c.facets)
     return (
         rows,
@@ -166,6 +170,27 @@ def ref_first_pattern_collision(c, colors):
             return first_with[pattern], r
         first_with[pattern] = r
     return None
+
+
+def ref_lll_target_colors(t, S, d, e):
+    """Smallest c2 >= 1 with e(2tS + 1) <= c2^(d-1), by linear search from 1.
+
+    e is the rational value of Euler's number that the answer is defined with.
+    """
+    target = e * (2 * t * S + 1)
+    c2 = 1
+    while c2 ** (d - 1) < target:
+        c2 += 1
+    return c2
+
+
+def ref_patterns_distinct(faces, colors):
+    """True iff no two of the faces have the same sorted colors.
+
+    colors[v - 1] is the color of vertex v.
+    """
+    patterns = [tuple(sorted(colors[v - 1] for v in face)) for face in faces]
+    return len(set(patterns)) == len(patterns)
 
 
 def ref_is_proper(c, colors):

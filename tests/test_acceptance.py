@@ -143,8 +143,7 @@ def test_criterion_5_lll_refinement():
         c2 = lll_target_colors(t, s, d)
         result = moser_tardos_refine(target, f, s, c2, seed, max_resamples=10 ** 6)
         resamples.append(result.resamples)
-        unique, witness = verify_unique_ridge_patterns(target, result.coloring)
-        if not unique:
+        if not verify_unique_ridge_patterns(target, result.coloring):
             ok = False
     detail = f"20/20 refinements converged, resamples {min(resamples)}..{max(resamples)}"
     report(5, "local-lemma refinement", ok, detail)

@@ -3,7 +3,8 @@ import sys
 
 import pytest
 
-from corridors import read_coloring, read_complex
+from corridors import pipeline, read_coloring, read_complex
+from corridors.bounds import E
 from corridors.cli import build_parser, main
 from corridors.pipeline import DEFAULT_MAX_RESAMPLES, DEFAULT_RETRIES
 from conftest import time_limit
@@ -205,6 +206,24 @@ class TestColoringCommands:
         assert huge["colors_total"] == 10 ** 9 * huge["c2"]
         for key in ("S", "c2", "resamples", "ridge_patterns_unique"):
             assert huge[key] == small[key]
+
+    @pytest.mark.parametrize("cap", [10 ** 50, 10 ** 400], ids=["1e50", "1e400"])
+    def test_refine_with_a_huge_class_cap(self, built, capsys, cap):
+        tmp_path, sc_path = built
+        f_path = tmp_path / "f.coloring"
+        argv = ["color", "--in", str(sc_path), "--c1", "13", "--out", str(f_path), "--quiet"]
+        assert main(argv) == 0
+        with time_limit(10):
+            code, out, err = run(
+                capsys, "refine", "--in", str(sc_path), "--coloring", str(f_path),
+                "--shape", "corridor", "--class-cap", str(cap),
+                "--out", str(tmp_path / "g.coloring"), "--json",
+            )
+        assert code == 0 and err == ""
+        stats = json.loads(out)
+        assert stats["S"] == cap and stats["ridge_patterns_unique"]
+        c2 = stats["c2"]
+        assert c2 ** 2 >= E * (2 * 18 * cap + 1) > (c2 - 1) ** 2
 
     def test_verify_against_requires_coloring(self, built, capsys):
         tmp_path, sc_path = built
@@ -542,6 +561,16 @@ class TestPipelineCommand:
         assert code == 2 and out == ""
         assert err.splitlines() == [f"error: need at least 5 vertices, got {n}"]
 
+    @pytest.mark.parametrize("epsilon", ["1e45", "1e308"])
+    def test_huge_epsilon_exit_0(self, capsys, epsilon):
+        with time_limit(10):
+            code, out, err = run(
+                capsys, "pipeline", "--mode", "simplicial", "--dim", "3", "--n", "40",
+                "--c1", "13", "--epsilon", epsilon, "--json",
+            )
+        assert code == 0 and err == ""
+        assert json.loads(out)["ok"] is True
+
     def test_pseudomanifold_run_exit_0(self, capsys):
         code, _, _ = run(
             capsys, "pipeline", "--mode", "pseudomanifold", "--dim", "3", "--n", "12",
@@ -610,6 +639,17 @@ class TestBenchCommand:
         )
         assert code == 0
         assert out.splitlines()[-1] == "cell 0: precondition-failed: need c1 > 12, got 12"
+
+    def test_window_excluding_every_color_fails_its_cell(self, capsys, monkeypatch):
+        # bench takes the default window, so widen the default to all colors
+        monkeypatch.setattr(pipeline, "default_window", lambda dim_facet: 13)
+        code, out, _ = run(
+            capsys, "bench", "--dims", "3", "--ns", "40", "--c1s", "13", "--seeds", "0",
+        )
+        assert code == 0
+        assert out.splitlines()[-1] == (
+            "cell 0: precondition-failed: window 13 excludes all 13 colors"
+        )
 
     def test_c1_beyond_memory_fails_its_cell(self, capsys):
         code, out, _ = run(

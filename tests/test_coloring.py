@@ -52,6 +52,7 @@ from naive_reference import (
     ref_first_pattern_collision,
     ref_greedy_window_coloring,
     ref_is_proper,
+    ref_lll_target_colors,
     ref_pattern_codes,
     ref_refine,
     ref_ridges,
@@ -416,21 +417,35 @@ class TestLllTargetColors:
         with time_limit(1):
             assert lll_target_colors(18, 10, 10 ** 9) == 2
 
+    @given(st.integers(0, 60), st.integers(0, 60), st.integers(2, 6))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_linear_search(self, t, s, d):
+        assert lll_target_colors(t, s, d) == ref_lll_target_colors(t, s, d, E)
+
+    # past 10^46 a float root drifts by more than the answer's spacing, and
+    # past 10^308 it overflows; the integer root is exact at any size
+    @pytest.mark.parametrize("s", [10 ** 50, 10 ** 400], ids=["1e50", "1e400"])
+    @pytest.mark.parametrize("d", [2, 3, 4, 10])
+    def test_huge_class_size_is_exact(self, s, d):
+        with time_limit(1):
+            c2 = lll_target_colors(18, s, d)
+        target = E * (2 * 18 * s + 1)
+        assert c2 ** (d - 1) >= target > (c2 - 1) ** (d - 1)
+
 
 class TestVerifiers:
     def test_identity_passes_both(self):
         c = sc(5, 3)
         f = identity_coloring(5)
         assert verify_proper(c, f)
-        assert verify_unique_ridge_patterns(c, f) == (True, None)
+        assert verify_unique_ridge_patterns(c, f) is True
 
-    def test_constant_coloring_fails_with_witness(self):
+    def test_constant_coloring_fails(self):
         c = sc(5, 3)
         f = Coloring((1, 1, 1, 1, 1), 1)
         assert not verify_proper(c, f)
-        ok, witness = verify_unique_ridge_patterns(c, f)
-        assert not ok
-        assert witness == ((1, 2), (1, 3))
+        assert verify_unique_ridge_patterns(c, f) is False
+        assert ref_first_pattern_collision(c, f.colors) == ((1, 2), (1, 3))
 
     def test_incomplete_coloring_rejected(self):
         with pytest.raises(IncompleteColoring):
@@ -443,12 +458,12 @@ class TestVerifiers:
 
 @given(st.integers(0, 10_000), st.integers(1, 6))
 @settings(max_examples=100, deadline=None)
-def test_ridge_witness_is_the_first_collision(seed, palette):
+def test_ridge_uniqueness_matches_reference(seed, palette):
     rng = random.Random(seed)
     c = random_complex(rng)
     f = Coloring(tuple(rng.randint(1, palette) for _ in range(c.n_vertices)), palette)
-    witness = ref_first_pattern_collision(c, f.colors)
-    assert verify_unique_ridge_patterns(c, f) == (witness is None, witness)
+    unique = ref_first_pattern_collision(c, f.colors) is None
+    assert verify_unique_ridge_patterns(c, f) is unique
 
 
 class TestMoserTardosRefine:
@@ -457,7 +472,7 @@ class TestMoserTardosRefine:
         f = identity_coloring(8)
         result = moser_tardos_refine(c, f, 1, 1, 0)
         assert result.resamples == 0
-        assert verify_unique_ridge_patterns(c, result.coloring) == (True, None)
+        assert verify_unique_ridge_patterns(c, result.coloring) is True
         assert result.coloring.c == 8
 
     def test_corridor_40_3_end_to_end(self):
@@ -466,8 +481,7 @@ class TestMoserTardosRefine:
         s = pattern_class_histogram(c, f, 1).max_class_size
         c2 = lll_target_colors(18, s, 3)
         result = moser_tardos_refine(c, f, s, c2, 2)
-        ok, witness = verify_unique_ridge_patterns(c, result.coloring)
-        assert ok, witness
+        assert verify_unique_ridge_patterns(c, result.coloring) is True
         assert verify_proper(c, result.coloring)
         assert result.coloring.c == 13 * c2
 
@@ -487,7 +501,7 @@ class TestMoserTardosRefine:
         assert result.resamples == 2
         assert refinement_colors(result.coloring, 40) == (16, 38, 24, 39, 1, 35, 9, 31, 38, 1)
         assert result.coloring == Coloring((16, 78, 104, 159, 161, 35, 49, 111, 158, 161), 200)
-        assert verify_unique_ridge_patterns(c, result.coloring) == (True, None)
+        assert verify_unique_ridge_patterns(c, result.coloring) is True
 
     def test_deterministic(self):
         c = sc(60, 3)
@@ -603,7 +617,7 @@ class TestDeterministicBaseline:
         s = pattern_class_histogram(c, f, 1).max_class_size
         c2 = lll_target_colors(18, s, 3)
         result = moser_tardos_refine(c, f, s, c2, 0)
-        assert verify_unique_ridge_patterns(c, result.coloring) == (True, None)
+        assert verify_unique_ridge_patterns(c, result.coloring) is True
 
     def test_classes_grow_linearly(self):
         # with w+1 colors the class sizes scale like N / C(w+1, d-1), an input

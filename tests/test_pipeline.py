@@ -333,6 +333,12 @@ class TestBench:
             ("precondition-failed", message)
         ]
 
+    def test_window_excluding_every_color_fails_as_a_precondition(self):
+        table = run_bench("simplicial", [3], [40], [13], [0], window=13)
+        assert [(row["status"], row["error"]) for row in table["rows"]] == [
+            ("precondition-failed", "window 13 excludes all 13 colors")
+        ]
+
     def test_c1_beyond_memory_fails_as_a_precondition(self):
         table = run_bench("simplicial", [3], [40], [sys.maxsize], [0])
         assert [(row["status"], row["error"]) for row in table["rows"]] == [

@@ -26,8 +26,13 @@ from corridors import (
     ridges_of,
     straight_corridor,
     verify_boundary_preservation,
+    verify_unique_ridge_patterns,
 )
-from naive_reference import ref_boundary_preserved, ref_first_pattern_collision
+from naive_reference import (
+    ref_boundary_preserved,
+    ref_first_pattern_collision,
+    ref_patterns_distinct,
+)
 
 CORPUS = small_complex_corpus()
 
@@ -51,9 +56,11 @@ def refined_quotient(c, c1, shape, seed):
     return pattern_complex(c, result.coloring)
 
 
-def random_proper_coloring(c, rng):
-    """Proper coloring on a random palette of at least one facet's size."""
-    palette = rng.randint(c.dim_facet, max(c.dim_facet, c.n_vertices))
+def random_proper_coloring(c, rng, palette=None):
+    """Proper coloring on a palette of at least one facet's size, random
+    unless given; a palette too small for some vertex is widened."""
+    if palette is None:
+        palette = rng.randint(c.dim_facet, max(c.dim_facet, c.n_vertices))
     nbrs = {v: set() for v in range(1, c.n_vertices + 1)}
     for F in c.facets:
         for u, v in itertools.combinations(F, 2):
@@ -135,15 +142,14 @@ class TestPatternComplex:
         f = Coloring((1, 2, 3, 1, 2, 4), 4)
         q = pattern_complex(c, f)
         assert not q.facets_injective
-        assert q.facet_collision == (0, 1)
-        assert not q.facets_injective
+        assert not ref_patterns_distinct(c.facets, f.colors)
         assert not q.ridges_injective
         # the ridge map still holds one code per source row, repeats included
         assert len(q.ridge_map) == len(c.incidence)
         assert len(set(q.ridge_map)) < len(q.ridge_map)
         assert q.quotient.facets == ((1, 2, 3), (1, 2, 4))
-        # only the facet with a unique pattern is mapped; the rest read -1
-        assert list(q.facet_map) == [-1, -1, -1, 1]
+        # the three colliding facets share the index of their pattern
+        assert list(q.facet_map) == [0, 0, 0, 1]
 
     def test_full_pipeline_sc_40_3(self):
         c = sc(40, 3)
@@ -194,8 +200,6 @@ class TestBoundaryPreservation:
             quotient=broken_complex,
             facet_map=q.facet_map,
             ridge_map=q.ridge_map,
-            facet_collision=None,
-            ridge_collision=None,
         )
         assert not verify_boundary_preservation(c, broken)
 
@@ -286,15 +290,43 @@ class TestBoundaryPreservation:
                 fast = verify_boundary_preservation(c, broken)
                 assert fast == ref_boundary_preserved(c, tuple_ridge_map(c, broken))
 
-    @given(st.integers(0, len(CORPUS) - 1), st.integers(0, 10_000))
-    @settings(max_examples=100, deadline=None)
-    def test_ridge_collision_is_the_first_in_ridge_order(self, index, seed):
+    @given(st.integers(0, len(CORPUS) - 1), st.integers(0, 10_000), st.integers(0, 2))
+    @settings(max_examples=150, deadline=None)
+    def test_injectivity_counts_match_reference(self, index, seed, extra):
+        # palettes of at most two colors beyond a facet's size, so that
+        # facet and ridge patterns often collide
         c = CORPUS[index]
-        f = random_proper_coloring(c, random.Random(seed))
+        f = random_proper_coloring(c, random.Random(seed), c.dim_facet + extra)
         q = pattern_complex(c, f)
-        assert q.ridge_collision == ref_first_pattern_collision(c, f.colors)
+        ridges_unique = ref_first_pattern_collision(c, f.colors) is None
+        assert q.facets_injective == ref_patterns_distinct(c.facets, f.colors)
+        assert q.ridges_injective == ridges_unique
+        assert verify_unique_ridge_patterns(c, f) == ridges_unique
         assert len(q.ridge_map) == len(c.incidence)
         assert q.ridges_injective == (len(set(q.ridge_map)) == len(q.ridge_map))
+        assert q.facets_injective == (len(set(q.facet_map)) == len(q.facet_map))
+
+    @pytest.mark.parametrize("period, injective", [(25, True), (21, False)])
+    def test_ridge_codes_past_64_bits(self, period, injective):
+        # 19-vertex ridges in base 26 or 22 have codes of over 80 bits, so
+        # ridge_map is an int list.  Coloring vertex v by (v - 1) % period + 1
+        # is the identity at period 25; at period 21 it stays proper on
+        # SC(25, 20), and ridges (1, 3, ..., 20) and (3, ..., 20, 22) collide
+        c = sc(25, 20)
+        f = Coloring(tuple((v - 1) % period + 1 for v in range(1, 26)), period)
+        q = pattern_complex(c, f)
+        assert isinstance(q.ridge_map, list)
+        assert min(q.ridge_map) >= 1 << 64
+        assert ref_patterns_distinct(c.facets, f.colors)
+        assert (ref_first_pattern_collision(c, f.colors) is None) is injective
+        assert q.facets_injective
+        assert q.ridges_injective is injective
+        assert verify_unique_ridge_patterns(c, f) is injective
+        assert verify_boundary_preservation(c, q) is injective
+        assert ref_boundary_preserved(c, tuple_ridge_map(c, q)) is injective
+        broken = q._replace(ridge_map=swap_two_images(q.ridge_map, random.Random(5)))
+        assert verify_boundary_preservation(c, broken) is False
+        assert not ref_boundary_preserved(c, tuple_ridge_map(c, broken))
 
     def test_missing_bijection_fails(self):
         # a proper coloring whose facets and ridges collide: no bijection
@@ -312,7 +344,7 @@ class TestBoundaryPreservation:
         c = sc(6, 3)
         q = pattern_complex(c, Coloring((1, 2, 3, 4, 1, 2), 4))
         assert q.facets_injective and not q.ridges_injective
-        assert q.ridge_collision == ((1, 3), (3, 5))
+        assert ref_first_pattern_collision(c, (1, 2, 3, 4, 1, 2)) == ((1, 3), (3, 5))
         assert len(q.quotient.incidence) == len(c.incidence) - 3
         assert verify_boundary_preservation(c, q) is False
         assert not ref_boundary_preserved(c, tuple_ridge_map(c, q))
