@@ -55,9 +55,12 @@ from .bounds import E
 from .complex_core import (
     Complex,
     Incidence,
+    _body_ints,
+    _content_lines,
     _decode_codes,
     _encode_columns,
-    _int_fields,
+    _header_ints,
+    _scanned_fields,
     face_columns,
 )
 from .errors import (
@@ -570,38 +573,39 @@ def moser_tardos_refine(
 
 
 # ---------------------------------------------------------------------------
-# text format: line 1 "colors <c>", then "vertex color" pairs, vertices ascending
+# text format: line 1 "colors <c>", then "vertex color" pairs, vertices
+# ascending.  Blank lines and whole-line "#" comments are skipped, as in
+# complex files, and a file is read in one bulk pass the same way; the line
+# scan runs only to name the first bad line.
 
 
 def coloring_to_text(f: Coloring) -> str:
-    lines = [f"colors {f.c}"]
-    lines.extend(f"{v} {col}" for v, col in enumerate(f.colors, start=1))
-    return "\n".join(lines) + "\n"
+    """One %-format over the interleaved vertices and colors."""
+    n = len(f.colors)
+    pairs = chain.from_iterable(zip(range(1, n + 1), f.colors))
+    return f"colors {f.c}\n" + ("%d %d\n" * n) % tuple(pairs)
+
+
+def _reject_coloring_text(text: str):
+    """Raise the error of the first bad line of a text the bulk pass refused."""
+    rows = _scanned_fields(text, ("colors",))
+    next(rows)
+    for lineno, line, fields in rows:
+        if len(fields) != 2:
+            raise ValueError(f"line {lineno}: expected 'vertex color', got {line!r}")
+    raise AssertionError("the line scan passed a text the bulk pass refused")
 
 
 def coloring_from_text(text: str) -> Coloring:
-    c = None
-    pairs = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if c is None:
-            parts = line.split()
-            if len(parts) != 2 or parts[0] != "colors":
-                raise ValueError(f"line {lineno}: bad header line: {line!r}")
-            (c,) = _int_fields(parts[1:], lineno, line)
-            continue
-        pair = _int_fields(line.split(), lineno, line)
-        if len(pair) != 2:
-            raise ValueError(f"line {lineno}: expected 'vertex color', got {line!r}")
-        pairs.append(pair)
-    if c is None:
-        raise ValueError("missing header line")
-    expected = list(range(1, len(pairs) + 1))
-    if [v for v, _ in pairs] != expected:
+    lines = _content_lines(text)
+    try:
+        (c,) = _header_ints(lines, ("colors",))
+        values = _body_ints(lines, 2)
+    except (IndexError, ValueError):
+        _reject_coloring_text(text)
+    if values[::2] != list(range(1, len(values) // 2 + 1)):
         raise IncompleteColoring("vertex lines must be 1..n in ascending order")
-    return Coloring(tuple(col for _, col in pairs), c)
+    return Coloring(tuple(values[1::2]), c)
 
 
 def write_coloring(f: Coloring, path) -> None:

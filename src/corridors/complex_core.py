@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from array import array
 from functools import cached_property
-from itertools import accumulate, chain, combinations, compress, islice, repeat
+from itertools import chain, combinations, compress, islice, repeat
 from operator import add, eq, floordiv, indexOf, lt, mod, mul, ne, sub
 from pathlib import Path
 
@@ -474,59 +474,104 @@ def double_sweep_lower_bound(adj) -> int:
 
 
 # ---------------------------------------------------------------------------
-# text format: line 1 "dim <d> vertices <n>", then one facet per line,
-# "#" starts a comment line; writer output round-trips bit-exactly
+# text format: line 1 "dim <d> vertices <n>", then one facet per line as d
+# vertex ids.  Blank lines are skipped, and so are comments, which are whole
+# lines whose first token starts with "#"; a "#" after a vertex is a bad
+# token.  A file is read in one bulk pass; the line scan runs only to name
+# the first bad line.  Writer output round-trips bit-exactly.
 
 
 def complex_to_text(c: Complex) -> str:
-    lines = [f"dim {c.dim_facet} vertices {c.n_vertices}"]
-    lines.extend(map(" ".join, zip(*(map(str, col) for col in c.columns))))
-    return "\n".join(lines) + "\n"
+    """One %-format over the interleaved columns, one facet per line."""
+    head = f"dim {c.dim_facet} vertices {c.n_vertices}\n"
+    if not c.columns:
+        return head
+    row = " ".join(["%d"] * c.dim_facet) + "\n"
+    return head + (row * c.facet_count) % tuple(chain.from_iterable(zip(*c.columns)))
 
 
-def _int_fields(tokens, lineno: int, line: str) -> tuple[int, ...]:
-    """Tokens of a text-format line as integers; a bad one names the line."""
-    try:
-        return tuple(map(int, tokens))
-    except ValueError:
-        raise ValueError(f"line {lineno}: expected integers, got {line!r}") from None
+def _content_lines(text: str) -> list[str]:
+    """The lines of text that hold a token, less comments: lines whose first
+    token starts with "#"."""
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line for line in lines if not line.lstrip().startswith("#")]
+    return list(filter(str.strip, lines))
 
 
-def complex_from_text(text: str) -> Complex:
-    """Parse the text format into vertex columns.
+def _header_ints(lines: list[str], tags: tuple[str, ...]) -> tuple[int, ...]:
+    """The integers of a header line "tag1 int1 tag2 int2 ..." on lines[0];
+    IndexError or ValueError, naming no line, if there is none or it differs."""
+    parts = lines[0].split()
+    if len(parts) != 2 * len(tags) or parts[::2] != list(tags):
+        raise ValueError("bad header line")
+    return tuple(map(int, parts[1::2]))
 
-    The facet lines' vertices are read into one flat list; when every line
-    holds d of them, column j is every d-th vertex from the j-th.  Any other
-    input goes to the tuple entry point, whose scan names the first bad
-    facet.
+
+def _body_ints(lines: list[str], width: int) -> list[int]:
+    """Every token after the header line, as one flat list of ints.
+
+    C-level maps split each line twice, once to count its tokens and once to
+    convert them, so no line's token list outlives its turn.  ValueError,
+    naming no line, unless each line holds `width` integers.
     """
-    header = None
-    vertices, widths = [], []
+    body = lines[1:]
+    if any(map(ne, map(len, map(str.split, body)), repeat(width))):
+        raise ValueError("a line holds the wrong number of tokens")
+    return list(map(int, chain.from_iterable(map(str.split, body))))
+
+
+def _scanned_fields(text: str, tags: tuple[str, ...]):
+    """The line scan of the error paths: the integer fields of each content
+    line, the header's first, with line number and stripped text.
+
+    It raises at the first line that is not integers, or whose header is
+    not `tags` each followed by one, and at the end if there is no header.
+    """
+    header = True
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if header is None:
-            parts = line.split()
-            if len(parts) != 4 or parts[0] != "dim" or parts[2] != "vertices":
+        parts = line.split()
+        if header:
+            if len(parts) != 2 * len(tags) or parts[::2] != list(tags):
                 raise ValueError(f"line {lineno}: bad header line: {line!r}")
-            header = _int_fields(parts[1::2], lineno, line)
-            continue
-        fields = _int_fields(line.split(), lineno, line)
-        vertices += fields
-        widths.append(len(fields))
-    if header is None:
-        raise ValueError("missing header line")
-    d, n = header
-    if d >= 1 and widths.count(d) == len(widths):
+            parts, header = parts[1::2], False
         try:
-            columns = [array("q", vertices[j::d]) for j in range(d)] if vertices else []
-            return Complex._from_columns(d, n, columns)
-        except OverflowError:
-            pass
-    ends = list(accumulate(widths, initial=0))
-    rows = map(vertices.__getitem__, map(slice, ends, islice(ends, 1, None)))
-    return Complex(d, n, tuple(map(tuple, rows)))
+            fields = tuple(map(int, parts))
+        except ValueError:
+            raise ValueError(f"line {lineno}: expected integers, got {line!r}") from None
+        yield lineno, line, fields
+    if header:
+        raise ValueError("missing header line")
+
+
+def _reject_complex_text(text: str):
+    """Raise the error of a text the bulk pass refused: the first bad line's,
+    or else the tuple entry point's for the first bad facet."""
+    rows = _scanned_fields(text, ("dim", "vertices"))
+    d, n = next(rows)[2]
+    # every line is integers, so some facet has the wrong size or a vertex
+    # that array('q') cannot hold, and the tuple entry point raises
+    Complex(d, n, tuple(fields for _, _, fields in rows))
+    raise AssertionError("the line scan passed a text the bulk pass refused")
+
+
+def complex_from_text(text: str) -> Complex:
+    """Parse the text format into vertex columns in one bulk pass.
+
+    The facet lines' vertices are read into one flat array('q'), and column
+    j is every d-th vertex from the j-th.  Any other input goes to the line
+    scan, which raises the error of the first bad line or facet.
+    """
+    lines = _content_lines(text)
+    try:
+        d, n = _header_ints(lines, ("dim", "vertices"))
+        flat = array("q", _body_ints(lines, d))
+    except (IndexError, ValueError, OverflowError):
+        _reject_complex_text(text)
+    return Complex._from_columns(d, n, [flat[j::d] for j in range(d)] if flat else [])
 
 
 def write_complex(c: Complex, path) -> None:

@@ -9,6 +9,7 @@ from corridors import (
     Coloring,
     Complex,
     CorridorSpec,
+    CorridorsError,
     boundary_corridor,
     complex_core,
     straight_corridor,
@@ -137,6 +138,14 @@ def record_calls(monkeypatch, name, module=complex_core):
         if mod_name.startswith("corridors") and getattr(mod, name, None) is original:
             monkeypatch.setattr(mod, name, recording)
     return calls
+
+
+def parse_outcome(parse, text):
+    """What parsing text gives: the object, or the error's type and message."""
+    try:
+        return parse(text)
+    except (ValueError, CorridorsError) as exc:
+        return type(exc), str(exc)
 
 
 class TimeLimitExceeded(Exception):

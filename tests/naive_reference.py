@@ -2,12 +2,16 @@
 
 Deliberately slow and independent of the package internals: subsets are
 enumerated wholesale, adjacency is a pairwise intersection scan, and the
-boundary matrix is dense.  Used as the oracle for small complexes.
+boundary matrix is dense.  Used as the oracle for small complexes.  The
+text formats are read and written line by line, through the public
+constructors.
 """
 
 import itertools
 import random
 from collections import deque
+
+from corridors import Coloring, Complex, IncompleteColoring
 
 
 def all_faces(c):
@@ -269,3 +273,72 @@ def ref_refine(c, colors, c2, seed, max_resamples):
         resamples += 1
     h = tuple(product(v) for v in range(1, c.n_vertices + 1))
     return h, tuple(g), resamples
+
+
+# ---------------------------------------------------------------------------
+# text formats, line by line: each line is stripped, skipped when blank or a
+# "#" comment, split and converted on its own, and the first bad line named
+
+
+def _ref_int_fields(tokens, lineno, line):
+    try:
+        return tuple(map(int, tokens))
+    except ValueError:
+        raise ValueError(f"line {lineno}: expected integers, got {line!r}") from None
+
+
+def ref_complex_to_text(c):
+    lines = [f"dim {c.dim_facet} vertices {c.n_vertices}"]
+    lines.extend(" ".join(map(str, F)) for F in c.facets)
+    return "\n".join(lines) + "\n"
+
+
+def ref_complex_from_text(text):
+    """The complex of a text, built through the facet-tuple constructor."""
+    header = None
+    facets = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if header is None:
+            parts = line.split()
+            if len(parts) != 4 or parts[0] != "dim" or parts[2] != "vertices":
+                raise ValueError(f"line {lineno}: bad header line: {line!r}")
+            header = _ref_int_fields(parts[1::2], lineno, line)
+            continue
+        facets.append(_ref_int_fields(line.split(), lineno, line))
+    if header is None:
+        raise ValueError("missing header line")
+    d, n = header
+    return Complex(d, n, tuple(facets))
+
+
+def ref_coloring_to_text(f):
+    lines = [f"colors {f.c}"]
+    lines.extend(f"{v} {col}" for v, col in enumerate(f.colors, start=1))
+    return "\n".join(lines) + "\n"
+
+
+def ref_coloring_from_text(text):
+    c = None
+    pairs = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if c is None:
+            parts = line.split()
+            if len(parts) != 2 or parts[0] != "colors":
+                raise ValueError(f"line {lineno}: bad header line: {line!r}")
+            (c,) = _ref_int_fields(parts[1:], lineno, line)
+            continue
+        pair = _ref_int_fields(line.split(), lineno, line)
+        if len(pair) != 2:
+            raise ValueError(f"line {lineno}: expected 'vertex color', got {line!r}")
+        pairs.append(pair)
+    if c is None:
+        raise ValueError("missing header line")
+    if [v for v, _ in pairs] != list(range(1, len(pairs) + 1)):
+        raise IncompleteColoring("vertex lines must be 1..n in ascending order")
+    return Coloring(tuple(col for _, col in pairs), c)

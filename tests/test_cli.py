@@ -295,6 +295,42 @@ class TestColoringCommands:
         assert code == 2 and out == ""
         assert err.splitlines() == ["error: line 4: expected integers, got '2 x 4'"]
 
+    def test_comment_after_the_vertices_is_a_bad_line(self, tmp_path, capsys):
+        # "#" opens a comment only as the first token of a line
+        path = tmp_path / "bad.cplx"
+        path.write_text("dim 3 vertices 5\n1 2 3 # x\n2 3 4\n")
+        code, out, err = run(capsys, "diameter", "--in", str(path))
+        assert code == 2 and out == ""
+        assert err.splitlines() == ["error: line 2: expected integers, got '1 2 3 # x'"]
+
+    def test_crlf_copies_with_a_comment_quotient_identically(self, tmp_path, capsys):
+        def path(name):
+            return str(tmp_path / name)
+
+        for argv in (
+            ["build", "corridor", "--n", "30", "--dim", "4", "--out", path("sc.cplx")],
+            ["build", "boundary", "--n", "30", "--dim", "3", "--out", path("bd.cplx")],
+            ["color", "--in", path("sc.cplx"), "--codim", "2", "--c1", "13",
+             "--seed", "1", "--out", path("f.coloring")],
+            ["refine", "--in", path("bd.cplx"), "--coloring", path("f.coloring"),
+             "--shape", "boundary", "--seed", "1", "--out", path("g.coloring")],
+        ):
+            assert main(argv) == 0
+        for name in ("bd.cplx", "g.coloring"):
+            text = (tmp_path / name).read_text()
+            (tmp_path / f"crlf-{name}").write_bytes(
+                ("# a copy with CRLF line ends\n" + text).replace("\n", "\r\n").encode()
+            )
+        for prefix in ("", "crlf-"):
+            assert main([
+                "quotient", "--in", path(f"{prefix}bd.cplx"),
+                "--coloring", path(f"{prefix}g.coloring"),
+                "--out", path(f"{prefix}q.cplx"), "--report", path(f"{prefix}q.json"),
+            ]) == 0
+        capsys.readouterr()
+        for name in ("q.cplx", "q.json"):
+            assert (tmp_path / f"crlf-{name}").read_bytes() == (tmp_path / name).read_bytes()
+
 
 class TestNoOutputOnError:
     """A command that exits 2 has written nothing: it computes, then writes."""

@@ -1,7 +1,7 @@
 import random
 from array import array
+from operator import mul
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -578,8 +578,9 @@ def test_dual_graph_matches_gram_matrix_support(corpus):
     # adjacency must equal the off-diagonal support of B^T B over the integers
     for c in corpus:
         _, col_facets, dense = incidence_dense(c)
-        a = np.array(dense, dtype=np.int64)
-        gram = a.T @ a
+        # gram[i][j] = sum over ridges r of B[r][i] * B[r][j]
+        cols = list(zip(*dense))
+        gram = [[sum(map(mul, col_i, col_j)) for col_j in cols] for col_i in cols]
         index_of = {F: i for i, F in enumerate(c.facets)}
         g = dual_graph(c)
         n = len(col_facets)
@@ -588,7 +589,7 @@ def test_dual_graph_matches_gram_matrix_support(corpus):
                 if i == j:
                     continue
                 fi, fj = index_of[col_facets[i]], index_of[col_facets[j]]
-                assert (gram[i, j] > 0) == (fj in g[fi])
+                assert (gram[i][j] > 0) == (fj in g[fi])
 
 
 class TestFileFormat:
@@ -618,6 +619,9 @@ class TestFileFormat:
         # its columns fail
         with pytest.raises(ValueError, match=r"^facet \(1, 2\) does not have 3 vertices$"):
             complex_from_text("dim 3 vertices 5\n1 2 3\n1 2\n2 3 4\n")
+        # the tokens of (1, 2, 3), (4, 5, 6) with one line break moved
+        with pytest.raises(ValueError, match=r"^facet \(1, 2, 3, 4\) does not have 3 vertices$"):
+            complex_from_text("dim 3 vertices 6\n1 2 3 4\n5 6\n")
         with pytest.raises(ValueError, match=r"^facet \(2, 3, 6\) leaves the vertex range 1..5$"):
             complex_from_text("dim 3 vertices 5\n1 2 3\n2 3 6\n")
         with pytest.raises(ValueError, match=r"^duplicate facet \(1, 2, 3\)$"):

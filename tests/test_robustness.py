@@ -2,12 +2,13 @@
 
 Valid .cplx and .coloring texts are mutated line by line (lines deleted,
 repeated, swapped, replaced or inserted, single tokens rewritten).  Parsing
-a mutant may only raise ValueError or a CorridorsError, and the CLI commands
-that read files (diameter, verify, quotient, refine) must return an exit
-code, with exactly one `error:` line on stderr when it is 2 or 3.  Each
-command runs under a time limit, so work sized by a mutated header fails
-the test instead of exhausting memory.  `color` is left out: its output
-follows the declared vertex count by design.
+a mutant may only raise ValueError or a CorridorsError, and it gives the
+same object or error, message included, as the line-by-line references.
+The CLI commands that read files (diameter, verify, quotient, refine) must
+return an exit code, with exactly one `error:` line on stderr when it is 2
+or 3.  Each command runs under a time limit, so work sized by a mutated
+header fails the test instead of exhausting memory.  `color` is left out:
+its output follows the declared vertex count by design.
 
 `pipeline` takes no input file; a table of its options outside their range,
 runs that exhaust their budget and an unwritable report path pins the same
@@ -34,7 +35,8 @@ from corridors import (
     straight_corridor,
 )
 from corridors.cli import main
-from conftest import time_limit
+from conftest import parse_outcome, time_limit
+from naive_reference import ref_coloring_from_text, ref_complex_from_text
 
 SOURCE = straight_corridor(CorridorSpec(8, 3))
 COMPLEX_TEXT = complex_to_text(SOURCE)
@@ -106,8 +108,14 @@ def mutated_or_valid(text):
 @given(mutated(COMPLEX_TEXT), mutated(COLORING_TEXT))
 @settings(max_examples=300, deadline=None)
 def test_mutated_texts_raise_only_documented_errors(complex_text, coloring_text):
-    parses(complex_from_text, complex_text)
-    parses(coloring_from_text, coloring_text)
+    # parse_outcome lets any other error escape; a documented one must be
+    # the line-by-line reference's, message included
+    assert parse_outcome(complex_from_text, complex_text) == parse_outcome(
+        ref_complex_from_text, complex_text
+    )
+    assert parse_outcome(coloring_from_text, coloring_text) == parse_outcome(
+        ref_coloring_from_text, coloring_text
+    )
 
 
 @given(mutated_or_valid(COMPLEX_TEXT), mutated_or_valid(COLORING_TEXT))
