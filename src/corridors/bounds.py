@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .complex_core import Complex, is_pseudomanifold
-from .errors import DimensionTooSmall, NotPseudomanifold, NotRegular
+from .errors import DimensionTooSmall, InvalidSpec, NotPseudomanifold, NotRegular
 
 E = Fraction("2.7182818284590452353602874713526624977572")
 
@@ -84,16 +84,25 @@ def pm_fvector_check(c: Complex) -> bool:
 
 
 def bound_report(n: int, d: int) -> dict:
-    """All four bound families at (n, d), as floats, for reports and the CLI."""
+    """All four bound families at (n, d), as floats, for reports and the CLI.
+
+    InvalidSpec if a bound lies past the float range.
+    """
     sharp, loose = hpm_upper(n, d)
+    try:
+        values = {
+            "hs_lower_asymptotic": float(hs_lower(n, d)),
+            "hs_upper": float(hs_upper(n, d)),
+            "hpm_lower_asymptotic": float(hpm_lower(n, d)),
+            "hpm_upper_sharp": float(sharp),
+            "hpm_upper_loose": float(loose),
+        }
+    except OverflowError:
+        raise InvalidSpec(f"bounds at n={n}, d={d} exceed the float range") from None
     return {
         "n": n,
         "d": d,
-        "hs_lower_asymptotic": float(hs_lower(n, d)),
-        "hs_upper": float(hs_upper(n, d)),
-        "hpm_lower_asymptotic": float(hpm_lower(n, d)),
-        "hpm_upper_sharp": float(sharp),
-        "hpm_upper_loose": float(loose),
+        **values,
         "regular_bound_formula": "3 * n_nodes / (degree + 1)",
         "asymptotic_note": "lower bounds omit the vanishing finite-size factor",
     }

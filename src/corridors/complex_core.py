@@ -27,6 +27,15 @@ face size in one pass over whole columns.  `ridges_of` groups its streams
 into the incidence, and `face_columns` decodes the distinct codes of any
 other codimension.
 
+The facet codes, the column checks and ridges_of's sort keys run in 64-bit
+lanes of one int (SIMD within a register, the lane helpers below) wherever
+every value is known to fit in 62 bits: one big-int operation then does
+the arithmetic of a whole chunk.  A chunk is 4096 values, so each lane
+temporary stays at 32 KB; a whole-array int, with the ints derived from
+it, would add several times the array to the peak heap.  Where a value may
+not fit (ridge keys of SC(10^7, 3) and of d = 4 at 10^5, codes past 64
+bits), the boxed path computes the same values one int at a time.
+
 A dual graph is its adjacency rows: `dual_graph` reads the incidence
 rows and returns every node's ascending neighbour tuple, built once, and
 every reader (the diameter, distances, connectivity and the regular-graph
@@ -39,10 +48,11 @@ Exact diameters come from one algorithm, the fringe-pruned BFS search in
 from __future__ import annotations
 
 from array import array
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain, combinations, compress, islice, repeat
-from operator import add, eq, floordiv, indexOf, lt, mod, mul, ne, sub
+from operator import add, eq, floordiv, lt, mod, mul, ne, sub
 from pathlib import Path
+from sys import byteorder
 
 from .errors import DisconnectedGraph
 
@@ -112,20 +122,6 @@ class Complex:
     def facet_count(self) -> int:
         return len(self.columns[0]) if self.columns else 0
 
-    def facet_index(self, facet) -> int:
-        """Position of a facet in facet order, found by its packed code over
-        the columns; ValueError if it is not a facet of the complex."""
-        F = tuple(facet)
-        n = self.n_vertices
-        try:
-            # in range, the code of a d-tuple names that tuple alone
-            if self.columns and len(F) == self.dim_facet and all(1 <= v <= n for v in F):
-                code = next(_encode_columns([[v] for v in F], n + 1))
-                return indexOf(_encode_columns(self.columns, n + 1), code)
-        except (TypeError, ValueError):
-            pass
-        raise ValueError(f"{F} is not a facet of the complex")
-
     @cached_property
     def incidence(self) -> Incidence:
         """Ridge-facet incidence, enumerated by ridges_of on first use."""
@@ -153,7 +149,8 @@ def _columns_valid(d: int, n: int, columns) -> bool:
     facet (adjacent columns compared pairwise) makes sound; and no facet
     repeats, by the packed facet codes of base n + 1: ascending codes are
     distinct, and only codes out of order pay for a set.  A strictly
-    ascending first column needs no codes at all.
+    ascending first column needs no codes at all.  Where every code fits in
+    62 bits the comparisons and the codes run in lanes.
     """
     if not columns:
         return True
@@ -162,15 +159,15 @@ def _columns_valid(d: int, n: int, columns) -> bool:
         return False
     if min(columns[0]) < 1 or max(columns[-1]) > n:
         return False
-    if not all(all(map(lt, a, b)) for a, b in zip(columns, columns[1:])):
+    lanes = _fits_lanes(columns, (n + 1) ** min(d, 64))
+    if not all(map(_less, columns, columns[1:], repeat(lanes))):
         return False
     # a strictly ascending first column, such as a corridor's, already
     # orders the facets strictly; elsewhere it fails at its first repeat
-    first = columns[0]
-    if all(map(lt, first, islice(first, 1, None))):
+    if _ascending(columns[0], lanes):
         return True
     codes = _store_codes(_encode_columns(columns, n + 1), n, d)
-    return all(map(lt, codes, islice(codes, 1, None))) or len(set(codes)) == m
+    return _ascending(codes, lanes) or len(set(codes)) == m
 
 
 def _reject_first_bad_facet(d, n, facets):
@@ -187,6 +184,71 @@ def _reject_first_bad_facet(d, n, facets):
         seen.add(F)
 
 
+# ---------------------------------------------------------------------------
+# lanes: SIMD within a register (Fisher & Dietz, LCPC 1998).  The values of
+# an array('q') chunk become the 64-bit lanes of one int, and one big-int
+# operation acts on every lane at once.  Every value is known to lie in
+# 0..2**62-1, so a lane keeps two spare bits: the guard bit 62 of the
+# comparisons, and bit 63, the sign bit of array('q'), which no sum reaches.
+# A chunk holds 4096 lanes, so no lane temporary exceeds 32 KB whatever the
+# complex's size.  Where values may not fit, callers keep the boxed path.
+
+_CHUNK = 4096
+_GUARD = 1 << 62
+
+
+def _fits_lanes(columns, top: int) -> bool:
+    """Whether lanes may carry these columns: each is an array('q'), and
+    top, a bound on every value computed from them, is at most 2**62."""
+    return top <= _GUARD and all(type(col) is array and col.typecode == "q" for col in columns)
+
+
+def _pack(chunk) -> int:
+    """The int whose lanes, 64 bits each, hold an array('q') chunk."""
+    return int.from_bytes(chunk, byteorder)
+
+
+def _unpack(lanes: int, count: int) -> array:
+    """The array('q') of the count lanes of an int, nonnegative lanes."""
+    values = array("q")
+    values.frombytes(lanes.to_bytes(8 * count, byteorder))
+    return values
+
+
+@lru_cache(maxsize=8)
+def _splat(value: int, count: int) -> int:
+    """value in each of count lanes; a loop asks for one count per chunk."""
+    return _pack(array("q", [value]) * count)
+
+
+def _less(a, b, lanes: bool) -> bool:
+    """Whether a[i] < b[i] at every i, over equal-length buffers.
+
+    With lanes, each chunk first has its values checked to lie in
+    0..2**62-1, so a value out of range, negative or huge, fails before
+    any arithmetic reads it.  Then lane b - a + 2**62 - 1 sets its guard bit
+    exactly where b exceeds a, and never borrows from the next lane.
+    """
+    if not lanes:
+        return all(map(lt, a, b))
+    for start in range(0, len(a), _CHUNK):
+        stop = min(start + _CHUNK, len(a))
+        x, y = _pack(a[start:stop]), _pack(b[start:stop])
+        guard = _splat(_GUARD, stop - start)
+        if (x | y) & guard * 3 or (y + guard - (guard >> 62) - x) & guard != guard:
+            return False
+    return True
+
+
+def _ascending(values, lanes: bool) -> bool:
+    """Whether values ascend strictly; with lanes, values is an array('q')
+    and neighbours are compared in lanes."""
+    if not lanes:
+        return all(map(lt, values, islice(values, 1, None)))
+    view = memoryview(values)
+    return _less(view[:-1], view[1:], True)
+
+
 class Incidence:
     """Ridges of one complex in lexicographic order, with their facets, in CSR.
 
@@ -196,8 +258,8 @@ class Incidence:
     offsets and fids are array('q'); codes is too when every code fits in 64
     bits, and a plain int list otherwise.  Nothing per ridge is a container,
     so the index costs a few machine words per entry and the garbage
-    collector never walks it.  `ridges` and `ridge(i)` decode vertex tuples
-    on demand, for resampling, error messages and tests.
+    collector never walks it.  `ridge(i)` decodes one vertex tuple on
+    demand, for resampling and error messages.
     """
 
     __slots__ = ("n_vertices", "size", "codes", "offsets", "fids")
@@ -213,13 +275,6 @@ class Incidence:
         """Decoded vertex columns: columns[j][i] is vertex j of ridge i."""
         return list(_decode_codes(self.codes, self.n_vertices, self.size))
 
-    @property
-    def ridges(self) -> list[Ridge]:
-        """Every ridge as a sorted vertex tuple, decoded afresh on each access."""
-        if not self.size:
-            return [()] * len(self)
-        return list(zip(*self.columns()))
-
     def ridge(self, i: int) -> Ridge:
         """Ridge i as a sorted vertex tuple."""
         code, base = self.codes[i], self.n_vertices + 1
@@ -232,13 +287,24 @@ class Incidence:
 
 
 def _encode_columns(columns, base: int):
-    """Code of each row of nonempty digit columns, as an iterator.
+    """Code of each row of nonempty digit columns, each digit in 0..base-1.
 
     Row i is the face (columns[0][i], columns[1][i], ...), and its code is
     that face read as a base-`base` number, by Horner's rule over whole
-    columns.  Vertex faces on 1..n use base n + 1.
+    columns.  Vertex faces on 1..n use base n + 1.  The codes come as an
+    array('q'), computed in lanes, where lanes hold them, and otherwise as
+    an iterator.
     """
     first, *rest = columns
+    if _fits_lanes(columns, base ** min(len(columns), 64)):
+        codes = array("q")
+        for start in range(0, len(first), _CHUNK):
+            stop = min(start + _CHUNK, len(first))
+            code = _pack(first[start:stop])
+            for column in rest:
+                code = code * base + _pack(column[start:stop])
+            codes += _unpack(code, stop - start)
+        return codes
     codes = iter(first)
     for column in rest:
         codes = map(add, map(mul, codes, repeat(base)), column)
@@ -287,20 +353,26 @@ def _subset_codes(c: Complex, size: int):
         return
     base, m = c.n_vertices + 1, c.facet_count
     for kept in combinations(c.columns, size):
-        yield _encode_columns(kept, base) if kept else repeat(0, m)
+        yield _encode_columns(kept, base) if kept else array("q", bytes(8 * m))
 
 
 def ridges_of(c: Complex) -> Incidence:
     """All (d-1)-subsets of facets, deduplicated and in lexicographic order.
 
     Each of the d code streams of _subset_codes drops one facet column, so
-    the passes run over whole columns at C level.  One sort of the keys
-    code * m + facet id (m facets) orders rows by ridge and, within a row,
-    facet ids ascending; grouping equal codes gives the CSR offsets.
+    the passes run over whole columns.  One sort of the keys orders rows by
+    ridge and, within a row, facet ids ascending; grouping equal codes gives
+    the CSR offsets.  Where every key fits in 62 bits, a key is
+    code << fb | facet id, fb the bit length of the largest facet id, and
+    lanes build and split the keys; otherwise it is code * m + facet id
+    (m facets), in boxed ints.  Both orders are (code, facet id) order.
     len() of the result is the number of ridges.
     """
     m, n = c.facet_count, c.n_vertices
     size = c.dim_facet - 1
+    fb = max(m - 1, 0).bit_length()
+    if _fits_lanes(c.columns, (n + 1) ** min(size, 64) << fb):
+        return Incidence(n, size, *_lane_incidence(c, size, fb))
     keys = []
     for codes in _subset_codes(c, size):
         keys += map(add, map(mul, codes, repeat(m)), range(m))
@@ -315,6 +387,55 @@ def ridges_of(c: Complex) -> Incidence:
         offsets.append(len(row_codes))
     codes = _store_codes(compress(row_codes, chain((True,), new_row)), n, size)
     return Incidence(n, size, codes, offsets, fids)
+
+
+def _lane_incidence(c: Complex, size: int, fb: int):
+    """ridges_of's codes, offsets and fids, from keys built and split in lanes.
+
+    A chunk of keys is its code lanes shifted by fb and or-ed with its facet
+    id lanes, unpacked into one list for the sort.  After the sort, key i
+    starts a row where its XOR with key i - 1 is above the facet-id mask;
+    the mask keeps the facet ids, and a shift by fb the codes, of which the
+    row starts are kept.
+    """
+    m = c.facet_count
+    # the facet ids of each chunk, the same in every stream
+    spans = [(start, min(start + _CHUNK, m)) for start in range(0, m, _CHUNK)]
+    ids = [_pack(array("q", range(start, stop))) for start, stop in spans]
+    keys = []
+    for codes in _subset_codes(c, size):
+        for (start, stop), id_lanes in zip(spans, ids):
+            keys += _unpack(_pack(codes[start:stop]) << fb | id_lanes, stop - start)
+    del ids
+    keys.sort()
+    keys = array("q", keys)
+    mask = (1 << fb) - 1
+    codes, offsets = array("q"), array("q", [0])
+    if not keys:
+        return codes, offsets, array("q")
+    # fids has one entry per key, so it is allocated once: grown chunk by
+    # chunk, its reallocations raised the peak RSS of a staged run
+    fids = array("q", bytes(8 * len(keys)))
+    # the first key starts the first row
+    fids[0] = keys[0] & mask
+    codes.append(keys[0] >> fb)
+    view = memoryview(keys)
+    for start in range(1, len(keys), _CHUNK):
+        stop = min(start + _CHUNK, len(keys))
+        count = stop - start
+        prev, cur = _pack(view[start - 1:stop - 1]), _pack(view[start:stop])
+        # a lane of 1 where the XOR has a code bit set, by the guard bit of
+        # XOR + 2**62 - 1 - mask
+        guard = _splat(_GUARD, count)
+        above = ((prev ^ cur) + _splat(_GUARD - 1 - mask, count)) & guard
+        starts = _unpack(above >> 62, count)
+        low = cur & _splat(mask, count)
+        fids[start:stop] = _unpack(low, count)
+        # fromlist takes a list at C speed, where extend steps an iterator
+        offsets.fromlist(list(compress(range(start, stop), starts)))
+        codes.fromlist(list(compress(_unpack((cur ^ low) >> fb, count), starts)))
+    offsets.append(len(keys))
+    return codes, offsets, fids
 
 
 def face_columns(c: Complex, k: int) -> list:

@@ -2,8 +2,8 @@
 
 The corridor on N vertices strings the windows {i, ..., i+d-1} into a path of
 facets; its boundary (one dimension up) is the stacked-sphere pseudomanifold
-whose dual graph stays long and thin.  The integer potential defined here
-certifies a lower bound on that boundary's diameter.
+whose dual graph stays long and thin, with diameter at least the closed
+form of diameter_lower_bound_boundary.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from itertools import chain, cycle, repeat
 from operator import add
 
 from .complex_core import Complex, Facet
-from .errors import InvalidSpec, NotMiddleFacet, UnknownFacet
+from .errors import InvalidSpec, UnknownFacet
 
 
 class CorridorSpec:
@@ -99,16 +99,6 @@ def boundary_corridor(n_vertices: int, dim_facet: int) -> Complex:
     return Complex._from_columns(d, n, columns)
 
 
-def facet_label(c: Complex, facet) -> BoundaryFacetLabel:
-    """Classify a facet of a boundary corridor as alpha, omega, or middle(i, j)."""
-    F = tuple(facet)
-    try:
-        c.facet_index(F)
-    except ValueError:
-        raise UnknownFacet(f"{F} is not a facet of the complex") from None
-    return _classify(F, c.dim_facet, *_ends(c.n_vertices, c.dim_facet))
-
-
 def facet_labels(c: Complex) -> list[BoundaryFacetLabel]:
     """Labels for every facet, in the complex's facet order."""
     d = c.dim_facet
@@ -132,18 +122,6 @@ def _classify(F: Facet, d: int, alpha: Facet, omega: Facet) -> BoundaryFacetLabe
     # a facet is strictly increasing, so d vertices spanning i..i+d miss
     # exactly one, i + j with 0 < j < d: the sum of i..i+d less theirs
     return BoundaryFacetLabel("middle", i, d * i + d * (d + 1) // 2 - sum(F))
-
-
-def scaled_potential(label: BoundaryFacetLabel, dim_facet: int) -> int:
-    """Integer potential i*(d-1) - j of a middle facet.
-
-    This is the rational potential i - j/(d-1) scaled by d-1, which preserves
-    ordering and step sizes while keeping comparisons exact.  Moving between
-    adjacent middle facets changes it by at most d in absolute value.
-    """
-    if label.kind != "middle":
-        raise NotMiddleFacet(f"potential undefined for {label.kind}")
-    return label.i * (dim_facet - 1) - label.j
 
 
 def diameter_lower_bound_boundary(n_vertices: int, dim_facet: int) -> Fraction:

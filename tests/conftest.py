@@ -2,6 +2,7 @@ import contextlib
 import random
 import signal
 import sys
+from operator import indexOf
 
 import pytest
 
@@ -10,8 +11,11 @@ from corridors import (
     Complex,
     CorridorSpec,
     CorridorsError,
+    NotMiddleFacet,
+    UnknownFacet,
     boundary_corridor,
     complex_core,
+    facet_labels,
     straight_corridor,
 )
 from naive_reference import ref_ridges
@@ -32,6 +36,34 @@ def random_facets(rng, max_vertices=12, max_dim=4):
 def random_complex(rng, max_vertices=12, max_dim=4):
     """One random pure complex with <= max_vertices vertices."""
     return Complex(*random_facets(rng, max_vertices, max_dim))
+
+
+def lane_limit(digits, shift=0):
+    """The largest vertex count n with (n + 1)**digits << shift <= 2**62:
+    up to it, complex_core computes codes of `digits` vertices, shifted left
+    by `shift` bits, in 64-bit lanes."""
+    n = int(2 ** ((62 - shift) / digits))
+    while (n + 1) ** digits << shift > 2 ** 62:
+        n -= 1
+    while (n + 2) ** digits << shift <= 2 ** 62:
+        n += 1
+    return n
+
+
+def spread_vertex(v, n, big, keep):
+    """v under the monotone map of 1..n into 1..big that fixes 1..keep and
+    moves keep+1..n to the top of the range; a value outside 1..n stays on
+    its side of the range (n + 1 goes to big + 1), so every facet keeps its
+    order, its repeats and its range faults."""
+    if v > n:
+        return big + v - n
+    return v if v <= keep else big - n + v
+
+
+def spread_facets(facets, n, big, rng):
+    """The facets after one random spread_vertex map of 1..n into 1..big."""
+    keep = rng.randint(0, n)
+    return tuple(tuple(spread_vertex(v, n, big, keep) for v in F) for F in facets)
 
 
 def identity_coloring(n):
@@ -107,6 +139,51 @@ def incidence_rows(inc):
         )
         for i, code in enumerate(inc.codes)
     ]
+
+
+def incidence_ridges(inc):
+    """Every ridge of an Incidence as a sorted vertex tuple, in ridge order,
+    decoded from its columns."""
+    if not inc.size:
+        return [()] * len(inc)
+    return list(zip(*inc.columns()))
+
+
+def facet_index(c, facet):
+    """Position of a facet in c's facet order, found by its packed code over
+    the columns; ValueError if it is not a facet of c."""
+    F = tuple(facet)
+    n = c.n_vertices
+    try:
+        # in range, the code of a d-tuple names that tuple alone
+        if c.columns and len(F) == c.dim_facet and all(1 <= v <= n for v in F):
+            code = next(iter(complex_core._encode_columns([[v] for v in F], n + 1)))
+            return indexOf(complex_core._encode_columns(c.columns, n + 1), code)
+    except (TypeError, ValueError):
+        pass
+    raise ValueError(f"{F} is not a facet of the complex")
+
+
+def facet_label(c, facet):
+    """The label facet_labels gives one facet of a boundary corridor c;
+    UnknownFacet if it is not a facet of c."""
+    F = tuple(facet)
+    try:
+        facet_index(c, F)
+    except ValueError:
+        raise UnknownFacet(f"{F} is not a facet of the complex") from None
+    # a label depends only on the facet, the facet size and the vertex count
+    return facet_labels(Complex(c.dim_facet, c.n_vertices, (F,)))[0]
+
+
+def scaled_potential(label, dim_facet):
+    """Integer potential i*(d-1) - j of a middle facet, the potential
+    i - j/(d-1) of the paper's Lemma 8 scaled by d-1: order and step sizes
+    are kept and comparisons stay exact.  Moving between adjacent middle
+    facets changes it by at most d in absolute value."""
+    if label.kind != "middle":
+        raise NotMiddleFacet(f"potential undefined for {label.kind}")
+    return label.i * (dim_facet - 1) - label.j
 
 
 def tuple_ridge_map(c, q):

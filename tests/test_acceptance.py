@@ -7,7 +7,7 @@ calibration.
 
 import math
 
-from conftest import incidence_dense, incidence_rows
+from conftest import incidence_dense, incidence_rows, scaled_potential
 from corridors import (
     CorridorSpec,
     boundary_corridor,
@@ -27,7 +27,6 @@ from corridors import (
     pm_fvector_check,
     ridges_of,
     run_pipeline,
-    scaled_potential,
     straight_corridor,
     strip_volatile,
     verify_boundary_preservation,

@@ -45,7 +45,7 @@ def wl():
 def test_pipeline_target_and_its_ridges(wl, mode, d, n, expected):
     target = wl._pipeline_target(mode, d, n)
     assert target == expected()
-    assert wl.ridge_count(target) == len(ridges_of(target).ridges)
+    assert wl.ridge_count(target) == len(ridges_of(target))
 
 
 def test_unit_counters_of_a_pipeline_record(wl, tmp_path):
@@ -61,7 +61,7 @@ def test_unit_counters_of_a_pipeline_record(wl, tmp_path):
 
     cache = {}
     totals = wl.unit_counters(records, tmp_path, cache)
-    ridges = len(ridges_of(target).ridges)
+    ridges = len(ridges_of(target))
     assert cache == {("pseudomanifold", 3, 40): ridges}
     assert totals == {
         "greedy_attempts": report["results"]["greedy_attempts"],

@@ -500,6 +500,35 @@ class TestBoundsCommand:
         report = json.loads(out)
         assert report["hs_upper"] == 25.0
 
+    @pytest.mark.parametrize("n,dim", [(10 ** 200, 3), (10 ** 40, 12)], ids=["d3", "d12"])
+    def test_bounds_past_the_float_range(self, capsys, n, dim):
+        code, out, err = run(capsys, "bounds", "--n", str(n), "--dim", str(dim))
+        assert code == 2 and out == ""
+        assert err.splitlines() == [
+            f"error: bounds at n={n}, d={dim} exceed the float range"
+        ]
+
+
+class TestComplexFileFaults:
+    """A middle vertex out of range is refused with the facet scan's message,
+    in a short file and past the first 4096 facets of a long one."""
+
+    @pytest.mark.parametrize("at", [1, 4500], ids=["short", "long"])
+    @pytest.mark.parametrize("middle", ["0", "-1", "n+1"])
+    def test_middle_vertex_out_of_range(self, tmp_path, capsys, at, middle):
+        n = at + 3
+        facets = [[i, i + 1, i + 2] for i in range(1, n - 1)]
+        facets[at][1] = {"0": 0, "-1": -1, "n+1": n + 1}[middle]
+        path = tmp_path / "bad.cplx"
+        path.write_text(
+            f"dim 3 vertices {n}\n" + "".join(f"{a} {b} {c}\n" for a, b, c in facets)
+        )
+        code, out, err = run(capsys, "diameter", "--in", str(path))
+        assert code == 2 and out == ""
+        assert err.splitlines() == [
+            f"error: facet {tuple(facets[at])} is not strictly increasing"
+        ]
+
 
 class TestPipelineCommand:
     def test_simplicial_run_writes_report(self, tmp_path, capsys):

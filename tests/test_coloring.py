@@ -45,7 +45,7 @@ from corridors.coloring import (
 )
 from corridors.complex_core import face_columns
 from corridors.pipeline import _require_epsilon
-from conftest import identity_coloring, random_complex, time_limit
+from conftest import identity_coloring, incidence_ridges, random_complex, time_limit
 from naive_reference import (
     _ref_draw_index,
     all_faces,
@@ -210,7 +210,7 @@ class TestCorridorSkeletonFacts:
     def test_window_blocks_intersecting_ridge_collisions(self, d, seed):
         c = sc(200, d)
         f = greedy_window_coloring(c, 6 * (d - 1) + 1, seed)
-        ridges = ridges_of(c).ridges
+        ridges = incidence_ridges(ridges_of(c))
         patterns = [tuple(sorted(f.colors[v - 1] for v in r)) for r in ridges]
         for (ra, pa), (rb, pb) in itertools.combinations(zip(ridges, patterns), 2):
             if set(ra) & set(rb):
@@ -386,7 +386,7 @@ class TestIntersectingRidgeBound:
             intersecting_ridge_bound("sphere", 3)
 
     def test_exhaustive_on_corridor_20_3(self):
-        ridges = ridges_of(sc(20, 3)).ridges
+        ridges = incidence_ridges(ridges_of(sc(20, 3)))
         worst = 0
         for r in ridges:
             meet = sum(1 for s in ridges if s != r and set(r) & set(s))

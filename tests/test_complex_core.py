@@ -29,12 +29,16 @@ from conftest import (
     adjacency_edges,
     column_weights,
     complex_from_facets,
+    facet_index,
     graph_from_edges,
     incidence_dense,
+    incidence_ridges,
     incidence_rows,
+    lane_limit,
     random_complex,
     random_facets,
     record_calls,
+    spread_facets,
     time_limit,
 )
 from naive_reference import (
@@ -94,6 +98,13 @@ class TestComplexValidation:
             (((1, 2, 3), (1, 2, 3), (2, 3, 5)), "duplicate facet (1, 2, 3)"),
             (((1, 2, 4), (2, 3, 9), (1, 2)), "facet (2, 3, 9) leaves the vertex range 1..4"),
             (((0, 1, 2), ("a", "b", "c")), "facet (0, 1, 2) leaves the vertex range 1..4"),
+            # a middle vertex in 2**62..2**63-1 passes the end checks; in lanes
+            # the borrow of 2 - (2**62 + 3) would set the guard bits of both
+            # rows, so the range of every lane is checked first
+            (
+                ((5, 2 ** 62 + 3, 2), (1, 2, 4)),
+                f"facet (5, {2 ** 62 + 3}, 2) is not strictly increasing",
+            ),
         ],
     )
     def test_messages_name_the_first_bad_facet(self, facets, message):
@@ -156,7 +167,7 @@ class TestEquality:
 
 class TestRidges:
     def test_corridor_5_3(self):
-        ridges = ridges_of(sc(5, 3)).ridges
+        ridges = incidence_ridges(ridges_of(sc(5, 3)))
         assert ridges == [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4), (3, 5), (4, 5)]
 
     def test_single_facet(self):
@@ -194,13 +205,42 @@ def test_validation_matches_facet_scan(seed):
             F = list(rng.choice(facets))
         facets.append(tuple(F))
     facets = tuple(facets)
-    expected = ref_facet_error(d, n, facets)
-    if expected is None:
-        assert Complex(d, n, facets).facets == facets
-    else:
-        with pytest.raises(ValueError) as info:
-            Complex(d, n, facets)
-        assert str(info.value) == expected
+    # the same faults among vertices just below and just above the vertex
+    # count up to which facet codes are computed in lanes
+    limit = lane_limit(d)
+    cases = [(n, facets)] + [
+        (big, spread_facets(facets, n, big, rng)) for big in (limit, limit + 1)
+    ]
+    for n, facets in cases:
+        expected = ref_facet_error(d, n, facets)
+        if expected is None:
+            assert Complex(d, n, facets).facets == facets
+        else:
+            with pytest.raises(ValueError) as info:
+                Complex(d, n, facets)
+            assert str(info.value) == expected
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_lanes_carry_codes_up_to_the_limit_and_no_further(monkeypatch, d):
+    packs = record_calls(monkeypatch, "_pack")
+    lane_builds = record_calls(monkeypatch, "_lane_incidence")
+
+    def two_facets(n):
+        return (tuple(range(1, d + 1)), tuple(range(n - d + 1, n + 1)))
+
+    # facet codes of d vertices, checked as a complex is built
+    for n, lanes in ((lane_limit(d), True), (lane_limit(d) + 1, False)):
+        packs.clear()
+        Complex(d, n, two_facets(n))
+        assert bool(packs) == lanes, n
+    # ridge keys: codes of d - 1 vertices shifted by one bit, the bit
+    # length of the larger facet id
+    for n, lanes in ((lane_limit(d - 1, 1), True), (lane_limit(d - 1, 1) + 1, False)):
+        c = Complex(d, n, two_facets(n))
+        lane_builds.clear()
+        assert incidence_rows(ridges_of(c)) == ref_ridges(c)
+        assert bool(lane_builds) == lanes, n
 
 
 MUTATIONS = ("short facet", "vertex out of range", "swapped pair", "duplicate facet")
@@ -239,11 +279,11 @@ def test_column_storage_matches_the_reference(seed, kind):
     assert c.columns == tuple(array("q", col) for col in zip(*facets))
     assert c.facets == facets and c.facet_count == len(facets)
     assert Complex._from_columns(d, n, c.columns) == c
-    assert [c.facet_index(F) for F in facets] == list(range(len(facets)))
+    assert [facet_index(c, F) for F in facets] == list(range(len(facets)))
     outside = tuple(sorted(rng.sample(range(1, n + 1), d)))
     if outside not in facets:
         with pytest.raises(ValueError):
-            c.facet_index(outside)
+            facet_index(c, outside)
 
     bad = mutate(rng, n, facets, kind)
     expected = ref_facet_error(d, n, bad)
@@ -479,10 +519,19 @@ class TestNaiveReferenceAgreement:
 @given(st.integers(0, 10_000))
 @settings(max_examples=80, deadline=None)
 def test_incidence_matches_reference_on_random_complexes(seed):
-    c = random_complex(random.Random(seed))
-    assert incidence_rows(c.incidence) == ref_ridges(c)
-    assert is_pseudomanifold(c) == ref_is_pseudomanifold(c)
-    assert adjacency_edges(dual_graph(c)) == ref_dual_edges(c)
+    rng = random.Random(seed)
+    d, n, facets = random_facets(rng)
+    # also on vertices just below and just above the vertex count up to
+    # which ridges_of builds its keys in lanes
+    limit = lane_limit(d - 1, (len(facets) - 1).bit_length())
+    cases = [(n, facets)] + [
+        (big, spread_facets(facets, n, big, rng)) for big in (limit, limit + 1)
+    ]
+    for n, facets in cases:
+        c = Complex(d, n, facets)
+        assert incidence_rows(c.incidence) == ref_ridges(c)
+        assert is_pseudomanifold(c) == ref_is_pseudomanifold(c)
+        assert adjacency_edges(dual_graph(c)) == ref_dual_edges(c)
 
 
 @given(st.integers(0, 10_000))
@@ -497,9 +546,10 @@ def test_flat_incidence_decodes_to_the_reference(seed):
     inc = c.incidence
     reference = ref_ridges(c)
     assert incidence_rows(inc) == reference
-    assert inc.ridges == [r for r, _ in reference]
-    assert [inc.ridge(i) for i in range(len(inc))] == inc.ridges
-    assert inc.columns() == [list(col) for col in zip(*inc.ridges)]
+    ridges = incidence_ridges(inc)
+    assert ridges == [r for r, _ in reference]
+    assert [inc.ridge(i) for i in range(len(inc))] == ridges
+    assert inc.columns() == [list(col) for col in zip(*ridges)]
     assert inc.widths() == [len(fids) for _, fids in reference]
     # code order is tuple order: the codes ascend strictly along the ridges
     assert list(inc.codes) == sorted(set(inc.codes))
@@ -556,7 +606,7 @@ class TestIncidence:
         with time_limit(5):
             c = Complex(10 ** 9, 4, ())
             inc = c.incidence
-            assert len(inc) == 0 and inc.columns() == [] and inc.ridges == []
+            assert len(inc) == 0 and inc.columns() == [] and incidence_ridges(inc) == []
             check_incidence_fields(inc)
             assert is_pseudomanifold(c) and is_strongly_connected(c)
             assert dual_graph(c) == ()

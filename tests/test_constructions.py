@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from conftest import facet_label, scaled_potential
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,11 +21,9 @@ from corridors import (
     facet_labels,
     is_pseudomanifold,
     pair_distance,
-    scaled_potential,
     straight_corridor,
 )
 from corridors.complex_core import face_columns
-from corridors.constructions import facet_label
 from naive_reference import ref_boundary_corridor
 
 

@@ -1,5 +1,5 @@
 """Heap held by the built complexes, and transient peaks of the two stages
-that set a verified run's memory.
+that set a verified run's memory, and of the ridge enumeration both read.
 
 SC(2*10^4, 3) at pipeline seed 1 is staged as run_pipeline stages it: stage
 one, refinement, the quotient, then the boundary-preservation check with the
@@ -8,6 +8,11 @@ leave it.  Each measured call runs under tracemalloc started just before it,
 so the peak is what the call itself allocates on top of the heap it finds.
 The bounds are per incidence entry and per ridge: a per-entry set or dict
 costs well above them, flat arrays and one sorted list stay below.
+
+ridges_of holds its d keys per facet as one sorted list of boxed ints and
+then as an array('q'), and builds and splits them in lanes of bounded
+chunks; a second boxed list beside the first, as the row codes once were,
+costs well above its bound.
 
 A built complex holds its facets as d vertex columns of 8-byte integers,
 so the corridor and the quotient each hold about 8d bytes per facet; one
@@ -26,6 +31,7 @@ from corridors import (
     lll_target_colors,
     moser_tardos_refine,
     pattern_complex,
+    ridges_of,
     straight_corridor,
     verify_boundary_preservation,
 )
@@ -34,6 +40,7 @@ from corridors.pipeline import DEFAULT_RETRIES, _derive_seed, _first_stage
 N, DIM, C1, EPSILON, SEED = 20000, 3, 13, 0.2, 1
 CHECK_BYTES_PER_ENTRY = 80
 REFINE_BYTES_PER_RIDGE = 260
+RIDGES_BYTES_PER_FACET = 200
 HELD_BYTES_PER_FACET = 40
 
 
@@ -91,6 +98,13 @@ def test_boundary_check_peak_per_entry(staged):
 def test_refine_peak_per_ridge(staged):
     inc, refine_peak, _, _, _ = staged
     assert refine_peak <= REFINE_BYTES_PER_RIDGE * len(inc)
+
+
+def test_ridges_of_peak_per_facet():
+    c = straight_corridor(CorridorSpec(N, DIM))
+    inc, peak = traced_peak(ridges_of, c)
+    assert len(inc.fids) == DIM * c.facet_count
+    assert peak <= RIDGES_BYTES_PER_FACET * c.facet_count
 
 
 def test_corridor_held_per_facet():

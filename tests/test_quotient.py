@@ -6,7 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import identity_coloring, small_complex_corpus, tuple_ridge_map
+from conftest import (
+    identity_coloring,
+    incidence_ridges,
+    small_complex_corpus,
+    tuple_ridge_map,
+)
 from corridors import (
     Coloring,
     Complex,
@@ -106,7 +111,7 @@ class TestPatternComplex:
         assert list(q.facet_map) == [0, 1, 2]
         decoded = tuple_ridge_map(c, q).ridge_map
         assert len(decoded) == len(ridges_of(c)) == 7
-        assert all(decoded[r] == r for r in ridges_of(c).ridges)
+        assert all(decoded[r] == r for r in incidence_ridges(ridges_of(c)))
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_one_facet_matches_the_reference(self, d):
