@@ -12,7 +12,10 @@ first_stage_class_cap is the one source of stage one's class-size cap,
 pattern_class_histogram only counts the classes it is held against.  The
 faces of every codimension come from complex_core.face_columns, the one
 packed-code enumeration that also yields the ridges; the pipeline counts
-stage one's classes over its target's ridges in both modes.
+stage one's classes over its target's ridges in both modes.  Every ridge
+this module reads, all of them or the few a resample touches, is decoded
+by the incidence's own Incidence.columns, so no code here knows how
+ridges are stored.
 
 All randomness flows through one MT19937 stream per operation (seeded
 `random.Random`), consumed in a fixed documented order: vertex order for the
@@ -57,7 +60,6 @@ from .complex_core import (
     Incidence,
     _body_ints,
     _content_lines,
-    _decode_codes,
     _encode_columns,
     _header_ints,
     _scanned_fields,
@@ -247,7 +249,7 @@ def pattern_codes(color_of, columns, base: int) -> list[int]:
     the class counts matter.
     """
     # map drops each column once gathered, so lazily decoded columns
-    # (_decode_codes) are held one at a time
+    # (Incidence.columns) are held one at a time
     looked_up = list(map(_gather, repeat(color_of), columns))
     if len(looked_up) <= 1:
         return list(looked_up[0]) if looked_up else []
@@ -395,9 +397,7 @@ def verify_unique_ridge_patterns(c: Complex, f: Coloring) -> bool:
     codes as ridges (the count argument of the quotient module docstring).
     """
     _require_total(c, f)
-    inc = c.incidence
-    columns = _decode_codes(inc.codes, inc.n_vertices, inc.size)
-    codes = pattern_codes((0, *f.colors), columns, f.c + 1)
+    codes = pattern_codes((0, *f.colors), c.incidence.columns(), f.c + 1)
     return len(set(codes)) == len(codes)
 
 
@@ -452,9 +452,9 @@ def _require_refinable(inc: Incidence, columns, index, f: Coloring, S):
         for v in dict.fromkeys(chain.from_iterable(zip(*columns))):
             for a, b in combinations(sorted(_ridges_through(index, v)), 2):
                 if codes[a] == codes[b]:
+                    first, second = zip(*inc.columns((a, b)))
                     raise PreconditionViolated(
-                        f"intersecting ridges {inc.ridge(a)} and {inc.ridge(b)} "
-                        "share a pattern"
+                        f"intersecting ridges {first} and {second} share a pattern"
                     )
     worst = max(Counter(codes).values(), default=0)
     if worst > S:
@@ -514,7 +514,7 @@ def moser_tardos_refine(
         raise PreconditionViolated("stage-one coloring is not proper")
 
     inc = c.incidence
-    columns = inc.columns()
+    columns = list(inc.columns())
     colors = f.colors
     index = _ridges_by_vertex(columns)
     _require_refinable(inc, columns, index, f, S)
@@ -554,16 +554,12 @@ def moser_tardos_refine(
             heappop(heap)
         key = heap[0]
         first, second = sorted(crowds[key])[:2]
-        vertices = sorted(set(inc.ridge(first)) | set(inc.ridge(second)))
+        vertices = sorted(set(chain.from_iterable(inc.columns((first, second)))))
         for v in vertices:
             h[v] = (colors[v - 1] - 1) * c2 + _draw_index(rng, c2) + 1
         # _move_ridge reaches the same state in any order of the touched ridges
         touched = list({rid for v in vertices for rid in _ridges_through(index, v)})
-        new_keys = pattern_codes(
-            h,
-            _decode_codes([inc.codes[rid] for rid in touched], inc.n_vertices, inc.size),
-            base,
-        )
+        new_keys = pattern_codes(h, inc.columns(touched), base)
         for rid, new in zip(touched, new_keys):
             _move_ridge(alone, crowds, heap, rid, keys[rid], new)
             keys[rid] = new

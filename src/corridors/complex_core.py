@@ -7,17 +7,19 @@ integers and every facet is strictly increasing, so every derived object
 Facet tuples exist only on demand (`Complex.facets`), for labels and
 tests; every stage, the text writer included, reads the columns.
 
-Each complex enumerates its ridges once: `Complex.incidence` runs
-`ridges_of` on first use and keeps the result as an `Incidence`,
-the ridge-by-facet GF(2) boundary matrix in compressed sparse row (CSR)
-form.  It holds flat integers only, no container per ridge.  A sorted face
-(v1 < ... < vs) on vertices 1..n is packed into the code
-sum_j vj (n+1)^(s-j), the base-(n+1) number whose digits are its vertices.
-For faces of one size, numeric order of codes is lexicographic order of the
-tuples, so sorting codes orders ridges exactly as sorting tuples would, and
-every order built on the ridge order is unchanged.  Dual graphs, the
-pseudomanifold test and the coloring and quotient stages all read that one
-index.  An index is only ever built from its own complex's facets; a
+Each complex enumerates its ridges once: `Complex.incidence`, the one
+entry every stage reads, runs `ridges_of` on first use and keeps the result
+as an `Incidence`, the ridge-by-facet GF(2) boundary matrix in compressed
+sparse row (CSR) form.  It holds flat integers only, no container per
+ridge.  A sorted face (v1 < ... < vs) on vertices 1..n is packed into the
+code sum_j vj (n+1)^(s-j), the base-(n+1) number whose digits are its
+vertices.  For faces of one size, numeric order of codes is lexicographic
+order of the tuples, so sorting codes orders ridges exactly as sorting
+tuples would, and every order built on the ridge order is unchanged.  Dual
+graphs, the pseudomanifold test and the coloring and quotient stages all
+read that one index, and every reader of ridge vertices decodes them
+through `Incidence.columns`, so how ridges are stored stays inside this
+module.  An index is only ever built from its own complex's facets; a
 quotient gets its own on first use, never one derived from its source, so
 comparing the two stays a real check.
 
@@ -50,14 +52,13 @@ from __future__ import annotations
 from array import array
 from functools import cached_property, lru_cache
 from itertools import chain, combinations, compress, islice, repeat
-from operator import add, eq, floordiv, lt, mod, mul, ne, sub
+from operator import add, and_, eq, floordiv, lshift, lt, mod, mul, ne, or_, rshift, sub
 from pathlib import Path
 from sys import byteorder
 
 from .errors import DisconnectedGraph
 
 Facet = tuple[int, ...]
-Ridge = tuple[int, ...]
 
 
 class Complex:
@@ -258,8 +259,9 @@ class Incidence:
     offsets and fids are array('q'); codes is too when every code fits in 64
     bits, and a plain int list otherwise.  Nothing per ridge is a container,
     so the index costs a few machine words per entry and the garbage
-    collector never walks it.  `ridge(i)` decodes one vertex tuple on
-    demand, for resampling and error messages.
+    collector never walks it.  `columns` is the one decoder of the codes:
+    every reader of ridge vertices, of all ridges or of a few, goes
+    through it.
     """
 
     __slots__ = ("n_vertices", "size", "codes", "offsets", "fids")
@@ -271,14 +273,16 @@ class Incidence:
     def __len__(self):
         return len(self.codes)
 
-    def columns(self) -> list:
-        """Decoded vertex columns: columns[j][i] is vertex j of ridge i."""
-        return list(_decode_codes(self.codes, self.n_vertices, self.size))
+    def columns(self, rows=None):
+        """Vertex columns of every ridge, or of the ridge ids in rows in
+        their order, repeats included: column j holds vertex j of each.
 
-    def ridge(self, i: int) -> Ridge:
-        """Ridge i as a sorted vertex tuple."""
-        code, base = self.codes[i], self.n_vertices + 1
-        return tuple(code // base ** p % base for p in reversed(range(self.size)))
+        The columns come lazily, as _decode_codes yields them, so a reader
+        that drops each column before taking the next holds only one;
+        zip(*columns) gives the ridges as vertex tuples.
+        """
+        codes = self.codes if rows is None else list(map(self.codes.__getitem__, rows))
+        return _decode_codes(codes, self.n_vertices, self.size)
 
     def widths(self) -> list[int]:
         """Number of facets containing each ridge, in ridge order."""
@@ -362,11 +366,12 @@ def ridges_of(c: Complex) -> Incidence:
     Each of the d code streams of _subset_codes drops one facet column, so
     the passes run over whole columns.  One sort of the keys orders rows by
     ridge and, within a row, facet ids ascending; grouping equal codes gives
-    the CSR offsets.  Where every key fits in 62 bits, a key is
-    code << fb | facet id, fb the bit length of the largest facet id, and
-    lanes build and split the keys; otherwise it is code * m + facet id
-    (m facets), in boxed ints.  Both orders are (code, facet id) order.
-    len() of the result is the number of ridges.
+    the CSR offsets.  A key is code << fb | facet id, fb the bit length of
+    the largest facet id, so key order is (code, facet id) order.  Where
+    every key fits in 62 bits, lanes build and split the keys; otherwise
+    boxed ints do, one key at a time.  len() of the result is the number of
+    ridges.  Stages reach the incidence as `Complex.incidence`, which calls
+    this once per complex.
     """
     m, n = c.facet_count, c.n_vertices
     size = c.dim_facet - 1
@@ -375,10 +380,10 @@ def ridges_of(c: Complex) -> Incidence:
         return Incidence(n, size, *_lane_incidence(c, size, fb))
     keys = []
     for codes in _subset_codes(c, size):
-        keys += map(add, map(mul, codes, repeat(m)), range(m))
+        keys += map(or_, map(lshift, codes, repeat(fb)), range(m))
     keys.sort()
-    row_codes = list(map(floordiv, keys, repeat(m)))
-    fids = array("q", map(mod, keys, repeat(m)))
+    row_codes = list(map(rshift, keys, repeat(fb)))
+    fids = array("q", map(and_, keys, repeat((1 << fb) - 1)))
     del keys
     new_row = list(map(ne, islice(row_codes, 1, None), row_codes))
     offsets = array("q", [0])
@@ -449,7 +454,7 @@ def face_columns(c: Complex, k: int) -> list:
     if not 0 <= k < c.dim_facet:
         raise ValueError(f"codimension {k} out of range for facet size {c.dim_facet}")
     if k == 1:
-        return c.incidence.columns()
+        return list(c.incidence.columns())
     size = c.dim_facet - k
     codes = sorted(set(chain.from_iterable(_subset_codes(c, size))))
     return list(_decode_codes(codes, c.n_vertices, size))
@@ -579,7 +584,13 @@ def diameter_exact(adj) -> int:
 
 
 def pair_distance(adj, u: int, v: int) -> int:
-    """BFS distance between two nodes of a connected graph's adjacency rows."""
+    """BFS distance between two nodes of a connected graph's adjacency rows.
+
+    Raises DisconnectedGraph on a graph without nodes, as diameter_exact
+    does, and ValueError on a node out of range.
+    """
+    if not adj:
+        raise DisconnectedGraph("graph has no nodes")
     if not (0 <= u < len(adj) and 0 <= v < len(adj)):
         raise ValueError(f"nodes {u}, {v} out of range 0..{len(adj) - 1}")
     dist, _ = _bfs(adj, u)

@@ -17,10 +17,6 @@ class UnknownFacet(CorridorsError):
     """A facet that does not belong to the complex it was queried against."""
 
 
-class NotMiddleFacet(CorridorsError):
-    """Potential values exist only for middle facets, not the two end facets."""
-
-
 class DisconnectedGraph(CorridorsError):
     """Distance queries require a connected dual graph."""
 

@@ -79,7 +79,7 @@ def _first_stage(target, c1, window, master, retries, cap):
     attempt, the first one to fit or else the smallest, and the seeds of all
     attempts.
     """
-    columns = target.incidence.columns()
+    columns = list(target.incidence.columns())
     seeds = []
     best = None
     for _ in range(retries):

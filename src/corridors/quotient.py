@@ -17,7 +17,8 @@ exactly when source and quotient have equally many faces, which
 QuotientResult reads from the quotient's own facets and incidence, and no
 colliding pair is searched for.
 
-Both sides are flat integer incidences (see complex_core).  The facet map
+Both sides are flat integer incidences (see complex_core), and the source's
+ridges are decoded by its own Incidence.columns.  The facet map
 is one quotient facet index per source facet, shared where patterns
 collide, and the ridge map one quotient ridge code per source ridge row,
 both flat integer sequences.  The preservation check codes every matrix
@@ -26,8 +27,10 @@ them in step with the quotient's, which its incidence yields ascending; no
 set is built.  Quotient vertices are the used colors renumbered in color
 order, so the pattern code of a face (coloring.pattern_codes, base n'+1)
 is the code of its image in the quotient's incidence: the quotient facets
-are the distinct facet codes, ascending and decoded once, and no pattern
-tuple is built.  Codes order faces as tuples do, so the quotient's facet
+are the distinct facet codes, ascending and decoded once here, and no
+pattern tuple is built.  Those facet codes and the comparison of the
+quotient's ridge codes with ridge_map are the module's only uses of the
+code format.  Codes order faces as tuples do, so the quotient's facet
 order is the one a tuple sort would give.
 """
 
@@ -122,8 +125,7 @@ def pattern_complex(c: Complex, f: Coloring) -> QuotientResult:
     # code is the code of a quotient ridge in the quotient's own base
     codes = repeat(0, len(inc))
     if inc.size:
-        columns = _decode_codes(inc.codes, inc.n_vertices, inc.size)
-        codes = pattern_codes(qcolor_of, columns, base)
+        codes = pattern_codes(qcolor_of, inc.columns(), base)
     ridge_map = _store_codes(codes, n_prime, inc.size)
     del codes
     return QuotientResult(quotient=quotient, facet_map=facet_map, ridge_map=ridge_map)

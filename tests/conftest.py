@@ -11,7 +11,6 @@ from corridors import (
     Complex,
     CorridorSpec,
     CorridorsError,
-    NotMiddleFacet,
     UnknownFacet,
     boundary_corridor,
     complex_core,
@@ -174,6 +173,10 @@ def facet_label(c, facet):
         raise UnknownFacet(f"{F} is not a facet of the complex") from None
     # a label depends only on the facet, the facet size and the vertex count
     return facet_labels(Complex(c.dim_facet, c.n_vertices, (F,)))[0]
+
+
+class NotMiddleFacet(CorridorsError):
+    """Potential values exist only for middle facets, not the two end facets."""
 
 
 def scaled_potential(label, dim_facet):

@@ -25,13 +25,13 @@ from corridors import (
     pattern_class_histogram,
     pattern_complex,
     pm_fvector_check,
-    ridges_of,
     run_pipeline,
     straight_corridor,
     strip_volatile,
     verify_boundary_preservation,
     verify_unique_ridge_patterns,
 )
+from corridors.complex_core import ridges_of
 from naive_reference import (
     ref_boundary_dense,
     ref_dual_edges,

@@ -16,10 +16,10 @@ import pytest
 from corridors import (
     CorridorSpec,
     boundary_corridor,
-    ridges_of,
     straight_corridor,
     write_complex,
 )
+from corridors.complex_core import ridges_of
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "bench_workloads.py"
 

@@ -19,9 +19,9 @@ from corridors import (
     hs_lower,
     hs_upper,
     pm_fvector_check,
-    ridges_of,
     straight_corridor,
 )
+from corridors.complex_core import ridges_of
 from corridors.bounds import regular_graph_diameter_bound
 from conftest import graph_from_edges
 

@@ -759,6 +759,13 @@ class TestFacetlessComplex:
             "ridge_unique": True,
         }
 
+    def test_pair_distance_names_the_empty_graph(self, tmp_path, capsys):
+        path = tmp_path / "empty.cplx"
+        path.write_text("dim 3 vertices 4\n")
+        code, out, err = run(capsys, "diameter", "--in", str(path), "--pair", "0", "0")
+        assert code == 2 and out == ""
+        assert err.splitlines() == ["error: graph has no nodes"]
+
     def test_refine_cost_does_not_follow_the_declared_dimension(self, tmp_path, capsys):
         # no facets, so no ridges: refining must not take powers of the size
         path = tmp_path / "empty.cplx"

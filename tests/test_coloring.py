@@ -29,7 +29,6 @@ from corridors import (
     moser_tardos_refine,
     pattern_class_histogram,
     read_coloring,
-    ridges_of,
     straight_corridor,
     verify_proper,
     verify_unique_ridge_patterns,
@@ -43,7 +42,7 @@ from corridors.coloring import (
     class_sizes,
     pattern_codes,
 )
-from corridors.complex_core import face_columns
+from corridors.complex_core import face_columns, ridges_of
 from corridors.pipeline import _require_epsilon
 from conftest import identity_coloring, incidence_ridges, random_complex, time_limit
 from naive_reference import (

@@ -11,6 +11,7 @@ from corridors import (
     CorridorSpec,
     DisconnectedGraph,
     boundary_corridor,
+    complex_core,
     complex_from_text,
     complex_to_text,
     diameter_exact,
@@ -20,11 +21,17 @@ from corridors import (
     is_strongly_connected,
     pair_distance,
     read_complex,
-    ridges_of,
     straight_corridor,
     write_complex,
 )
-from corridors.complex_core import Incidence, _store_codes, face_columns
+from corridors.complex_core import (
+    Incidence,
+    _columns_valid,
+    _encode_columns,
+    _store_codes,
+    face_columns,
+    ridges_of,
+)
 from conftest import (
     adjacency_edges,
     column_weights,
@@ -243,6 +250,76 @@ def test_lanes_carry_codes_up_to_the_limit_and_no_further(monkeypatch, d):
         assert bool(lane_builds) == lanes, n
 
 
+INCIDENCE_FIELDS = ("n_vertices", "size", "codes", "offsets", "fids")
+
+
+def lanes_and_boxed(monkeypatch, fn, *args):
+    """fn(*args) with lanes allowed, then with lanes refused."""
+    with_lanes = fn(*args)
+    with monkeypatch.context() as patched:
+        patched.setattr(complex_core, "_fits_lanes", lambda columns, top: False)
+        return with_lanes, fn(*args)
+
+
+def faulty_copies(rng, n, columns):
+    """Copies of the columns with one fault each, in one random facet: a
+    vertex out of range, two neighbours swapped, a vertex repeated, and a
+    repeat of another facet."""
+    d, m = len(columns), len(columns[0])
+    i = rng.randrange(m)
+    copies = []
+    for value in (0, -1, n + 1, 2 ** 62 + 3):
+        copies.append([array("q", col) for col in columns])
+        copies[-1][rng.randrange(d)][i] = value
+    for j in range(d - 1):
+        copies.append([array("q", col) for col in columns])
+        copies[-1][j][i], copies[-1][j + 1][i] = columns[j + 1][i], columns[j][i]
+        copies.append([array("q", col) for col in columns])
+        copies[-1][j + 1][i] = columns[j][i]
+    other = (i + 1 + rng.randrange(m - 1)) % m
+    copies.append([array("q", col) for col in columns])
+    for col in copies[-1]:
+        col[other] = col[i]
+    return copies
+
+
+@pytest.mark.parametrize("shuffled", [False, True], ids=["lexicographic", "shuffled"])
+@pytest.mark.parametrize("m", [4097, 9000])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_lanes_match_the_boxed_path(monkeypatch, d, m, shuffled):
+    # more facets than one 4096-lane chunk, on the largest vertex count
+    # whose facet codes still fit in lanes
+    rng = random.Random(1000 * d + m + shuffled)
+    n = lane_limit(d)
+    facets = set()
+    while len(facets) < m:
+        facets.add(tuple(sorted(rng.sample(range(1, n + 1), d))))
+    facets = sorted(facets)
+    if shuffled:
+        rng.shuffle(facets)
+    columns = [array("q", col) for col in zip(*facets)]
+    # facet codes and ridge keys alike
+    assert complex_core._fits_lanes(columns, (n + 1) ** d)
+    assert complex_core._fits_lanes(columns, (n + 1) ** (d - 1) << (m - 1).bit_length())
+
+    assert lanes_and_boxed(monkeypatch, _columns_valid, d, n, columns) == (True, True)
+    c = Complex._from_columns(d, n, columns)
+
+    def incidence_fields():
+        # an array never equals a list, so the storage types are compared too
+        inc = ridges_of(c)
+        return [getattr(inc, name) for name in INCIDENCE_FIELDS]
+
+    lanes, boxed = lanes_and_boxed(monkeypatch, incidence_fields)
+    assert lanes == boxed
+    lanes, boxed = lanes_and_boxed(
+        monkeypatch, lambda: list(_encode_columns(columns, n + 1))
+    )
+    assert lanes == boxed
+    for bad in faulty_copies(rng, n, columns):
+        assert lanes_and_boxed(monkeypatch, _columns_valid, d, n, bad) == (False, False)
+
+
 MUTATIONS = ("short facet", "vertex out of range", "swapped pair", "duplicate facet")
 
 
@@ -416,6 +493,12 @@ class TestDiameter:
         with pytest.raises(DisconnectedGraph):
             pair_distance(g, 0, 1)
 
+    def test_no_nodes_raises(self):
+        # every distance query names the empty graph, not a node range
+        for query in (diameter_exact, double_sweep_lower_bound, lambda g: pair_distance(g, 0, 0)):
+            with pytest.raises(DisconnectedGraph, match=r"^graph has no nodes$"):
+                query(())
+
     def test_single_node(self):
         g = graph_from_edges(1, [])
         assert diameter_exact(g) == ref_diameter(g) == 0
@@ -548,15 +631,33 @@ def test_flat_incidence_decodes_to_the_reference(seed):
     assert incidence_rows(inc) == reference
     ridges = incidence_ridges(inc)
     assert ridges == [r for r, _ in reference]
-    assert [inc.ridge(i) for i in range(len(inc))] == ridges
-    assert inc.columns() == [list(col) for col in zip(*ridges)]
+    assert list(zip(*inc.columns(range(len(inc))))) == ridges
+    assert list(inc.columns()) == [list(col) for col in zip(*ridges)]
     assert inc.widths() == [len(fids) for _, fids in reference]
     # code order is tuple order: the codes ascend strictly along the ridges
     assert list(inc.codes) == sorted(set(inc.codes))
     assert len(inc) == len(reference) == len(inc.offsets) - 1
 
 
-INCIDENCE_FIELDS = ("n_vertices", "size", "codes", "offsets", "fids")
+@given(st.integers(0, 10_000), st.booleans(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_columns_of_rows_are_the_reference_ridges(seed, wide, data):
+    # SC(25, 20) has ridge codes of 19 base-26 digits, an int list past 64
+    # bits
+    c = sc(25, 20) if wide else random_complex(random.Random(seed))
+    inc = c.incidence
+    assert (type(inc.codes) is list) == wide
+    ridges = [r for r, _ in ref_ridges(c)]
+    ids = st.integers(0, len(ridges) - 1)
+    drawn = data.draw(st.lists(ids, max_size=2 * len(ridges)))
+    last = len(ridges) - 1
+    for rows in ([], [0, 0, 0], [last, 0, last], list(range(last, -1, -1)), drawn):
+        columns = inc.columns(rows)
+        assert iter(columns) is columns
+        assert list(zip(*columns)) == [ridges[i] for i in rows]
+    columns = inc.columns()
+    assert iter(columns) is columns
+    assert list(zip(*columns)) == ridges
 
 
 def check_incidence_fields(inc):
@@ -606,7 +707,7 @@ class TestIncidence:
         with time_limit(5):
             c = Complex(10 ** 9, 4, ())
             inc = c.incidence
-            assert len(inc) == 0 and inc.columns() == [] and incidence_ridges(inc) == []
+            assert len(inc) == 0 and list(inc.columns()) == [] and incidence_ridges(inc) == []
             check_incidence_fields(inc)
             assert is_pseudomanifold(c) and is_strongly_connected(c)
             assert dual_graph(c) == ()

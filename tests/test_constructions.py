@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from conftest import facet_label, scaled_potential
+from conftest import NotMiddleFacet, facet_label, scaled_potential
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,7 +12,6 @@ from corridors import (
     BoundaryFacetLabel,
     CorridorSpec,
     InvalidSpec,
-    NotMiddleFacet,
     UnknownFacet,
     boundary_corridor,
     diameter_exact,
@@ -100,7 +99,7 @@ class TestBoundaryCorridor:
         # codim-2 classes over the boundary's own ridges
         for d in range(2, 7):
             for n in range(d + 2, d + 41):
-                ridges = boundary_corridor(n, d).incidence.columns()
+                ridges = list(boundary_corridor(n, d).incidence.columns())
                 assert face_columns(sc(n, d + 1), 2) == ridges
 
     def test_small_boundary_is_cycle(self):

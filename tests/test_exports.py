@@ -31,24 +31,29 @@ def test_public_namespace_is_all():
 
 
 def test_layer_only_helpers_stay_in_their_modules():
-    for name in ("face_columns", "regular_graph_diameter_bound"):
+    # stages reach a complex's ridges through Complex.incidence
+    for name in ("face_columns", "ridges_of", "regular_graph_diameter_bound"):
         assert name not in corridors.__all__
         assert not hasattr(corridors, name)
     assert callable(corridors.complex_core.face_columns)
+    assert callable(corridors.complex_core.ridges_of)
     assert callable(corridors.bounds.regular_graph_diameter_bound)
 
 
 def test_paths_only_tests_read_are_not_in_the_library():
-    # the tests keep their own facet lookup, labels, potential and ridge
-    # tuples in conftest
+    # the tests keep their own facet lookup, labels, potential, its error
+    # and ridge tuples in conftest
     for owner, name in (
         (corridors.constructions, "facet_label"),
         (corridors.constructions, "scaled_potential"),
+        (corridors.errors, "NotMiddleFacet"),
         (corridors.Complex, "facet_index"),
         (corridors.complex_core.Incidence, "ridges"),
+        (corridors.complex_core.Incidence, "ridge"),
     ):
         assert not hasattr(owner, name), name
-    assert "scaled_potential" not in corridors.__all__
+    for name in ("scaled_potential", "NotMiddleFacet"):
+        assert name not in corridors.__all__
 
 
 # modules the package never calls: the process pool, which only

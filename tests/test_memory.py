@@ -31,10 +31,10 @@ from corridors import (
     lll_target_colors,
     moser_tardos_refine,
     pattern_complex,
-    ridges_of,
     straight_corridor,
     verify_boundary_preservation,
 )
+from corridors.complex_core import ridges_of
 from corridors.pipeline import DEFAULT_RETRIES, _derive_seed, _first_stage
 
 N, DIM, C1, EPSILON, SEED = 20000, 3, 13, 0.2, 1

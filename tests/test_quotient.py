@@ -28,11 +28,11 @@ from corridors import (
     pattern_class_histogram,
     pattern_complex,
     quotient_report,
-    ridges_of,
     straight_corridor,
     verify_boundary_preservation,
     verify_unique_ridge_patterns,
 )
+from corridors.complex_core import ridges_of
 from naive_reference import (
     ref_boundary_preserved,
     ref_first_pattern_collision,
