@@ -86,8 +86,10 @@ def pm_fvector_check(c: Complex) -> bool:
 def bound_report(n: int, d: int) -> dict:
     """All four bound families at (n, d), as floats, for reports and the CLI.
 
-    InvalidSpec if a bound lies past the float range.
+    InvalidSpec if n is negative or a bound lies past the float range.
     """
+    if n < 0:
+        raise InvalidSpec(f"vertex count must be nonnegative, got {n}")
     sharp, loose = hpm_upper(n, d)
     try:
         values = {

@@ -49,7 +49,7 @@ from .quotient import pattern_complex, quotient_report, verify_boundary_preserva
 
 
 def _say(args, message):
-    if not getattr(args, "quiet", False):
+    if not args.quiet:
         print(message)
 
 
@@ -102,7 +102,7 @@ def cmd_build(args):
         c = boundary_corridor(args.n, args.dim)
     writes = [(args.out, partial(write_complex, c))]
     if args.labels:
-        text = "\n".join(str(lab) for lab in facet_labels(c)) + "\n"
+        text = "\n".join(facet_labels(args.n, args.dim)) + "\n"
         writes.append((args.out + ".labels", partial(_write_text, text)))
     _write_all(writes)
     _say(args, f"wrote {c.facet_count} facets to {args.out}")
@@ -297,10 +297,14 @@ def cmd_bench(args):
 
 
 def build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="PRNG seed")
+    # each command takes only the shared options it reads: every one reads
+    # --quiet, all but build --json, and the three that draw --seed
+    quiet = argparse.ArgumentParser(add_help=False)
+    quiet.add_argument("--quiet", action="store_true", help="suppress chatter")
+    common = argparse.ArgumentParser(add_help=False, parents=[quiet])
     common.add_argument("--json", action="store_true", help="emit JSON output")
-    common.add_argument("--quiet", action="store_true", help="suppress chatter")
+    seeded = argparse.ArgumentParser(add_help=False, parents=[common])
+    seeded.add_argument("--seed", type=int, default=0, help="PRNG seed")
 
     parser = argparse.ArgumentParser(
         prog="corridors",
@@ -308,7 +312,7 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("build", parents=[common], help="write a seed complex")
+    p = sub.add_parser("build", parents=[quiet], help="write a seed complex")
     p.add_argument("kind", choices=["corridor", "boundary"])
     p.add_argument("--n", type=int, required=True, help="vertex count")
     p.add_argument("--dim", type=int, required=True, help="facet size")
@@ -316,7 +320,7 @@ def build_parser():
     p.add_argument("--labels", action="store_true", help="also write facet labels")
     p.set_defaults(func=cmd_build)
 
-    p = sub.add_parser("color", parents=[common], help="stage-one greedy coloring")
+    p = sub.add_parser("color", parents=[seeded], help="stage-one greedy coloring")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--c1", type=int, required=True)
     p.add_argument("--epsilon", type=float, default=0.1)
@@ -325,7 +329,7 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_color)
 
-    p = sub.add_parser("refine", parents=[common], help="resample until ridge patterns are unique")
+    p = sub.add_parser("refine", parents=[seeded], help="resample until ridge patterns are unique")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--coloring", required=True)
     p.add_argument("--shape", choices=["corridor", "boundary"], required=True)
@@ -351,13 +355,15 @@ def build_parser():
 
     p = sub.add_parser("diameter", parents=[common], help="dual-graph diameter")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument(
+    mode = p.add_mutually_exclusive_group()
+    # --method has no default: argparse takes an option whose value is its
+    # default as absent, so a default "ifub" would let --method ifub pass
+    mode.add_argument(
         "--method",
         choices=["ifub", "double-sweep"],
-        default="ifub",
-        help="exact fringe-pruned search, or a double-sweep lower bound",
+        help="exact fringe-pruned search (default), or a double-sweep lower bound",
     )
-    p.add_argument("--pair", type=int, nargs=2, default=None, metavar=("U", "V"))
+    mode.add_argument("--pair", type=int, nargs=2, metavar=("U", "V"))
     p.set_defaults(func=cmd_diameter)
 
     p = sub.add_parser("bounds", parents=[common], help="evaluate bound formulas")
@@ -365,7 +371,7 @@ def build_parser():
     p.add_argument("--dim", type=int, required=True)
     p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("pipeline", parents=[common], help="full build-color-refine-quotient run")
+    p = sub.add_parser("pipeline", parents=[seeded], help="full build-color-refine-quotient run")
     p.add_argument("--mode", choices=["simplicial", "pseudomanifold"], required=True)
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--n", type=int, required=True)

@@ -4,8 +4,8 @@ A complex is stored as its facets only, as d vertex columns in array('q');
 ridges and lower faces are the implied subsets.  Vertices are 1-based
 integers and every facet is strictly increasing, so every derived object
 (ridge lists, dual graphs) has a canonical form and equality is structural.
-Facet tuples exist only on demand (`Complex.facets`), for labels and
-tests; every stage, the text writer included, reads the columns.
+Facet tuples exist only on demand (`Complex.facets`), for the tests and
+the benchmark; every stage, the text writer included, reads the columns.
 
 Each complex enumerates its ridges once: `Complex.incidence`, the one
 entry every stage reads, runs `ridges_of` on first use and keeps the result

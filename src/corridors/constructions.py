@@ -13,8 +13,8 @@ from fractions import Fraction
 from itertools import chain, cycle, repeat
 from operator import add
 
-from .complex_core import Complex, Facet
-from .errors import InvalidSpec, UnknownFacet
+from .complex_core import Complex
+from .errors import InvalidSpec
 
 
 class CorridorSpec:
@@ -38,41 +38,6 @@ def straight_corridor(spec: CorridorSpec) -> Complex:
     return Complex._from_columns(d, n, columns)
 
 
-class BoundaryFacetLabel:
-    """Position of a boundary-corridor facet: the two ends or middle (i, j).
-
-    middle(i, j) names the facet {i, ..., i+d} minus {i+j}; alpha and omega
-    are the runs {1..d} and {N-d+1..N}.  Labels compare equal when their
-    kind and indices do.
-    """
-
-    __slots__ = ("kind", "i", "j")
-
-    def __init__(self, kind: str, i: int | None = None, j: int | None = None):
-        if kind not in ("alpha", "omega", "middle"):
-            raise ValueError(f"unknown label kind {kind!r}")
-        if kind == "middle":
-            if i is None or j is None:
-                raise ValueError("middle labels need both indices")
-        elif i is not None or j is not None:
-            raise ValueError(f"{kind} labels carry no indices")
-        self.kind, self.i, self.j = kind, i, j
-
-    def __eq__(self, other):
-        if type(other) is not BoundaryFacetLabel:
-            return NotImplemented
-        return (self.kind, self.i, self.j) == (other.kind, other.i, other.j)
-
-    def __str__(self):
-        if self.kind == "middle":
-            return f"middle {self.i} {self.j}"
-        return self.kind
-
-
-ALPHA = BoundaryFacetLabel("alpha")
-OMEGA = BoundaryFacetLabel("omega")
-
-
 def boundary_corridor(n_vertices: int, dim_facet: int) -> Complex:
     """Boundary of the corridor one dimension up, by direct enumeration.
 
@@ -86,10 +51,7 @@ def boundary_corridor(n_vertices: int, dim_facet: int) -> Complex:
     so column k repeats a block of d-1 offsets from i over the runs of i.
     """
     n, d = n_vertices, dim_facet
-    if d < 2:
-        raise InvalidSpec(f"facet size must be at least 2, got {d}")
-    if n < d + 2:
-        raise InvalidSpec(f"need at least {d + 2} vertices, got {n}")
+    _require_boundary_spec(n, d)
     starts = array("q", chain.from_iterable(map(repeat, range(1, n - d + 1), repeat(d - 1))))
     columns = []
     for k in range(d):
@@ -99,29 +61,23 @@ def boundary_corridor(n_vertices: int, dim_facet: int) -> Complex:
     return Complex._from_columns(d, n, columns)
 
 
-def facet_labels(c: Complex) -> list[BoundaryFacetLabel]:
-    """Labels for every facet, in the complex's facet order."""
-    d = c.dim_facet
-    alpha, omega = _ends(c.n_vertices, d)
-    return [_classify(F, d, alpha, omega) for F in c.facets]
+def facet_labels(n_vertices: int, dim_facet: int) -> list[str]:
+    """Labels of boundary_corridor(n_vertices, dim_facet)'s facets, in its
+    facet order: "alpha", then "middle i j" by i ascending and, for one i,
+    by j descending, then "omega"."""
+    n, d = n_vertices, dim_facet
+    _require_boundary_spec(n, d)
+    js = range(d - 1, 0, -1)
+    return ["alpha", *[f"middle {i} {j}" for i in range(1, n - d + 1) for j in js], "omega"]
 
 
-def _ends(n: int, d: int) -> tuple[Facet, Facet]:
-    """The facets alpha = (1..d) and omega = (n-d+1..n)."""
-    return tuple(range(1, d + 1)), tuple(range(n - d + 1, n + 1))
-
-
-def _classify(F: Facet, d: int, alpha: Facet, omega: Facet) -> BoundaryFacetLabel:
-    if F == alpha:
-        return ALPHA
-    if F == omega:
-        return OMEGA
-    i = F[0]
-    if F[-1] != i + d:
-        raise UnknownFacet(f"{F} is not a boundary-corridor facet")
-    # a facet is strictly increasing, so d vertices spanning i..i+d miss
-    # exactly one, i + j with 0 < j < d: the sum of i..i+d less theirs
-    return BoundaryFacetLabel("middle", i, d * i + d * (d + 1) // 2 - sum(F))
+def _require_boundary_spec(n: int, d: int) -> None:
+    """InvalidSpec unless the boundary corridor on n vertices with facet
+    size d has middle facets: d >= 2 and n >= d + 2."""
+    if d < 2:
+        raise InvalidSpec(f"facet size must be at least 2, got {d}")
+    if n < d + 2:
+        raise InvalidSpec(f"need at least {d + 2} vertices, got {n}")
 
 
 def diameter_lower_bound_boundary(n_vertices: int, dim_facet: int) -> Fraction:

@@ -13,10 +13,6 @@ class InvalidSpec(CorridorsError):
     """Construction parameters outside the valid range (e.g. N < d)."""
 
 
-class UnknownFacet(CorridorsError):
-    """A facet that does not belong to the complex it was queried against."""
-
-
 class DisconnectedGraph(CorridorsError):
     """Distance queries require a connected dual graph."""
 

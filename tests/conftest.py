@@ -11,13 +11,11 @@ from corridors import (
     Complex,
     CorridorSpec,
     CorridorsError,
-    UnknownFacet,
     boundary_corridor,
     complex_core,
-    facet_labels,
     straight_corridor,
 )
-from naive_reference import ref_ridges
+from naive_reference import UnknownFacet, ref_facet_label, ref_ridges
 
 
 def random_facets(rng, max_vertices=12, max_dim=4):
@@ -164,15 +162,14 @@ def facet_index(c, facet):
 
 
 def facet_label(c, facet):
-    """The label facet_labels gives one facet of a boundary corridor c;
+    """The reference label of one facet of a boundary corridor c;
     UnknownFacet if it is not a facet of c."""
     F = tuple(facet)
     try:
         facet_index(c, F)
     except ValueError:
         raise UnknownFacet(f"{F} is not a facet of the complex") from None
-    # a label depends only on the facet, the facet size and the vertex count
-    return facet_labels(Complex(c.dim_facet, c.n_vertices, (F,)))[0]
+    return ref_facet_label(F, c.n_vertices, c.dim_facet)
 
 
 class NotMiddleFacet(CorridorsError):

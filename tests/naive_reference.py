@@ -9,9 +9,9 @@ constructors.
 
 import itertools
 import random
-from collections import deque
+from collections import deque, namedtuple
 
-from corridors import Coloring, Complex, IncompleteColoring
+from corridors import Coloring, Complex, CorridorsError, IncompleteColoring
 
 
 def all_faces(c):
@@ -126,6 +126,45 @@ def ref_boundary_corridor(n, d):
         for r in itertools.combinations(F, d):
             counts[r] = counts.get(r, 0) + 1
     return tuple(sorted(r for r, k in counts.items() if k == 1))
+
+
+class UnknownFacet(CorridorsError):
+    """A facet tuple that is no facet of the complex it was looked up in."""
+
+
+class BoundaryFacetLabel(namedtuple("BoundaryFacetLabel", "kind i j", defaults=(None, None))):
+    """Position of a boundary-corridor facet: alpha, omega or middle(i, j),
+    the facet {i, ..., i+d} minus {i+j}; str gives the label file's line."""
+
+    __slots__ = ()
+
+    def __str__(self):
+        return f"middle {self.i} {self.j}" if self.kind == "middle" else self.kind
+
+
+ALPHA = BoundaryFacetLabel("alpha")
+OMEGA = BoundaryFacetLabel("omega")
+
+
+def ref_facet_label(F, n, d):
+    """The label of the sorted facet tuple F on the boundary of the corridor
+    on n vertices with facet size d, read off its vertices; UnknownFacet if
+    no facet of that boundary is F."""
+    if F == tuple(range(1, d + 1)):
+        return ALPHA
+    if F == tuple(range(n - d + 1, n + 1)):
+        return OMEGA
+    # middle(i, j) runs from i to i + d and misses exactly one vertex between
+    i = F[0]
+    missing = set(range(i, i + d + 1)) - set(F)
+    if len(F) != d or F[-1] != i + d or len(missing) != 1 or not 1 <= i <= n - d:
+        raise UnknownFacet(f"{F} is not a boundary-corridor facet")
+    return BoundaryFacetLabel("middle", i, missing.pop() - i)
+
+
+def ref_facet_labels(c):
+    """ref_facet_label of every facet of c, in c's facet order."""
+    return [ref_facet_label(F, c.n_vertices, c.dim_facet) for F in c.facets]
 
 
 def _ref_draw_index(rng, k):

@@ -15,7 +15,6 @@ from corridors import (
     diameter_exact,
     diameter_lower_bound_boundary,
     dual_graph,
-    facet_labels,
     first_stage_class_cap,
     greedy_window_coloring,
     intersecting_ridge_bound,
@@ -35,6 +34,7 @@ from corridors.complex_core import ridges_of
 from naive_reference import (
     ref_boundary_dense,
     ref_dual_edges,
+    ref_facet_labels,
     ref_is_pseudomanifold,
     ref_ridges,
 )
@@ -79,7 +79,7 @@ def test_criterion_2_boundary_diameter_and_potential():
             if diameter_exact(dual_graph(b)) < math.ceil(diameter_lower_bound_boundary(n, d)):
                 ok = False
                 detail.append(f"diameter below bound at ({n},{d})")
-            labels = facet_labels(b)
+            labels = ref_facet_labels(b)
             g = dual_graph(b)
             for u, nbrs in enumerate(g):
                 if labels[u].kind != "middle":

@@ -7,6 +7,7 @@ from corridors import (
     Complex,
     CorridorSpec,
     DimensionTooSmall,
+    InvalidSpec,
     NotPseudomanifold,
     NotRegular,
     bound_report,
@@ -149,3 +150,10 @@ def test_bound_report_shape():
         "regular_bound_formula",
         "asymptotic_note",
     }
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_bound_report_refuses_a_negative_vertex_count_first(d):
+    # before any formula, so not the dimension check of d = 1 either
+    with pytest.raises(InvalidSpec, match=r"^vertex count must be nonnegative, got -5$"):
+        bound_report(-5, d)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import sys
 
@@ -18,6 +19,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def usage_error(capsys, *argv):
+    """(exit code, last stderr line) of argv that argparse refuses."""
+    with pytest.raises(SystemExit) as exited:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return exited.value.code, captured.err.splitlines()[-1]
 
 
 class TestBuild:
@@ -486,6 +496,15 @@ class TestDiameterCommand:
         )
         assert json.loads(out)["value"] <= 57
 
+    @pytest.mark.parametrize("method", ["ifub", "double-sweep"])
+    def test_pair_excludes_method(self, built, capsys, method):
+        _, sc_path = built
+        code, err = usage_error(
+            capsys, "diameter", "--in", str(sc_path), "--pair", "0", "57", "--method", method,
+        )
+        assert code == 2
+        assert err.endswith("error: argument --method: not allowed with argument --pair")
+
     def test_disconnected_is_parameter_error(self, tmp_path, capsys):
         path = tmp_path / "two.cplx"
         path.write_text("dim 3 vertices 6\n1 2 3\n4 5 6\n")
@@ -499,6 +518,11 @@ class TestBoundsCommand:
         assert code == 0
         report = json.loads(out)
         assert report["hs_upper"] == 25.0
+
+    def test_negative_vertex_count_names_it(self, capsys):
+        code, out, err = run(capsys, "bounds", "--n", "-5", "--dim", "3")
+        assert code == 2 and out == ""
+        assert err.splitlines() == ["error: vertex count must be nonnegative, got -5"]
 
     @pytest.mark.parametrize("n,dim", [(10 ** 200, 3), (10 ** 40, 12)], ids=["d3", "d12"])
     def test_bounds_past_the_float_range(self, capsys, n, dim):
@@ -658,6 +682,49 @@ def test_parser_defaults_are_the_library_constants():
     assert refine_args.max_resamples == DEFAULT_MAX_RESAMPLES
 
 
+# the shared options each command reads; 20 settable values in all
+SHARED_OPTIONS = {
+    "build": {"--quiet"},
+    "color": {"--quiet", "--json", "--seed"},
+    "refine": {"--quiet", "--json", "--seed"},
+    "quotient": {"--quiet", "--json"},
+    "verify": {"--quiet", "--json"},
+    "diameter": {"--quiet", "--json"},
+    "bounds": {"--quiet", "--json"},
+    "pipeline": {"--quiet", "--json", "--seed"},
+    "bench": {"--quiet", "--json"},
+}
+
+
+def test_each_command_takes_only_the_shared_options_it_reads():
+    parser = build_parser()
+    (commands,) = (a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(commands) == set(SHARED_OPTIONS)
+    for name, command in commands.items():
+        options = {opt for action in command._actions for opt in action.option_strings}
+        assert options & {"--quiet", "--json", "--seed"} == SHARED_OPTIONS[name], name
+    assert sum(map(len, SHARED_OPTIONS.values())) == 20
+
+
+BUILD = ["build", "boundary", "--n", "6", "--dim", "3", "--out", "x"]
+UNREAD_OPTIONS = [
+    (BUILD, ["--json"]),
+    (BUILD, ["--seed", "1"]),
+    (["quotient", "--in", "x", "--coloring", "y", "--out", "z"], ["--seed", "1"]),
+    (["verify", "--in", "x"], ["--seed", "1"]),
+    (["diameter", "--in", "x"], ["--seed", "1"]),
+    (["bounds", "--n", "10", "--dim", "3"], ["--seed", "1"]),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,unread", UNREAD_OPTIONS, ids=[f"{a[0]} {u[0]}" for a, u in UNREAD_OPTIONS]
+)
+def test_unread_shared_option_exits_2(capsys, argv, unread):
+    code, err = usage_error(capsys, *argv, *unread)
+    assert code == 2 and err.endswith(f"error: unrecognized arguments: {' '.join(unread)}")
+
+
 class TestBenchCommand:
     def test_small_grid(self, tmp_path, capsys):
         out_path = tmp_path / "bench.json"
@@ -683,6 +750,14 @@ class TestBenchCommand:
         code, out, err = run(capsys, "bench", option, value)
         assert code == 2 and out == ""
         assert err.splitlines() == [f"error: {option} needs integers, got {token!r}"]
+
+    def test_seed_is_read_as_seeds(self, capsys):
+        # bench has no --seed of its own, so argparse takes it for --seeds
+        code, out, _ = run(
+            capsys, "bench", "--dims", "3", "--ns", "20", "--c1s", "13", "--seed", "3", "--json",
+        )
+        assert code == 0
+        assert [row["seed"] for row in json.loads(out)["rows"]] == [3]
 
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_jobs_below_one_exit_2(self, capsys, jobs):

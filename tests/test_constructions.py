@@ -7,12 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corridors import (
-    ALPHA,
-    OMEGA,
-    BoundaryFacetLabel,
     CorridorSpec,
     InvalidSpec,
-    UnknownFacet,
     boundary_corridor,
     diameter_exact,
     diameter_lower_bound_boundary,
@@ -23,7 +19,14 @@ from corridors import (
     straight_corridor,
 )
 from corridors.complex_core import face_columns
-from naive_reference import ref_boundary_corridor
+from naive_reference import (
+    ALPHA,
+    OMEGA,
+    BoundaryFacetLabel,
+    UnknownFacet,
+    ref_boundary_corridor,
+    ref_facet_labels,
+)
 
 
 def sc(n, d):
@@ -125,17 +128,31 @@ class TestFacetLabels:
 
     def test_labels_biject_with_formula_range(self):
         for d, n in [(2, 9), (3, 10), (4, 11)]:
-            b = boundary_corridor(n, d)
-            labels = facet_labels(b)
-            kinds = [lab.kind for lab in labels]
-            assert kinds.count("alpha") == 1
-            assert kinds.count("omega") == 1
+            labels = facet_labels(n, d)
+            assert len(labels) == boundary_corridor(n, d).facet_count
+            assert labels.count("alpha") == 1
+            assert labels.count("omega") == 1
             # the pipeline reads alpha and omega as the first and last facet
-            assert labels[0] == ALPHA and labels[-1] == OMEGA
-            middles = {(lab.i, lab.j) for lab in labels if lab.kind == "middle"}
-            assert middles == {
-                (i, j) for i in range(1, n - d + 1) for j in range(1, d)
+            assert labels[0] == "alpha" and labels[-1] == "omega"
+            assert set(labels[1:-1]) == {
+                f"middle {i} {j}" for i in range(1, n - d + 1) for j in range(1, d)
             }
+
+    def test_labels_are_the_reference_classification(self):
+        # facet_labels reads the construction order, the reference reads
+        # each facet's vertices: 348 boundaries, d = 2..7, i up to 2..59
+        for d in range(2, 8):
+            for n in range(d + 2, d + 60):
+                want = [str(lab) for lab in ref_facet_labels(boundary_corridor(n, d))]
+                assert facet_labels(n, d) == want, (n, d)
+
+    @pytest.mark.parametrize("n,d", [(4, 3), (5, 4), (10, 1), (0, 0), (-3, 2)])
+    def test_labels_refuse_what_the_boundary_refuses(self, n, d):
+        with pytest.raises(InvalidSpec) as built:
+            boundary_corridor(n, d)
+        with pytest.raises(InvalidSpec) as labelled:
+            facet_labels(n, d)
+        assert str(labelled.value) == str(built.value)
 
     def test_str_forms(self):
         assert str(ALPHA) == "alpha"
@@ -160,7 +177,7 @@ class TestScaledPotential:
         for d in range(2, 6):
             for n in range(d + 2, 41):
                 b = boundary_corridor(n, d)
-                labels = facet_labels(b)
+                labels = ref_facet_labels(b)
                 g = dual_graph(b)
                 steps = []
                 for u, nbrs in enumerate(g):
@@ -181,7 +198,7 @@ class TestEndNeighborhoods:
         for d in range(2, 6):
             for n in range(d + 2, 30, 3):
                 b = boundary_corridor(n, d)
-                labels = facet_labels(b)
+                labels = ref_facet_labels(b)
                 g = dual_graph(b)
                 alpha_at = labels.index(ALPHA)
                 got = {str(labels[v]) for v in g[alpha_at]}
@@ -193,7 +210,7 @@ class TestEndNeighborhoods:
         for d in range(2, 6):
             for n in range(d + 2, 30, 3):
                 b = boundary_corridor(n, d)
-                labels = facet_labels(b)
+                labels = ref_facet_labels(b)
                 g = dual_graph(b)
                 omega_at = labels.index(OMEGA)
                 got = {str(labels[v]) for v in g[omega_at]}

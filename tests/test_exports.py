@@ -42,17 +42,30 @@ def test_layer_only_helpers_stay_in_their_modules():
 
 def test_paths_only_tests_read_are_not_in_the_library():
     # the tests keep their own facet lookup, labels, potential, its error
-    # and ridge tuples in conftest
+    # and ridge tuples in conftest, and the classifier of facet tuples into
+    # boundary labels, with its label type and error, in naive_reference
     for owner, name in (
         (corridors.constructions, "facet_label"),
         (corridors.constructions, "scaled_potential"),
+        (corridors.constructions, "BoundaryFacetLabel"),
+        (corridors.constructions, "ALPHA"),
+        (corridors.constructions, "OMEGA"),
+        (corridors.constructions, "_classify"),
         (corridors.errors, "NotMiddleFacet"),
+        (corridors.errors, "UnknownFacet"),
         (corridors.Complex, "facet_index"),
         (corridors.complex_core.Incidence, "ridges"),
         (corridors.complex_core.Incidence, "ridge"),
     ):
         assert not hasattr(owner, name), name
-    for name in ("scaled_potential", "NotMiddleFacet"):
+    for name in (
+        "scaled_potential",
+        "NotMiddleFacet",
+        "BoundaryFacetLabel",
+        "ALPHA",
+        "OMEGA",
+        "UnknownFacet",
+    ):
         assert name not in corridors.__all__
 
 
