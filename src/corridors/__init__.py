@@ -1,17 +1,15 @@
 """Corridor complexes, window colorings, and diameter-preserving quotients.
 
-The package exports what the CLI and the pipeline call, together with the
-types, file formats and errors those calls take, return or raise.  Helpers
-that only a layer itself or the tests use, such as `complex_core.face_columns`,
-`complex_core.ridges_of` (stages read `Complex.incidence`) and
-`bounds.regular_graph_diameter_bound`, stay in their modules; what only the
-tests read, such as a classifier of arbitrary facet tuples into boundary
-labels, lives in the tests.
+The package exports the runs (`run_pipeline`, `run_bench`, `strip_volatile`),
+what `run_pipeline` calls in the layers, the records and file formats the
+stages take or make, and the errors those raise.  Everything else stays in
+its module, where the CLI and the tests import it: helpers only a command
+calls, such as `bounds.bound_report` and `complex_core.is_strongly_connected`,
+and helpers only a layer uses, such as `complex_core.ridges_of` (stages read
+`Complex.incidence`).  What only the tests read lives in the tests.
 """
 
 from .bounds import (
-    E,
-    bound_report,
     check_regular_graph_bound,
     hpm_lower,
     hpm_upper,
@@ -29,7 +27,6 @@ from .coloring import (
     intersecting_ridge_bound,
     lll_target_colors,
     moser_tardos_refine,
-    pattern_class_histogram,
     read_coloring,
     verify_proper,
     verify_unique_ridge_patterns,
@@ -40,10 +37,8 @@ from .complex_core import (
     complex_from_text,
     complex_to_text,
     diameter_exact,
-    double_sweep_lower_bound,
     dual_graph,
     is_pseudomanifold,
-    is_strongly_connected,
     pair_distance,
     read_complex,
     write_complex,
@@ -52,7 +47,6 @@ from .constructions import (
     CorridorSpec,
     boundary_corridor,
     diameter_lower_bound_boundary,
-    facet_labels,
     straight_corridor,
 )
 from .errors import (
@@ -73,13 +67,10 @@ from .pipeline import run_bench, run_pipeline, strip_volatile
 from .quotient import (
     QuotientResult,
     pattern_complex,
-    quotient_report,
     verify_boundary_preservation,
 )
 
 __all__ = [
-    "E",
-    "bound_report",
     "check_regular_graph_bound",
     "hpm_lower",
     "hpm_upper",
@@ -95,7 +86,6 @@ __all__ = [
     "intersecting_ridge_bound",
     "lll_target_colors",
     "moser_tardos_refine",
-    "pattern_class_histogram",
     "read_coloring",
     "verify_proper",
     "verify_unique_ridge_patterns",
@@ -104,17 +94,14 @@ __all__ = [
     "complex_from_text",
     "complex_to_text",
     "diameter_exact",
-    "double_sweep_lower_bound",
     "dual_graph",
     "is_pseudomanifold",
-    "is_strongly_connected",
     "pair_distance",
     "read_complex",
     "write_complex",
     "CorridorSpec",
     "boundary_corridor",
     "diameter_lower_bound_boundary",
-    "facet_labels",
     "straight_corridor",
     "CorridorsError",
     "DimensionTooSmall",
@@ -133,6 +120,5 @@ __all__ = [
     "strip_volatile",
     "QuotientResult",
     "pattern_complex",
-    "quotient_report",
     "verify_boundary_preservation",
 ]

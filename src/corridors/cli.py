@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import partial
 from pathlib import Path
@@ -68,9 +69,15 @@ def _write_json(payload, path):
 def _write_all(writes):
     """Call each (path, write) pair's write(path) in order.
 
-    If one raises, the files the earlier ones wrote are removed before the
-    error propagates, so the command leaves either every file or none.
+    Two paths that resolve to one file are refused before anything is
+    written, since the later write would replace the earlier output.  If
+    one write raises, the files the earlier ones wrote are removed before
+    the error propagates, so the command leaves either every file or none.
     """
+    # realpath, unlike Path.resolve before 3.13, leaves a symlink loop to
+    # the write, whose OSError is a parameter error
+    if len({os.path.realpath(path) for path, _ in writes}) < len(writes):
+        raise InvalidSpec("two outputs name one file: " + ", ".join(p for p, _ in writes))
     written = []
     try:
         for path, write in writes:
@@ -83,13 +90,16 @@ def _write_all(writes):
 
 
 def _int_list(option, text):
-    """Comma-separated integers of a list option; a bad token names both."""
+    """Comma-separated integers of a list option, at least one; a bad token
+    names both."""
     values = []
     for tok in filter(None, text.split(",")):
         try:
             values.append(int(tok))
         except ValueError:
             raise InvalidSpec(f"{option} needs integers, got {tok!r}") from None
+    if not values:
+        raise InvalidSpec(f"{option} needs at least one integer")
     return values
 
 

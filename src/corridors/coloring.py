@@ -446,16 +446,14 @@ def _require_refinable(inc: Incidence, columns, index, f: Coloring, S):
     pairs = sorted(
         chain.from_iterable(map(add, map(mul, col, repeat(shift)), codes) for col in columns)
     )
-    if any(map(eq, islice(pairs, 1, None), pairs)):
-        # name the first clash, scanning vertices as the ridge order meets
-        # them and each vertex's ridges in ascending order
-        for v in dict.fromkeys(chain.from_iterable(zip(*columns))):
-            for a, b in combinations(sorted(_ridges_through(index, v)), 2):
-                if codes[a] == codes[b]:
-                    first, second = zip(*inc.columns((a, b)))
-                    raise PreconditionViolated(
-                        f"intersecting ridges {first} and {second} share a pattern"
-                    )
+    clash = next(compress(range(1, len(pairs)), map(eq, islice(pairs, 1, None), pairs)), None)
+    if clash is not None:
+        # the smallest repeated key names the clash at the smallest vertex,
+        # then the smallest class, by its two smallest ridges
+        v, code = divmod(pairs[clash], shift)
+        a, b = sorted(rid for rid in _ridges_through(index, v) if codes[rid] == code)[:2]
+        first, second = zip(*inc.columns((a, b)))
+        raise PreconditionViolated(f"intersecting ridges {first} and {second} share a pattern")
     worst = max(Counter(codes).values(), default=0)
     if worst > S:
         raise PreconditionViolated(f"a ridge class has size {worst} > S = {S}")
@@ -506,7 +504,8 @@ def moser_tardos_refine(
     color of their 2(d-1) vertices in ascending vertex order.  Returns the
     flattened product coloring on f.c * c2 colors and the resample count;
     raises ResampleCapExceeded after max_resamples rounds, so a c2 below
-    lll_target_colors's is allowed.
+    lll_target_colors's is allowed, and at once when c2 = 1 leaves a
+    collision, which no redraw can change.
     """
     _require_refine_params(S, c2, max_resamples)
     _require_total(c, f)
@@ -541,6 +540,9 @@ def moser_tardos_refine(
             crowds.setdefault(keys[rid], []).append(rid)
         for key, crowd in crowds.items():
             crowd.append(alone.pop(key))
+    if c2 == 1 and crowds:
+        # with one refinement color a redraw changes no vertex's color
+        raise ResampleCapExceeded(len(crowds), 0)
     # the smallest colliding pattern is the smallest heap entry still in
     # crowds; stale entries are dropped when they reach the top
     heap = list(crowds)

@@ -515,10 +515,12 @@ def _bfs(adj, src):
     return dist, order
 
 
-def _require_connected(adj):
+def _require_connected(adj, src=0):
+    """BFS distances from src; DisconnectedGraph on a graph without nodes or
+    with a node src does not reach."""
     if not adj:
         raise DisconnectedGraph("graph has no nodes")
-    dist, _ = _bfs(adj, 0)
+    dist, _ = _bfs(adj, src)
     if min(dist) < 0:
         raise DisconnectedGraph("graph is not connected")
     return dist
@@ -589,14 +591,9 @@ def pair_distance(adj, u: int, v: int) -> int:
     Raises DisconnectedGraph on a graph without nodes, as diameter_exact
     does, and ValueError on a node out of range.
     """
-    if not adj:
-        raise DisconnectedGraph("graph has no nodes")
-    if not (0 <= u < len(adj) and 0 <= v < len(adj)):
+    if adj and not (0 <= u < len(adj) and 0 <= v < len(adj)):
         raise ValueError(f"nodes {u}, {v} out of range 0..{len(adj) - 1}")
-    dist, _ = _bfs(adj, u)
-    if min(dist) < 0:
-        raise DisconnectedGraph("graph is not connected")
-    return dist[v]
+    return _require_connected(adj, u)[v]
 
 
 def double_sweep_lower_bound(adj) -> int:

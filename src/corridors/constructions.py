@@ -17,16 +17,23 @@ from .complex_core import Complex
 from .errors import InvalidSpec
 
 
+def _require_spec(n: int, d: int, fewest: int) -> None:
+    """InvalidSpec unless the facet size d is at least 2 and the vertex
+    count n at least fewest: d for a corridor, d + 2 for its boundary, so
+    that middle facets exist."""
+    if d < 2:
+        raise InvalidSpec(f"facet size must be at least 2, got {d}")
+    if n < fewest:
+        raise InvalidSpec(f"need at least {fewest} vertices, got {n}")
+
+
 class CorridorSpec:
     """Vertex count and facet size of a straight corridor."""
 
     __slots__ = ("n_vertices", "dim_facet")
 
     def __init__(self, n_vertices: int, dim_facet: int):
-        if dim_facet < 2:
-            raise InvalidSpec(f"facet size must be at least 2, got {dim_facet}")
-        if n_vertices < dim_facet:
-            raise InvalidSpec(f"need at least {dim_facet} vertices, got {n_vertices}")
+        _require_spec(n_vertices, dim_facet, dim_facet)
         self.n_vertices, self.dim_facet = n_vertices, dim_facet
 
 
@@ -51,7 +58,7 @@ def boundary_corridor(n_vertices: int, dim_facet: int) -> Complex:
     so column k repeats a block of d-1 offsets from i over the runs of i.
     """
     n, d = n_vertices, dim_facet
-    _require_boundary_spec(n, d)
+    _require_spec(n, d, d + 2)
     starts = array("q", chain.from_iterable(map(repeat, range(1, n - d + 1), repeat(d - 1))))
     columns = []
     for k in range(d):
@@ -66,18 +73,9 @@ def facet_labels(n_vertices: int, dim_facet: int) -> list[str]:
     facet order: "alpha", then "middle i j" by i ascending and, for one i,
     by j descending, then "omega"."""
     n, d = n_vertices, dim_facet
-    _require_boundary_spec(n, d)
+    _require_spec(n, d, d + 2)
     js = range(d - 1, 0, -1)
     return ["alpha", *[f"middle {i} {j}" for i in range(1, n - d + 1) for j in js], "omega"]
-
-
-def _require_boundary_spec(n: int, d: int) -> None:
-    """InvalidSpec unless the boundary corridor on n vertices with facet
-    size d has middle facets: d >= 2 and n >= d + 2."""
-    if d < 2:
-        raise InvalidSpec(f"facet size must be at least 2, got {d}")
-    if n < d + 2:
-        raise InvalidSpec(f"need at least {d + 2} vertices, got {n}")
 
 
 def diameter_lower_bound_boundary(n_vertices: int, dim_facet: int) -> Fraction:

@@ -21,7 +21,6 @@ from corridors import (
     is_pseudomanifold,
     lll_target_colors,
     moser_tardos_refine,
-    pattern_class_histogram,
     pattern_complex,
     pm_fvector_check,
     run_pipeline,
@@ -30,6 +29,7 @@ from corridors import (
     verify_boundary_preservation,
     verify_unique_ridge_patterns,
 )
+from corridors.coloring import pattern_class_histogram
 from corridors.complex_core import ridges_of
 from naive_reference import (
     ref_boundary_dense,

@@ -10,7 +10,6 @@ from corridors import (
     InvalidSpec,
     NotPseudomanifold,
     NotRegular,
-    bound_report,
     boundary_corridor,
     check_regular_graph_bound,
     diameter_exact,
@@ -23,7 +22,7 @@ from corridors import (
     straight_corridor,
 )
 from corridors.complex_core import ridges_of
-from corridors.bounds import regular_graph_diameter_bound
+from corridors.bounds import bound_report, regular_graph_diameter_bound
 from conftest import graph_from_edges
 
 TRIANGLE = Complex(2, 3, ((1, 2), (1, 3), (2, 3)))

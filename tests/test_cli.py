@@ -1,6 +1,7 @@
 import argparse
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -454,6 +455,37 @@ class TestNoOutputOnError:
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("report", ["q.cplx", "./q.cplx"])
+    def test_quotient_out_and_report_naming_one_file(
+        self, tmp_path, capsys, monkeypatch, report
+    ):
+        # the report would replace the quotient, so neither is written
+        monkeypatch.chdir(tmp_path)
+        Path("sc.cplx").write_text("dim 3 vertices 5\n1 2 3\n2 3 4\n3 4 5\n")
+        Path("f.coloring").write_text("colors 5\n1 1\n2 2\n3 3\n4 4\n5 5\n")
+        code, stdout, err = run(
+            capsys, "quotient", "--in", "sc.cplx", "--coloring", "f.coloring",
+            "--out", "q.cplx", "--report", report,
+        )
+        assert code == 2 and stdout == ""
+        assert err.splitlines() == [f"error: two outputs name one file: q.cplx, {report}"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["f.coloring", "sc.cplx"]
+
+    def test_quotient_out_on_a_symlink_loop(self, tmp_path, capsys, monkeypatch):
+        # the duplicate check must leave the loop to the write's OSError
+        monkeypatch.chdir(tmp_path)
+        Path("a").symlink_to("b")
+        Path("b").symlink_to("a")
+        Path("sc.cplx").write_text("dim 3 vertices 5\n1 2 3\n2 3 4\n3 4 5\n")
+        Path("f.coloring").write_text("colors 5\n1 1\n2 2\n3 3\n4 4\n5 5\n")
+        code, stdout, err = run(
+            capsys, "quotient", "--in", "sc.cplx", "--coloring", "f.coloring",
+            "--out", "a", "--report", "q.json",
+        )
+        assert code == 2 and stdout == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert not Path("q.json").exists()
+
     def test_labels_path_blocked_by_a_directory(self, tmp_path, capsys):
         # the complex is written first; the failed labels write removes it
         out = tmp_path / "b.cplx"
@@ -750,6 +782,16 @@ class TestBenchCommand:
         code, out, err = run(capsys, "bench", option, value)
         assert code == 2 and out == ""
         assert err.splitlines() == [f"error: {option} needs integers, got {token!r}"]
+
+    @pytest.mark.parametrize(
+        "option,value",
+        [("--seeds", ""), ("--dims", ","), ("--ns", ""), ("--c1s", ",,")],
+    )
+    def test_empty_list_exit_2(self, capsys, option, value):
+        # a grid without cells is refused, not run as an empty table
+        code, out, err = run(capsys, "bench", option, value)
+        assert code == 2 and out == ""
+        assert err.splitlines() == [f"error: {option} needs at least one integer"]
 
     def test_seed_is_read_as_seeds(self, capsys):
         # bench has no --seed of its own, so argparse takes it for --seeds

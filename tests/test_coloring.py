@@ -14,7 +14,6 @@ from corridors import (
     Coloring,
     Complex,
     CorridorSpec,
-    E,
     IncompleteColoring,
     InvalidSpec,
     NoLegalColor,
@@ -27,7 +26,6 @@ from corridors import (
     intersecting_ridge_bound,
     lll_target_colors,
     moser_tardos_refine,
-    pattern_class_histogram,
     read_coloring,
     straight_corridor,
     verify_proper,
@@ -35,11 +33,13 @@ from corridors import (
     write_coloring,
 )
 from corridors import coloring
+from corridors.bounds import E
 from corridors.coloring import (
     _require_greedy_params,
     _ridges_by_vertex,
     _ridges_through,
     class_sizes,
+    pattern_class_histogram,
     pattern_codes,
 )
 from corridors.complex_core import face_columns, ridges_of
@@ -540,6 +540,17 @@ class TestMoserTardosRefine:
             moser_tardos_refine(sc(6, 3), Coloring(colors, 4), 9, 4, 0)
         assert str(info.value) == message
 
+    def test_clash_named_at_the_smallest_vertex_then_class(self):
+        # the ridge order meets vertex 5, which clashes in class {1, 2},
+        # before vertex 2, which clashes in classes {4, 6} and {4, 5}: the
+        # smallest vertex and class win, with their two smallest ridges
+        c = Complex(3, 10, ((1, 5, 6), (2, 3, 4), (2, 9, 10), (5, 7, 8)))
+        f = Coloring((1, 4, 6, 5, 2, 3, 1, 3, 6, 5), 6)
+        assert verify_proper(c, f)
+        with pytest.raises(PreconditionViolated) as info:
+            moser_tardos_refine(c, f, 9, 4, 0)
+        assert str(info.value) == "intersecting ridges (2, 4) and (2, 10) share a pattern"
+
     def test_oversized_class_message(self):
         with pytest.raises(PreconditionViolated) as info:
             moser_tardos_refine(sc(8, 3), identity_coloring(8), 0, 4, 0)
@@ -562,7 +573,8 @@ class TestMoserTardosRefine:
         if expected is None:
             with pytest.raises(ResampleCapExceeded) as info:
                 moser_tardos_refine(c, f, s, c2, seed + 1, max_resamples=200)
-            assert info.value.resamples == 200
+            # one refinement color can resolve nothing, so it fails at once
+            assert info.value.resamples == (0 if c2 == 1 else 200)
             return
         result = moser_tardos_refine(c, f, s, c2, seed + 1, max_resamples=200)
         g = refinement_colors(result.coloring, c2)

@@ -15,10 +15,8 @@ from corridors import (
     complex_from_text,
     complex_to_text,
     diameter_exact,
-    double_sweep_lower_bound,
     dual_graph,
     is_pseudomanifold,
-    is_strongly_connected,
     pair_distance,
     read_complex,
     straight_corridor,
@@ -29,7 +27,9 @@ from corridors.complex_core import (
     _columns_valid,
     _encode_columns,
     _store_codes,
+    double_sweep_lower_bound,
     face_columns,
+    is_strongly_connected,
     ridges_of,
 )
 from conftest import (
@@ -498,6 +498,22 @@ class TestDiameter:
         for query in (diameter_exact, double_sweep_lower_bound, lambda g: pair_distance(g, 0, 0)):
             with pytest.raises(DisconnectedGraph, match=r"^graph has no nodes$"):
                 query(())
+
+    @pytest.mark.parametrize(
+        "u,v,error,message",
+        [
+            (0, 2, ValueError, "nodes 0, 2 out of range 0..1"),
+            (-1, 0, ValueError, "nodes -1, 0 out of range 0..1"),
+            (0, 1, DisconnectedGraph, "graph is not connected"),
+            (1, 1, DisconnectedGraph, "graph is not connected"),
+        ],
+    )
+    def test_pair_distance_messages(self, u, v, error, message):
+        # test_no_nodes_raises pins the graph without nodes; a disconnected
+        # graph is refused even for a node's distance to itself
+        with pytest.raises(error) as info:
+            pair_distance(dual_graph(TWO_PIECES), u, v)
+        assert str(info.value) == message
 
     def test_single_node(self):
         g = graph_from_edges(1, [])

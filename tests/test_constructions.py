@@ -13,12 +13,12 @@ from corridors import (
     diameter_exact,
     diameter_lower_bound_boundary,
     dual_graph,
-    facet_labels,
     is_pseudomanifold,
     pair_distance,
     straight_corridor,
 )
 from corridors.complex_core import face_columns
+from corridors.constructions import facet_labels
 from naive_reference import (
     ALPHA,
     OMEGA,

@@ -17,7 +17,7 @@ from corridors import (
     run_pipeline,
     strip_volatile,
 )
-from conftest import record_calls
+from conftest import record_calls, time_limit
 
 
 @pytest.mark.parametrize("mode", ["simplicial", "pseudomanifold"])
@@ -254,6 +254,12 @@ class TestExhaustion:
     def test_resample_cap_propagates(self):
         with pytest.raises(ResampleCapExceeded):
             run_pipeline("simplicial", 3, 200, 13, 0.2, 0, c2=2, max_resamples=1)
+
+    def test_one_refinement_color_fails_at_once(self):
+        # no redraw can resolve a collision, so none of the 10^6 is tried
+        with time_limit(1), pytest.raises(ResampleCapExceeded) as info:
+            run_pipeline("simplicial", 3, 40, 13, 0.2, 0, c2=1)
+        assert info.value.resamples == 0 and info.value.violating > 0
 
     def test_resample_cap_carries_its_state(self):
         with pytest.raises(ResampleCapExceeded) as info:

@@ -25,14 +25,14 @@ from corridors import (
     is_pseudomanifold,
     lll_target_colors,
     moser_tardos_refine,
-    pattern_class_histogram,
     pattern_complex,
-    quotient_report,
     straight_corridor,
     verify_boundary_preservation,
     verify_unique_ridge_patterns,
 )
+from corridors.coloring import pattern_class_histogram
 from corridors.complex_core import ridges_of
+from corridors.quotient import quotient_report
 from naive_reference import (
     ref_boundary_preserved,
     ref_first_pattern_collision,
