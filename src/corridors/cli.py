@@ -21,13 +21,14 @@ from .coloring import (
     DEFAULT_MAX_RESAMPLES,
     _require_greedy_params,
     _require_refine_params,
+    _require_total,
+    class_sizes,
     default_window,
     first_stage_class_cap,
     greedy_window_coloring,
     intersecting_ridge_bound,
     lll_target_colors,
     moser_tardos_refine,
-    pattern_class_histogram,
     read_coloring,
     verify_proper,
     verify_unique_ridge_patterns,
@@ -37,6 +38,7 @@ from .complex_core import (
     diameter_exact,
     double_sweep_lower_bound,
     dual_graph,
+    face_columns,
     is_pseudomanifold,
     is_strongly_connected,
     pair_distance,
@@ -66,18 +68,25 @@ def _write_json(payload, path):
     _write_text(json.dumps(payload, indent=2) + "\n", path)
 
 
-def _write_all(writes):
-    """Call each (path, write) pair's write(path) in order.
+def _require_distinct(paths):
+    """InvalidSpec if two output paths resolve to one file, since the later
+    write would replace the earlier output.
 
-    Two paths that resolve to one file are refused before anything is
-    written, since the later write would replace the earlier output.  If
-    one write raises, the files the earlier ones wrote are removed before
-    the error propagates, so the command leaves either every file or none.
+    A command with two outputs calls this before it reads or builds
+    anything, so the refusal costs no work.
     """
     # realpath, unlike Path.resolve before 3.13, leaves a symlink loop to
     # the write, whose OSError is a parameter error
-    if len({os.path.realpath(path) for path, _ in writes}) < len(writes):
-        raise InvalidSpec("two outputs name one file: " + ", ".join(p for p, _ in writes))
+    if len(set(map(os.path.realpath, paths))) < len(paths):
+        raise InvalidSpec("two outputs name one file: " + ", ".join(paths))
+
+
+def _write_all(writes):
+    """Call each (path, write) pair's write(path) in order.
+
+    If one write raises, the files the earlier ones wrote are removed before
+    the error propagates, so the command leaves either every file or none.
+    """
     written = []
     try:
         for path, write in writes:
@@ -104,9 +113,11 @@ def _int_list(option, text):
 
 
 def cmd_build(args):
-    if args.kind == "corridor":
-        if args.labels:
+    if args.labels:
+        if args.kind == "corridor":
             raise InvalidSpec("--labels applies only to boundary complexes")
+        _require_distinct([args.out, args.out + ".labels"])
+    if args.kind == "corridor":
         c = straight_corridor(CorridorSpec(args.n, args.dim))
     else:
         c = boundary_corridor(args.n, args.dim)
@@ -126,16 +137,16 @@ def cmd_color(args):
     _require_greedy_params(args.c1, window)
     _require_epsilon(args.epsilon)
     f = greedy_window_coloring(c, args.c1, args.seed, window)
-    hist = pattern_class_histogram(c, f, args.codim)
+    sizes = class_sizes(f.colors, f.c, face_columns(c, args.codim))
     stats = {
         "c1": args.c1,
         "epsilon": args.epsilon,
         "seed": args.seed,
         "window": window,
         "codim": args.codim,
-        "face_count": hist.face_count,
-        "class_count": hist.class_count,
-        "max_class_size": hist.max_class_size,
+        "face_count": sum(sizes.values()),
+        "class_count": len(sizes),
+        "max_class_size": max(sizes.values(), default=0),
         "class_cap": first_stage_class_cap(
             c.n_vertices, c.dim_facet, args.c1, args.codim, args.epsilon
         ),
@@ -153,7 +164,9 @@ def cmd_refine(args):
     if args.class_cap is not None:
         s = args.class_cap
     else:
-        s = pattern_class_histogram(c, f, 1).max_class_size
+        # a short coloring would index past its colors in class_sizes
+        _require_total(c, f)
+        s = max(class_sizes(f.colors, f.c, face_columns(c, 1)).values(), default=0)
     _require_refine_params(s, args.c2, args.max_resamples)
     c2 = args.c2 if args.c2 is not None else lll_target_colors(t, s, c.dim_facet)
     result = moser_tardos_refine(c, f, s, c2, args.seed, args.max_resamples)
@@ -175,6 +188,8 @@ def cmd_refine(args):
 
 
 def cmd_quotient(args):
+    if args.report:
+        _require_distinct([args.out, args.report])
     c = read_complex(args.infile)
     f = read_coloring(args.coloring)
     q = pattern_complex(c, f)
@@ -290,7 +305,6 @@ def cmd_bench(args):
         _int_list("--c1s", args.c1s),
         _int_list("--seeds", args.seeds),
         epsilon=args.epsilon,
-        jobs=args.jobs,
     )
     if args.out:
         _write_json(table, args.out)
@@ -402,7 +416,6 @@ def build_parser():
     p.add_argument("--c1s", default="13")
     p.add_argument("--seeds", default="0")
     p.add_argument("--epsilon", type=float, default=0.2)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_bench)
 

@@ -9,10 +9,10 @@ reportable error instead of a hang; it returns the product coloring, from
 which the refinement color of each vertex is read back.
 first_stage_class_cap is the one source of stage one's class-size cap,
 (1+eps) N C(d-1,k) / C(c1,d-k), and the only reader of the slack eps;
-pattern_class_histogram only counts the classes it is held against.  The
-faces of every codimension come from complex_core.face_columns, the one
-packed-code enumeration that also yields the ridges; the pipeline counts
-stage one's classes over its target's ridges in both modes.  Every ridge
+class_sizes only counts the classes it is held against, over the faces of
+any codimension that complex_core.face_columns gives, the one packed-code
+enumeration that also yields the ridges; the pipeline counts stage one's
+classes over its target's ridges in both modes.  Every ridge
 this module reads, all of them or the few a resample touches, is decoded
 by the incidence's own Incidence.columns, so no code here knows how
 ridges are stored.
@@ -63,7 +63,6 @@ from .complex_core import (
     _encode_columns,
     _header_ints,
     _scanned_fields,
-    face_columns,
 )
 from .errors import (
     IncompleteColoring,
@@ -314,31 +313,6 @@ def class_sizes(colors, n_colors: int, columns) -> Counter:
     for column in rest:
         keys = map(add, keys, _gather(of_vertex, column))
     return Counter(keys)
-
-
-class PatternHistogram(
-    namedtuple("PatternHistogram", ("max_class_size", "class_count", "face_count"))
-):
-    """Pattern-class statistics of one coloring over all codim-k faces.
-
-    class_count is the number of distinct patterns and max_class_size the
-    size of the largest class.  The classes themselves are not kept:
-    pattern_codes names a face's pattern.  The stage-one cap these sizes
-    are held to is first_stage_class_cap's.
-    """
-
-    __slots__ = ()
-
-
-def pattern_class_histogram(c: Complex, f: Coloring, codim: int = 1) -> PatternHistogram:
-    """Exact pattern-class statistics over all codimension-k faces."""
-    _require_total(c, f)
-    sizes = class_sizes(f.colors, f.c, face_columns(c, codim))
-    return PatternHistogram(
-        max_class_size=max(sizes.values(), default=0),
-        class_count=len(sizes),
-        face_count=sum(sizes.values()),
-    )
 
 
 def intersecting_ridge_bound(shape: str, dim_facet: int) -> int:

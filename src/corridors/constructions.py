@@ -8,6 +8,7 @@ form of diameter_lower_bound_boundary.
 
 from __future__ import annotations
 
+import sys
 from array import array
 from fractions import Fraction
 from itertools import chain, cycle, repeat
@@ -20,11 +21,15 @@ from .errors import InvalidSpec
 def _require_spec(n: int, d: int, fewest: int) -> None:
     """InvalidSpec unless the facet size d is at least 2 and the vertex
     count n at least fewest: d for a corridor, d + 2 for its boundary, so
-    that middle facets exist."""
+    that middle facets exist.  n must also be below 2**63, the bound on
+    every Complex vertex: past it, an array('q') column would exhaust memory
+    before a vertex overflowed."""
     if d < 2:
         raise InvalidSpec(f"facet size must be at least 2, got {d}")
     if n < fewest:
         raise InvalidSpec(f"need at least {fewest} vertices, got {n}")
+    if n > sys.maxsize:
+        raise InvalidSpec(f"vertex count must be below 2**63, got {n}")
 
 
 class CorridorSpec:

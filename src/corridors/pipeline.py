@@ -298,8 +298,7 @@ def strip_volatile(report: dict) -> dict:
     return {k: v for k, v in report.items() if k != "timing"}
 
 
-def _bench_cell(cell) -> dict:
-    index, mode, d, n, c1, seed, epsilon, kwargs = cell
+def _bench_cell(index, mode, d, n, c1, seed, epsilon, kwargs) -> dict:
     entry = {
         "cell": index,
         "mode": mode,
@@ -334,35 +333,23 @@ def run_bench(
     c1s,
     seeds,
     epsilon: float = 0.2,
-    jobs: int = 1,
     **pipeline_kwargs,
 ) -> dict:
     """Grid of pipeline runs with per-cell status and per-parameter aggregates.
 
     Every grid point (d, n, c1), a value a list repeats included, has one
-    cell per seed and one aggregate over those cells.  Cells own
-    independent seeds (the grid enumerates them explicitly), so any
-    execution order, including the parallel one, yields the same table.  At
-    most `jobs` worker processes run, and never more than there are cells.
-    A `jobs` below one or an epsilon that is not finite and positive raises
-    InvalidSpec before any cell runs.
+    cell per seed and one aggregate over those cells.  The cells run in
+    order in the calling process; each owns its seed (the grid enumerates
+    them explicitly), so no cell's row depends on another's.  An epsilon
+    that is not finite and positive raises InvalidSpec before any cell
+    runs.
     """
-    if jobs < 1:
-        raise InvalidSpec(f"need at least one job, got {jobs}")
     _require_epsilon(epsilon)
     points = list(product(dims, ns, c1s))
-    cells = [
-        (index, mode, d, n, c1, seed, epsilon, pipeline_kwargs)
+    rows = [
+        _bench_cell(index, mode, d, n, c1, seed, epsilon, pipeline_kwargs)
         for index, ((d, n, c1), seed) in enumerate(product(points, seeds))
     ]
-    if jobs > 1 and len(cells) > 1:
-        # imported here so that a serial run never loads multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=min(jobs, len(cells))) as pool:
-            rows = list(pool.map(_bench_cell, cells))
-    else:
-        rows = [_bench_cell(cell) for cell in cells]
 
     # the cells of grid point k are the k-th run of len(seeds) rows
     aggregates = []

@@ -1,5 +1,6 @@
 import contextlib
 import random
+import resource
 import signal
 import sys
 from operator import indexOf
@@ -15,6 +16,7 @@ from corridors import (
     complex_core,
     straight_corridor,
 )
+from corridors.coloring import class_sizes
 from naive_reference import UnknownFacet, ref_facet_label, ref_ridges
 
 
@@ -66,6 +68,11 @@ def spread_facets(facets, n, big, rng):
 def identity_coloring(n):
     """Vertex v gets color v: proper on every complex, with no collision."""
     return Coloring(tuple(range(1, n + 1)), n)
+
+
+def face_classes(c, f, codim):
+    """class_sizes of coloring f over the codim-k faces of c."""
+    return class_sizes(f.colors, f.c, complex_core.face_columns(c, codim))
 
 
 def graph_from_edges(n_nodes, edges):
@@ -247,6 +254,25 @@ def time_limit(seconds):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@contextlib.contextmanager
+def address_space_cap(extra=2**30):
+    """Cap this process's address space at its present size plus `extra`
+    bytes for the block (the soft RLIMIT_AS, restored after), so that a
+    runaway allocation raises MemoryError instead of filling the machine.
+    """
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    with open("/proc/self/statm") as statm:
+        size = int(statm.read().split()[0]) * resource.getpagesize()
+    cap = size + extra
+    if soft != resource.RLIM_INFINITY:
+        cap = min(cap, soft)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
 
 
 def column_weights(dense):

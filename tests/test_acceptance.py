@@ -7,7 +7,7 @@ calibration.
 
 import math
 
-from conftest import incidence_dense, incidence_rows, scaled_potential
+from conftest import face_classes, incidence_dense, incidence_rows, scaled_potential
 from corridors import (
     CorridorSpec,
     boundary_corridor,
@@ -29,7 +29,6 @@ from corridors import (
     verify_boundary_preservation,
     verify_unique_ridge_patterns,
 )
-from corridors.coloring import pattern_class_histogram
 from corridors.complex_core import ridges_of
 from naive_reference import (
     ref_boundary_dense,
@@ -54,7 +53,7 @@ def sc(n, d):
 def staged_run(target, c1, shape, seed, window=None):
     """Greedy -> refine (observed class cap) -> quotient, on one complex."""
     f = greedy_window_coloring(target, c1, seed, window)
-    s = pattern_class_histogram(target, f, 1).max_class_size
+    s = max(face_classes(target, f, 1).values())
     t = intersecting_ridge_bound(shape, target.dim_facet)
     c2 = lll_target_colors(t, s, target.dim_facet)
     refined = moser_tardos_refine(target, f, s, c2, seed)
@@ -117,10 +116,10 @@ def test_criterion_4_pattern_concentration():
     means = []
     for seed in range(20):
         f = greedy_window_coloring(target, c1, seed)
-        hist = pattern_class_histogram(target, f, 1)
-        maxima.append(hist.max_class_size)
-        means.append(hist.face_count / hist.class_count)
-        if hist.max_class_size <= cap:
+        sizes = face_classes(target, f, 1)
+        maxima.append(max(sizes.values()))
+        means.append(sum(sizes.values()) / len(sizes))
+        if maxima[-1] <= cap:
             hits += 1
     detail = (
         f"{hits}/20 seeds within cap {cap}; "
@@ -138,7 +137,7 @@ def test_criterion_5_lll_refinement():
     resamples = []
     for seed in range(20):
         f = greedy_window_coloring(target, c1, seed)
-        s = pattern_class_histogram(target, f, 1).max_class_size
+        s = max(face_classes(target, f, 1).values())
         c2 = lll_target_colors(t, s, d)
         result = moser_tardos_refine(target, f, s, c2, seed, max_resamples=10 ** 6)
         resamples.append(result.resamples)
@@ -167,7 +166,7 @@ def test_criterion_7_pseudomanifold_pipeline():
     carrier = sc(n, d + 1)
     target = boundary_corridor(n, d)
     f = greedy_window_coloring(carrier, c1, 0)
-    s = pattern_class_histogram(carrier, f, 2).max_class_size
+    s = max(face_classes(carrier, f, 2).values())
     t = intersecting_ridge_bound("boundary", d)
     c2 = lll_target_colors(t, s, d)
     refined = moser_tardos_refine(target, f, s, c2, 0)

@@ -9,7 +9,7 @@ from corridors import pipeline, read_coloring, read_complex
 from corridors.bounds import E
 from corridors.cli import build_parser, main
 from corridors.pipeline import DEFAULT_MAX_RESAMPLES, DEFAULT_RETRIES
-from conftest import time_limit
+from conftest import address_space_cap, time_limit
 
 # c1 values the free color list cannot index; a c1 that fits in sys.maxsize
 # but not in memory is never run, since the list would be allocated
@@ -65,6 +65,18 @@ class TestBuild:
             "--out", str(tmp_path / "x"),
         )
         assert code == 2
+
+    @pytest.mark.parametrize("kind", ["corridor", "boundary"])
+    def test_vertex_count_past_2_63_exit_2(self, tmp_path, capsys, kind):
+        # array('q') columns cannot hold the vertices, so nothing is allocated
+        out = tmp_path / "x.cplx"
+        with address_space_cap(), time_limit(1):
+            code, stdout, err = run(
+                capsys, "build", kind, "--n", str(2**63), "--dim", "3", "--out", str(out),
+            )
+        assert code == 2 and stdout == ""
+        assert err.splitlines() == [f"error: vertex count must be below 2**63, got {2**63}"]
+        assert not out.exists()
 
 
 @pytest.fixture
@@ -255,6 +267,21 @@ class TestColoringCommands:
         assert err.splitlines() == [
             "error: coloring covers 61 vertices, complex has 60"
         ]
+
+    def test_refine_rejects_a_short_coloring(self, built, capsys):
+        # counting the classes for S would index past the coloring
+        tmp_path, sc_path = built
+        f_path = tmp_path / "short.coloring"
+        lines = ["colors 13"] + [f"{v} {(v - 1) % 13 + 1}" for v in range(1, 60)]
+        f_path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "g.coloring"
+        code, stdout, err = run(
+            capsys, "refine", "--in", str(sc_path), "--coloring", str(f_path),
+            "--shape", "corridor", "--out", str(out),
+        )
+        assert code == 2 and stdout == ""
+        assert err.splitlines() == ["error: coloring covers 59 vertices, complex has 60"]
+        assert not out.exists()
 
     def test_refine_rejects_bad_first_stage(self, built, capsys):
         tmp_path, sc_path = built
@@ -471,6 +498,32 @@ class TestNoOutputOnError:
         assert err.splitlines() == [f"error: two outputs name one file: q.cplx, {report}"]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["f.coloring", "sc.cplx"]
 
+    def test_clashing_outputs_refused_before_any_input_is_read(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        code, stdout, err = run(
+            capsys, "quotient", "--in", "missing.cplx", "--coloring", "missing.coloring",
+            "--out", "q.cplx", "--report", "q.cplx",
+        )
+        assert code == 2 and stdout == ""
+        assert err.splitlines() == ["error: two outputs name one file: q.cplx, q.cplx"]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_labels_on_the_complex_refused_before_building(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # n = 4 is too small for a boundary; the outputs are checked first
+        monkeypatch.chdir(tmp_path)
+        Path("b.cplx.labels").symlink_to("b.cplx")
+        code, stdout, err = run(
+            capsys, "build", "boundary", "--n", "4", "--dim", "3",
+            "--out", "b.cplx", "--labels",
+        )
+        assert code == 2 and stdout == ""
+        assert err.splitlines() == ["error: two outputs name one file: b.cplx, b.cplx.labels"]
+        assert [p.name for p in tmp_path.iterdir()] == ["b.cplx.labels"]
+
     def test_quotient_out_on_a_symlink_loop(self, tmp_path, capsys, monkeypatch):
         # the duplicate check must leave the loop to the write's OSError
         monkeypatch.chdir(tmp_path)
@@ -631,6 +684,16 @@ class TestPipelineCommand:
         assert err.splitlines() == [
             f"error: no memory for a list of c1 = {sys.maxsize} colors"
         ]
+
+    @pytest.mark.parametrize("mode", ["simplicial", "pseudomanifold"])
+    def test_vertex_count_past_2_63_exit_2(self, capsys, mode):
+        with address_space_cap(), time_limit(1):
+            code, out, err = run(
+                capsys, "pipeline", "--mode", mode, "--dim", "3", "--n", str(2**63),
+                "--c1", "13",
+            )
+        assert code == 2 and out == ""
+        assert err.splitlines() == [f"error: vertex count must be below 2**63, got {2**63}"]
 
     @pytest.mark.parametrize("epsilon", ["nan", "inf"])
     def test_bad_epsilon_exit_2(self, capsys, epsilon):
@@ -801,11 +864,10 @@ class TestBenchCommand:
         assert code == 0
         assert [row["seed"] for row in json.loads(out)["rows"]] == [3]
 
-    @pytest.mark.parametrize("jobs", ["0", "-2"])
-    def test_jobs_below_one_exit_2(self, capsys, jobs):
-        code, _, err = run(capsys, "bench", "--seeds", "0,1", "--jobs", jobs)
-        assert code == 2
-        assert err.splitlines() == [f"error: need at least one job, got {jobs}"]
+    def test_jobs_is_not_an_option(self, capsys):
+        # the cells run in order in one process
+        code, err = usage_error(capsys, "bench", "--jobs", "2")
+        assert code == 2 and err.endswith("error: unrecognized arguments: --jobs 2")
 
     @pytest.mark.parametrize("epsilon", ["0", "-0.5", "nan", "inf"])
     def test_bad_epsilon_exit_2(self, capsys, epsilon):

@@ -39,12 +39,17 @@ from corridors.coloring import (
     _ridges_by_vertex,
     _ridges_through,
     class_sizes,
-    pattern_class_histogram,
     pattern_codes,
 )
 from corridors.complex_core import face_columns, ridges_of
 from corridors.pipeline import _require_epsilon
-from conftest import identity_coloring, incidence_ridges, random_complex, time_limit
+from conftest import (
+    face_classes,
+    identity_coloring,
+    incidence_ridges,
+    random_complex,
+    time_limit,
+)
 from naive_reference import (
     _ref_draw_index,
     all_faces,
@@ -219,14 +224,14 @@ class TestCorridorSkeletonFacts:
 class TestPatternHistogram:
     def test_identity_coloring_all_singletons(self):
         c = sc(9, 3)
-        hist = pattern_class_histogram(c, identity_coloring(9), 1)
-        assert hist.max_class_size == 1
-        assert hist.class_count == hist.face_count == 15
+        sizes = face_classes(c, identity_coloring(9), 1)
+        assert max(sizes.values()) == 1
+        assert len(sizes) == sum(sizes.values()) == 15
 
     def test_identity_on_sc_5_3(self):
-        hist = pattern_class_histogram(sc(5, 3), identity_coloring(5), 1)
-        assert hist.face_count == 7
-        assert hist.class_count == 7
+        sizes = face_classes(sc(5, 3), identity_coloring(5), 1)
+        assert sum(sizes.values()) == 7
+        assert len(sizes) == 7
 
     def test_expected_class_size_arithmetic(self):
         # N (d-1) / C(13, 2) = 20000/78 = 256.41 at N = 10^4; the exact
@@ -238,11 +243,11 @@ class TestPatternHistogram:
     def test_greedy_meets_cap_at_desk_scale(self):
         c = sc(10**4, 3)
         f = greedy_window_coloring(c, 13, 38)
-        hist = pattern_class_histogram(c, f, 1)
+        largest = max(face_classes(c, f, 1).values())
         cap = first_stage_class_cap(10**4, 3, 13, 1, 0.1)
         assert cap == 282
-        assert hist.max_class_size == 280
-        assert hist.max_class_size <= cap
+        assert largest == 280
+        assert largest <= cap
 
     def test_face_columns_transpose_the_faces(self, corpus):
         for c in corpus:
@@ -257,17 +262,15 @@ class TestPatternHistogram:
             with pytest.raises(ValueError) as info:
                 face_columns(c, k)
             assert str(info.value) == f"codimension {k} out of range for facet size 3"
-        with pytest.raises(IncompleteColoring):
-            pattern_class_histogram(c, identity_coloring(5), 1)
 
     def test_identity_coloring_with_a_large_palette(self):
         c = sc(10**4, 4)
         f = identity_coloring(10**4)
         for codim in range(4):
             oracle = sorted_pattern_classes(c, f, codim)
-            hist = pattern_class_histogram(c, f, codim)
-            assert hist.face_count == hist.class_count == len(oracle)
-            assert hist.max_class_size == 1
+            sizes = face_classes(c, f, codim)
+            assert sum(sizes.values()) == len(sizes) == len(oracle)
+            assert max(sizes.values()) == 1
 
     def test_class_cap_values(self):
         assert first_stage_class_cap(200, 3, 13, 1, 0.2) == 6
@@ -279,16 +282,11 @@ class TestPatternHistogram:
         c = sc(6, 3)
         colors = (1, 2, 3, 1, 2, 3)
         with time_limit(5):
-            huge = pattern_class_histogram(c, Coloring(colors, 10 ** 9))
-            sizes = class_sizes(colors, 10 ** 9, face_columns(c, 1))
-        small = pattern_class_histogram(c, Coloring(colors, 3))
-        assert (huge.max_class_size, huge.class_count, huge.face_count) == (
-            small.max_class_size,
-            small.class_count,
-            small.face_count,
-        )
+            huge = class_sizes(colors, 10 ** 9, face_columns(c, 1))
+        small = class_sizes(colors, 3, face_columns(c, 1))
+        assert sorted(huge.values()) == sorted(small.values())
         oracle = sorted_pattern_classes(c, Coloring(colors, 3), 1)
-        assert sorted(sizes.values()) == sorted(oracle.values())
+        assert sorted(huge.values()) == sorted(oracle.values())
 
 
 def ref_face_columns(c, k):
@@ -328,9 +326,9 @@ def test_every_color_multiset_is_its_own_class(size, palette):
         facets.append(tuple(face))
     colors = tuple(col for col in palette for _ in range(size))
     c = Complex(size, len(colors), tuple(facets))
-    hist = pattern_class_histogram(c, Coloring(colors, palette[-1]), 0)
-    assert hist.class_count == hist.face_count == math.comb(len(palette) + size - 1, size)
-    assert hist.max_class_size == 1
+    sizes = face_classes(c, Coloring(colors, palette[-1]), 0)
+    assert len(sizes) == sum(sizes.values()) == math.comb(len(palette) + size - 1, size)
+    assert max(sizes.values()) == 1
 
 
 @given(st.integers(0, 10_000), st.sampled_from([1, 2, 3, 7, 10**4]))
@@ -344,10 +342,10 @@ def test_class_statistics_match_sorted_patterns(seed, palette):
     f = Coloring(tuple(rng.choice(pool) for _ in range(c.n_vertices)), palette)
     for codim in range(c.dim_facet):
         oracle = sorted_pattern_classes(c, f, codim)
-        hist = pattern_class_histogram(c, f, codim)
-        assert hist.max_class_size == max(oracle.values())
-        assert hist.class_count == len(oracle)
-        assert hist.face_count == sum(oracle.values())
+        sizes = face_classes(c, f, codim)
+        assert max(sizes.values()) == max(oracle.values())
+        assert len(sizes) == len(oracle)
+        assert sum(sizes.values()) == sum(oracle.values())
 
 
 @st.composite
@@ -477,7 +475,7 @@ class TestMoserTardosRefine:
     def test_corridor_40_3_end_to_end(self):
         c = sc(40, 3)
         f = greedy_window_coloring(c, 13, 2)
-        s = pattern_class_histogram(c, f, 1).max_class_size
+        s = max(face_classes(c, f, 1).values())
         c2 = lll_target_colors(18, s, 3)
         result = moser_tardos_refine(c, f, s, c2, 2)
         assert verify_unique_ridge_patterns(c, result.coloring) is True
@@ -505,7 +503,7 @@ class TestMoserTardosRefine:
     def test_deterministic(self):
         c = sc(60, 3)
         f = greedy_window_coloring(c, 13, 5)
-        s = pattern_class_histogram(c, f, 1).max_class_size
+        s = max(face_classes(c, f, 1).values())
         a = moser_tardos_refine(c, f, s, 6, 11)
         b = moser_tardos_refine(c, f, s, 6, 11)
         assert a.coloring == b.coloring
@@ -568,7 +566,7 @@ class TestMoserTardosRefine:
         d, c1 = shape
         c = sc(n, d)
         f = greedy_window_coloring(c, c1, seed)
-        s = pattern_class_histogram(c, f, 1).max_class_size
+        s = max(face_classes(c, f, 1).values())
         expected = ref_refine(c, f.colors, c2, seed + 1, 200)
         if expected is None:
             with pytest.raises(ResampleCapExceeded) as info:
@@ -625,7 +623,7 @@ class TestDeterministicBaseline:
         f = first_fit_window_coloring(c)
         assert f.c <= (2 * (3 - 1)) ** 2 + 1
         assert verify_proper(c, f)
-        s = pattern_class_histogram(c, f, 1).max_class_size
+        s = max(face_classes(c, f, 1).values())
         c2 = lll_target_colors(18, s, 3)
         result = moser_tardos_refine(c, f, s, c2, 0)
         assert verify_unique_ridge_patterns(c, result.coloring) is True
@@ -635,9 +633,9 @@ class TestDeterministicBaseline:
         # regime the refinement stage has to absorb through a larger c2
         c = sc(400, 3)
         base = first_fit_window_coloring(c)
-        hist = pattern_class_histogram(c, base, 1)
+        sizes = face_classes(c, base, 1)
         assert base.c == 5
-        assert hist.max_class_size >= hist.face_count // 10  # C(5,2) patterns
+        assert max(sizes.values()) >= sum(sizes.values()) // 10  # C(5,2) patterns
 
 
 class TestColoringFormat:

@@ -39,7 +39,6 @@ def test_layer_only_helpers_stay_in_their_modules():
         "regular_graph_diameter_bound": corridors.bounds,
         "E": corridors.bounds,
         "bound_report": corridors.bounds,
-        "pattern_class_histogram": corridors.coloring,
         "double_sweep_lower_bound": corridors.complex_core,
         "is_strongly_connected": corridors.complex_core,
         "facet_labels": corridors.constructions,
@@ -52,9 +51,10 @@ def test_layer_only_helpers_stay_in_their_modules():
 
 
 def test_paths_only_tests_read_are_not_in_the_library():
-    # the tests keep their own facet lookup, labels, potential, its error
-    # and ridge tuples in conftest, and the classifier of facet tuples into
-    # boundary labels, with its label type and error, in naive_reference
+    # the tests keep their own facet lookup, labels, potential, its error,
+    # ridge tuples and class counts in conftest, and the classifier of facet
+    # tuples into boundary labels, with its label type and error, in
+    # naive_reference
     for owner, name in (
         (corridors.constructions, "facet_label"),
         (corridors.constructions, "scaled_potential"),
@@ -67,6 +67,8 @@ def test_paths_only_tests_read_are_not_in_the_library():
         (corridors.Complex, "facet_index"),
         (corridors.complex_core.Incidence, "ridges"),
         (corridors.complex_core.Incidence, "ridge"),
+        (corridors.coloring, "pattern_class_histogram"),
+        (corridors.coloring, "PatternHistogram"),
     ):
         assert not hasattr(owner, name), name
     for name in (
@@ -76,12 +78,14 @@ def test_paths_only_tests_read_are_not_in_the_library():
         "ALPHA",
         "OMEGA",
         "UnknownFacet",
+        "pattern_class_histogram",
+        "PatternHistogram",
     ):
         assert name not in corridors.__all__
 
 
-# modules the package never calls: the process pool, which only
-# `run_bench(jobs > 1)` imports, and what `dataclasses` would pull in
+# modules the package never imports: a process pool, since bench cells run
+# in order in one process, and what `dataclasses` would pull in
 UNUSED_AT_IMPORT = (
     "concurrent.futures",
     "multiprocessing",

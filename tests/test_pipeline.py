@@ -3,6 +3,7 @@ import json
 import math
 import pickle
 import sys
+from array import array
 
 import pytest
 
@@ -17,7 +18,8 @@ from corridors import (
     run_pipeline,
     strip_volatile,
 )
-from conftest import record_calls, time_limit
+from corridors.coloring import RefineResult
+from conftest import address_space_cap, record_calls, time_limit
 
 
 @pytest.mark.parametrize("mode", ["simplicial", "pseudomanifold"])
@@ -151,6 +153,45 @@ class TestPseudomanifoldMode:
         assert report["params"]["t"] == 125
 
 
+# one small run per mode, which passes every check untampered
+TAMPERED_RUNS = [("simplicial", 60), ("pseudomanifold", 40)]
+
+
+class TestVerificationCanFail:
+    """A stage that hands on a tampered artifact turns its check false."""
+
+    @pytest.mark.parametrize("mode,n", TAMPERED_RUNS)
+    def test_unrefined_coloring(self, monkeypatch, mode, n):
+        # refine returns the stage-one coloring, proper but with colliding
+        # ridge patterns, so the quotient merges ridges
+        monkeypatch.setattr(
+            pipeline, "moser_tardos_refine", lambda c, f, *rest: RefineResult(f, 0)
+        )
+        report = run_pipeline(mode, 3, n, 13, 0.2, 0)
+        flags = report["verification"]
+        assert flags["proper"]
+        assert not flags["ridge_unique"] and not flags["boundary_preserved"]
+        assert report["ok"] is False
+
+    @pytest.mark.parametrize("mode,n", TAMPERED_RUNS)
+    def test_permuted_facet_map(self, monkeypatch, mode, n):
+        # the quotient is right, but its map sends facets 0 and 1 to each
+        # other's images: only the incidence comparison can see that
+        build = pipeline.pattern_complex
+
+        def swapped(c, f):
+            q = build(c, f)
+            facet_map = array("q", q.facet_map)
+            facet_map[0], facet_map[1] = facet_map[1], facet_map[0]
+            return q._replace(facet_map=facet_map)
+
+        monkeypatch.setattr(pipeline, "pattern_complex", swapped)
+        report = run_pipeline(mode, 3, n, 13, 0.2, 0)
+        failed = [name for name, ok in report["verification"].items() if not ok]
+        assert failed == ["boundary_preserved"]
+        assert report["ok"] is False
+
+
 class TargetBuilt(Exception):
     pass
 
@@ -276,7 +317,7 @@ class TestExhaustion:
         assert str(exc) == "best class size 3 > cap 1 after 3 attempts"
 
     def test_exhaustion_state_survives_pickling(self):
-        # bench workers send results between processes
+        # the fields are the args, which pickling and repr read
         for exc in (ResampleCapExceeded(118, 1), RetriesExhausted(3, 1, 3)):
             again = pickle.loads(pickle.dumps(exc))
             assert type(again) is type(exc)
@@ -351,39 +392,14 @@ class TestBench:
             ("precondition-failed", f"no memory for a list of c1 = {sys.maxsize} colors")
         ]
 
-    def test_parallel_matches_serial(self):
-        serial = run_bench("simplicial", [3], [30], [13], [0, 1], jobs=1)
-        parallel = run_bench("simplicial", [3], [30], [13], [0, 1], jobs=2)
-        assert serial["rows"] == parallel["rows"]
-
-    def test_workers_capped_at_cell_count(self, monkeypatch):
-        # a pool may start all max_workers processes at its first submit, so
-        # this stand-in records the request and runs the cells inline
-        requested = []
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                requested.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, cells):
-                return map(fn, cells)
-
-        # run_bench imports the pool at call time, so patch it at its source
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
-        table = run_bench("simplicial", [3], [30], [13], [0, 1], jobs=5000)
-        assert requested == [2]
-        assert [row["status"] for row in table["rows"]] == ["ok", "ok"]
-
-    @pytest.mark.parametrize("jobs", [0, -3])
-    def test_jobs_below_one_rejected(self, jobs):
-        with pytest.raises(InvalidSpec):
-            run_bench("simplicial", [3], [30], [13], [0, 1], jobs=jobs)
+    def test_vertex_count_past_2_63_fails_as_a_precondition(self):
+        # the target's array('q') columns could not hold the vertices
+        n = 2**63
+        with address_space_cap(), time_limit(1):
+            table = run_bench("simplicial", [3], [n], [13], [0])
+        assert [(row["status"], row["error"]) for row in table["rows"]] == [
+            ("precondition-failed", f"vertex count must be below 2**63, got {n}")
+        ]
 
     @pytest.mark.parametrize("epsilon", [0, -0.5, float("nan"), float("inf")])
     def test_bad_epsilon_rejected_before_any_cell(self, monkeypatch, epsilon):

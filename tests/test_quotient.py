@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    face_classes,
     identity_coloring,
     incidence_ridges,
     small_complex_corpus,
@@ -30,7 +31,6 @@ from corridors import (
     verify_boundary_preservation,
     verify_unique_ridge_patterns,
 )
-from corridors.coloring import pattern_class_histogram
 from corridors.complex_core import ridges_of
 from corridors.quotient import quotient_report
 from naive_reference import (
@@ -54,7 +54,7 @@ def refined_quotient(c, c1, shape, seed):
     """
     window = 2 * c.dim_facet if shape == "boundary" else None
     f = greedy_window_coloring(c, c1, seed, window)
-    s = pattern_class_histogram(c, f, 1).max_class_size
+    s = max(face_classes(c, f, 1).values())
     t = intersecting_ridge_bound(shape, c.dim_facet)
     c2 = lll_target_colors(t, s, c.dim_facet)
     result = moser_tardos_refine(c, f, s, c2, seed)
