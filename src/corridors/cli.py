@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 verification failure, 2 parameter error,
-3 resample/retry exhaustion.  Each command computes everything it reports
+Exit codes: 0 success, 1 verification failure, 2 parameter error or an
+input that does not fit in memory, 3 resample/retry exhaustion.  Each command computes everything it reports
 before it writes a file, so a failed computation leaves no output behind;
 a failed write removes the files the command already wrote, so a command
 that exits 2 leaves none.
@@ -432,6 +432,11 @@ def main(argv=None) -> int:
         return 3
     except (CorridorsError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        # an input too large for this machine, such as a vertex count below
+        # 2**63 whose columns do not fit; outputs are written only once built
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

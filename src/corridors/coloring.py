@@ -37,6 +37,17 @@ of the tuples, and so is the draw schedule.  The uniqueness check only
 compares the number of distinct codes with the number of ridges.
 Counting classes needs no order and uses the cheaper additive key of
 class_sizes.
+
+Refinement keeps its per-ridge state flat, in array('q') where the
+values fit in 64 bits and in int lists otherwise, through the same code:
+the ridge columns; one vertex index, whose ascending entries pack each
+vertex-ridge incidence's (vertex, stage-one class) key with its ridge id,
+so the ridges through a vertex are one bisect run and an intersecting
+pair in one class is two neighbouring entries with one key; the current
+pattern code of each ridge; and the initial codes packed with their ridge
+ids, ascending.  Only the colliding patterns and the ridges that moved off
+their starting pattern get a container.  The sorts that build these take
+boxed lists one column or one block of vertices at a time.
 """
 
 from __future__ import annotations
@@ -44,25 +55,29 @@ from __future__ import annotations
 import random
 import sys
 from array import array
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, insort
 from collections import Counter, namedtuple
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from heapq import heapify, heappop, heappush
-from itertools import chain, combinations, compress, islice, repeat
+from itertools import chain, combinations, repeat
 from math import ceil, comb
-from operator import add, eq, itemgetter, mul, ne, sub
+from operator import add, and_, eq, itemgetter, mul, sub
 from pathlib import Path
 
 from .bounds import E
 from .complex_core import (
+    _CHUNK,
     Complex,
     Incidence,
     _body_ints,
     _content_lines,
     _encode_columns,
     _header_ints,
+    _repeats,
     _scanned_fields,
+    _store_codes,
+    _with_ids,
 )
 from .errors import (
     IncompleteColoring,
@@ -382,82 +397,197 @@ class RefineResult(namedtuple("RefineResult", ("coloring", "resamples"))):
     __slots__ = ()
 
 
-def _ridges_by_vertex(columns):
-    """Per-column vertex-ridge lookup, from the ridges' vertex columns.
+def _store_pattern_codes(color_of, columns, base: int):
+    """pattern_codes of the faces of array('q') columns, stored as
+    _store_codes stores codes of that base.
 
-    For each column, the ridge ids in stable order of that column's vertex,
-    with the vertices in that order, both array('q'); the ridges through
-    vertex v are then one bisect run of v per column (_ridges_through).
+    The codes are computed _CHUNK faces at a time, each chunk's columns as
+    lists, which itemgetter reads fastest, so no boxed list of all of them
+    is built.
     """
-    index = []
-    for col in columns:
-        rids = array("q", sorted(range(len(col)), key=col.__getitem__))
-        index.append((rids, array("q", map(col.__getitem__, rids))))
-    return index
+    size = len(columns)
+    codes = _store_codes((), base - 1, size)
+    for start in range(0, len(columns[0]) if columns else 0, _CHUNK):
+        chunk = [col[start:start + _CHUNK].tolist() for col in columns]
+        codes += _store_codes(pattern_codes(color_of, chunk, base), base - 1, size)
+    return codes
 
 
-def _ridges_through(index, v):
-    """Ids of the ridges that contain vertex v, column by column."""
-    for rids, vertices in index:
-        lo = bisect_left(vertices, v)
-        yield from rids[lo:bisect_right(vertices, v, lo)]
+def _sorted_entries(entries, top: int):
+    """The entries, ascending: an array('q') when top, a bound on every
+    entry, fits in 63 bits, and an int list otherwise."""
+    entries = sorted(entries)
+    return array("q", entries) if top <= 1 << 63 else entries
 
 
-def _require_refinable(inc: Incidence, columns, index, f: Coloring, S):
-    """Stage-one patterns must separate intersecting ridges and classes fit S.
+# vertices per block of the merge in _ridges_by_vertex: each block's
+# entries are sorted on their own, so the transient list stays small
+_VERTEX_BLOCK = 4096
+
+
+def _ridges_by_vertex(columns, codes, n_vertices: int, shift: int):
+    """The vertex index (entries, b, shift) of the ridges' vertex columns
+    and their stage-one classes, each code below shift.
+
+    entries holds (v * shift + code) << b | rid for each vertex v of each
+    ridge rid, ascending, b being the bit length of the largest ridge id.
+    The ridges through v are then one run of entries, and two ridges
+    through v in one class are neighbouring entries with one key
+    v * shift + code.  Each column's entries are sorted on their own (the
+    first column ascends, so its sort is one pass), and the columns are
+    then merged one block of _VERTEX_BLOCK vertices at a time, the block
+    starting at the smallest vertex not yet merged; in each column a block
+    is one run.
+    """
+    b = max(len(codes) - 1, 0).bit_length()
+    # code << b | rid, the part of an entry that every column shares
+    tail = _with_ids(codes, b, shift)
+    if type(tail) is not array:
+        tail = list(tail)
+    top = (n_vertices + 1) * shift << b
+    runs = [_sorted_entries(_encode_columns((col, tail), shift << b, top), top) for col in columns]
+    del tail
+    store = partial(array, "q") if top <= 1 << 63 else list
+    entries, starts = store(), [0] * len(runs)
+    while True:
+        pending = [run[s] for run, s in zip(runs, starts) if s < len(run)]
+        if not pending:
+            return entries, b, shift
+        stop = ((min(pending) >> b) // shift + _VERTEX_BLOCK) * shift << b
+        block = []
+        for j, run in enumerate(runs):
+            end = bisect_left(run, stop, starts[j])
+            block += run[starts[j]:end]
+            starts[j] = end
+        block.sort()
+        entries += store(block)
+
+
+def _ridges_through(index, v: int):
+    """Ids of the ridges that contain vertex v, one run of the vertex index."""
+    entries, b, shift = index
+    start = bisect_left(entries, v * shift << b)
+    run = entries[start:bisect_left(entries, (v + 1) * shift << b, start)]
+    return map(and_, run, repeat((1 << b) - 1))
+
+
+def _require_refinable(inc: Incidence, columns, f: Coloring, S):
+    """The vertex index of the ridge columns, once stage-one patterns are
+    found to separate intersecting ridges and classes to fit S.
 
     A ridge's class is its pattern code, below (f.c + 1) ** inc.size.
-    Without ridge columns there is nothing to check, so a complex without
-    facets costs nothing, whatever facet size it declares.
+    Ridges through one vertex must lie in distinct classes, so no two
+    vertex-ridge incidences may share a (vertex, class) key.  The first
+    entry of the index that shares its key with the one before it names
+    the clash at the smallest vertex, then the smallest class, by its two
+    smallest ridges.  Without ridge columns there is nothing to check, so
+    a complex without facets costs nothing, whatever facet size it
+    declares.
     """
     if not columns:
-        return
-    codes = pattern_codes([0, *f.colors], columns, f.c + 1)
-    # ridges through one vertex must lie in distinct classes, so the
-    # (vertex, class) keys of all vertex-ridge incidences are distinct:
-    # sorted, no two neighbours are equal
+        return [], 0, 1
+    codes = _store_pattern_codes([0, *f.colors], columns, f.c + 1)
     shift = (f.c + 1) ** inc.size
-    pairs = sorted(
-        chain.from_iterable(map(add, map(mul, col, repeat(shift)), codes) for col in columns)
-    )
-    clash = next(compress(range(1, len(pairs)), map(eq, islice(pairs, 1, None), pairs)), None)
-    if clash is not None:
-        # the smallest repeated key names the clash at the smallest vertex,
-        # then the smallest class, by its two smallest ridges
-        v, code = divmod(pairs[clash], shift)
-        a, b = sorted(rid for rid in _ridges_through(index, v) if codes[rid] == code)[:2]
-        first, second = zip(*inc.columns((a, b)))
+    index = _ridges_by_vertex(columns, codes, inc.n_vertices, shift)
+    entries, b, _ = index
+    mask = (1 << b) - 1
+    for i in _repeats(entries, mask):
+        first, second = zip(*inc.columns((entries[i - 1] & mask, entries[i] & mask)))
         raise PreconditionViolated(f"intersecting ridges {first} and {second} share a pattern")
     worst = max(Counter(codes).values(), default=0)
     if worst > S:
         raise PreconditionViolated(f"a ridge class has size {worst} > S = {S}")
+    return index
 
 
-def _move_ridge(alone, crowds, heap, rid, old, new):
-    """Move ridge rid from the class of pattern old to that of pattern new.
+class _PatternClasses:
+    """The ridges of each pattern, kept in flat per-ridge state.
 
-    A pattern held by one ridge maps to it in `alone`; a pattern held by two
-    or more maps to the list of them in `crowds`, whose keys are therefore
-    exactly the colliding patterns.  A pattern is pushed on `heap` when its
-    crowd forms and is left there when the crowd breaks up, so the heap holds
-    every colliding pattern and possibly stale ones.
+    keys[rid] is ridge rid's current pattern code.  first holds an entry
+    key << b | rid for the starting key of every ridge, ascending, b the
+    bit length of the largest ridge id, so the ridges that started at a
+    pattern are one run of it; moved maps a pattern to the ridges that hold
+    it now without having started there.  A ridge starts at its initial
+    key, and again at its current one whenever move rebases.  The holders of a pattern are the
+    ridges of its run whose key is still that pattern, and those moved
+    into it.  A pattern held by two or more ridges maps to the list of them
+    in crowds, whose keys are therefore exactly the colliding patterns; a
+    crowd's order is never read, since its two smallest ridges are taken
+    through sorted().  A pattern is pushed on heap when its crowd forms and
+    is left there when the crowd breaks up, so the heap holds every
+    colliding pattern and possibly stale ones.
     """
-    crowd = crowds.get(old)
-    if crowd is None:
-        del alone[old]
-    else:
-        crowd.remove(rid)
-        if len(crowd) == 1:
-            alone[old] = crowd.pop()
-            del crowds[old]
-    crowd = crowds.get(new)
-    if crowd is not None:
-        crowd.append(rid)
-    elif new in alone:
-        crowds[new] = [alone.pop(new), rid]
-        heappush(heap, new)
-    else:
-        alone[new] = rid
+
+    __slots__ = ("keys", "top", "first", "b", "moved", "crowds", "heap")
+
+    def __init__(self, keys, top: int):
+        """top bounds every key, or passes 2**63 where the keys may."""
+        self.keys, self.top = keys, top
+        self.b = b = max(len(keys) - 1, 0).bit_length()
+        self._rebase()
+        first = self.first
+        # neighbours in first that differ in the id bits only share a
+        # pattern, and the ids of a run ascend
+        self.crowds = crowds = {}
+        mask = (1 << b) - 1
+        for i in _repeats(first, mask):
+            key = first[i] >> b
+            crowd = crowds.get(key)
+            if crowd is None:
+                crowds[key] = [first[i - 1] & mask, first[i] & mask]
+            else:
+                crowd.append(first[i] & mask)
+        self.heap = list(crowds)
+        heapify(self.heap)
+
+    def _rebase(self):
+        """Take every ridge's current pattern as its starting one, which
+        leaves no ridge moved."""
+        self.first = _sorted_entries(_with_ids(self.keys, self.b, self.top), self.top << self.b)
+        self.moved: dict[int, list[int]] = {}
+
+    def move(self, rid, new):
+        """Move ridge rid from the class of its current pattern to that of
+        pattern new; the end state is the same in any order of moves.
+
+        Once a quarter of the ridges have moved off their starting
+        patterns, the current ones become the starting ones, so a long run
+        keeps moved to that size at the cost of one sort per quarter.
+        """
+        if len(self.moved) > len(self.keys) >> 2:
+            self._rebase()
+        keys, crowds, moved = self.keys, self.crowds, self.moved
+        old = keys[rid]
+        crowd = crowds.get(old)
+        if crowd is not None:
+            crowd.remove(rid)
+            if len(crowd) == 1:
+                del crowds[old]
+        came = moved.get(old)
+        if came is not None and rid in came:
+            came.remove(rid)
+            if not came:
+                del moved[old]
+        keys[rid] = new
+        # the ridges that started at new: a bisect, then a scan of its run
+        first, b = self.first, self.b
+        i, stop, started = bisect_left(first, new << b), new + 1 << b, []
+        while i < len(first) and first[i] < stop:
+            started.append(first[i] & (1 << b) - 1)
+            i += 1
+        if rid not in started:
+            moved.setdefault(new, []).append(rid)
+        crowd = crowds.get(new)
+        if crowd is not None:
+            crowd.append(rid)
+            return
+        # a ridge back at its starting pattern is in started only
+        holders = [r for r in started if keys[r] == new]
+        holders += moved.get(new, ())
+        if len(holders) > 1:
+            holders.remove(rid)
+            crowds[new] = [holders[0], rid]
+            heappush(self.heap, new)
 
 
 def moser_tardos_refine(
@@ -479,7 +609,11 @@ def moser_tardos_refine(
     flattened product coloring on f.c * c2 colors and the resample count;
     raises ResampleCapExceeded after max_resamples rounds, so a c2 below
     lll_target_colors's is allowed, and at once when c2 = 1 leaves a
-    collision, which no redraw can change.
+    collision, which no redraw can change.  The state is flat (see the
+    module docstring): the holders of a pattern are found by a bisect of
+    the sorted initial codes and the few ridges that moved into it, and
+    each resample moves the ridges through its redrawn vertices, found in
+    the vertex index, to their new patterns (_PatternClasses.move).
     """
     _require_refine_params(S, c2, max_resamples)
     _require_total(c, f)
@@ -487,10 +621,10 @@ def moser_tardos_refine(
         raise PreconditionViolated("stage-one coloring is not proper")
 
     inc = c.incidence
-    columns = list(inc.columns())
+    # one decoded list at a time becomes an array('q') column
+    columns = list(map(array, repeat("q"), inc.columns()))
     colors = f.colors
-    index = _ridges_by_vertex(columns)
-    _require_refinable(inc, columns, index, f, S)
+    index = _require_refinable(inc, columns, f, S)
 
     rng = random.Random(seed)
     draws = (_draw_index(rng, c2) + 1 for _ in range(c.n_vertices))
@@ -499,33 +633,23 @@ def moser_tardos_refine(
     # resampled; h[v] is vertex v's, so it serves pattern_codes as it stands
     h = [0, *map(add, map(mul, map(sub, colors, repeat(1)), repeat(c2)), draws)]
     base = f.c * c2 + 1
-
-    keys = pattern_codes(h, columns, base)
+    keys = _store_pattern_codes(h, columns, base)
     del columns
-    # per-ridge state is flat: only colliding patterns keep a list, and the
-    # winners are read through sorted(), so membership order never matters
-    alone = dict(zip(keys, range(len(keys))))
-    crowds: dict[int, list[int]] = {}
-    if len(alone) < len(keys):
-        # alone holds the last ridge of each pattern, so a ridge it does not
-        # name shares its pattern with a later one
-        shared = map(ne, map(alone.__getitem__, keys), range(len(keys)))
-        for rid in compress(range(len(keys)), shared):
-            crowds.setdefault(keys[rid], []).append(rid)
-        for key, crowd in crowds.items():
-            crowd.append(alone.pop(key))
+    # base ** size bounds the keys; past 64 digits any base passes 2**63,
+    # as such keys may, so a facetless complex's declared size costs no
+    # power of it (_store_codes's rule)
+    classes = _PatternClasses(keys, base ** min(inc.size, 64))
+    crowds, heap = classes.crowds, classes.heap
     if c2 == 1 and crowds:
         # with one refinement color a redraw changes no vertex's color
         raise ResampleCapExceeded(len(crowds), 0)
-    # the smallest colliding pattern is the smallest heap entry still in
-    # crowds; stale entries are dropped when they reach the top
-    heap = list(crowds)
-    heapify(heap)
 
     resamples = 0
     while crowds:
         if resamples >= max_resamples:
             raise ResampleCapExceeded(len(crowds), resamples)
+        # the smallest colliding pattern is the smallest heap entry still in
+        # crowds; stale entries are dropped when they reach the top
         while heap[0] not in crowds:
             heappop(heap)
         key = heap[0]
@@ -533,12 +657,10 @@ def moser_tardos_refine(
         vertices = sorted(set(chain.from_iterable(inc.columns((first, second)))))
         for v in vertices:
             h[v] = (colors[v - 1] - 1) * c2 + _draw_index(rng, c2) + 1
-        # _move_ridge reaches the same state in any order of the touched ridges
+        # move reaches the same state in any order of the touched ridges
         touched = list({rid for v in vertices for rid in _ridges_through(index, v)})
-        new_keys = pattern_codes(h, inc.columns(touched), base)
-        for rid, new in zip(touched, new_keys):
-            _move_ridge(alone, crowds, heap, rid, keys[rid], new)
-            keys[rid] = new
+        for rid, new in zip(touched, pattern_codes(h, inc.columns(touched), base)):
+            classes.move(rid, new)
         resamples += 1
 
     return RefineResult(Coloring(tuple(h[1:]), f.c * c2), resamples)

@@ -31,8 +31,10 @@ other codimension.
 
 The facet codes, the column checks and ridges_of's sort keys run in 64-bit
 lanes of one int (SIMD within a register, the lane helpers below) wherever
-every value is known to fit in 62 bits: one big-int operation then does
-the arithmetic of a whole chunk.  A chunk is 4096 values, so each lane
+every value is known to fit in 62 bits, and so do the sort entries that
+coloring's refinement packs with _encode_columns and _with_ids and scans
+with _repeats: one big-int operation then does the arithmetic of a whole
+chunk.  A chunk is 4096 values, so each lane
 temporary stays at 32 KB; a whole-array int, with the ints derived from
 it, would add several times the array to the peak heap.  Where a value may
 not fit (ridge keys of SC(10^7, 3) and of d = 4 at 10^5, codes past 64
@@ -42,7 +44,8 @@ A dual graph is its adjacency rows: `dual_graph` reads the incidence
 rows and returns every node's ascending neighbour tuple, built once, and
 every reader (the diameter, distances, connectivity and the regular-graph
 bound) takes those rows; the node count is len(rows) and a degree a row's
-length.
+length.  The rows share one int object per node, so a row costs a pointer
+per neighbour.
 Exact diameters come from one algorithm, the fringe-pruned BFS search in
 `diameter_exact`.
 """
@@ -51,8 +54,8 @@ from __future__ import annotations
 
 from array import array
 from functools import cached_property, lru_cache
-from itertools import chain, combinations, compress, islice, repeat
-from operator import add, and_, eq, floordiv, lshift, lt, mod, mul, ne, or_, rshift, sub
+from itertools import chain, combinations, compress, count, islice, repeat
+from operator import add, and_, eq, floordiv, le, lshift, lt, mod, mul, ne, or_, rshift, sub, xor
 from pathlib import Path
 from sys import byteorder
 
@@ -290,17 +293,20 @@ class Incidence:
         return list(map(sub, islice(offsets, 1, None), offsets))
 
 
-def _encode_columns(columns, base: int):
+def _encode_columns(columns, base: int, top: int | None = None):
     """Code of each row of nonempty digit columns, each digit in 0..base-1.
 
     Row i is the face (columns[0][i], columns[1][i], ...), and its code is
     that face read as a base-`base` number, by Horner's rule over whole
-    columns.  Vertex faces on 1..n use base n + 1.  The codes come as an
-    array('q'), computed in lanes, where lanes hold them, and otherwise as
-    an iterator.
+    columns.  Vertex faces on 1..n use base n + 1.  A caller whose leading
+    digits may reach the base passes top, a bound on every code, in place
+    of base ** len(columns).  The codes come as an array('q'), computed in
+    lanes, where lanes hold them, and otherwise as an iterator.
     """
     first, *rest = columns
-    if _fits_lanes(columns, base ** min(len(columns), 64)):
+    if top is None:
+        top = base ** min(len(columns), 64)
+    if _fits_lanes(columns, top):
         codes = array("q")
         for start in range(0, len(first), _CHUNK):
             stop = min(start + _CHUNK, len(first))
@@ -313,6 +319,34 @@ def _encode_columns(columns, base: int):
     for column in rest:
         codes = map(add, map(mul, codes, repeat(base)), column)
     return codes
+
+
+def _ids(start: int, stop: int) -> int:
+    """The lanes of start, start + 1, ..., stop - 1."""
+    count = stop - start
+    return _iota(count) + _pack(array("q", [start]) * count)
+
+
+@lru_cache(maxsize=2)
+def _iota(count: int) -> int:
+    """The lanes of 0..count-1; a loop asks for one count per chunk."""
+    return _pack(array("q", range(count)))
+
+
+def _with_ids(values, b: int, top: int):
+    """value << b | i for the i-th of the nonnegative values, each below
+    top, with every i below 2**b.
+
+    An array('q'), computed in lanes, where lanes hold the results, and
+    otherwise an iterator.
+    """
+    if not _fits_lanes((values,), top << b):
+        return map(or_, map(lshift, values, repeat(b)), count())
+    out = array("q")
+    for start in range(0, len(values), _CHUNK):
+        stop = min(start + _CHUNK, len(values))
+        out += _unpack(_pack(values[start:stop]) << b | _ids(start, stop), stop - start)
+    return out
 
 
 def _decode_codes(codes, n_vertices: int, size: int):
@@ -403,15 +437,9 @@ def _lane_incidence(c: Complex, size: int, fb: int):
     the mask keeps the facet ids, and a shift by fb the codes, of which the
     row starts are kept.
     """
-    m = c.facet_count
-    # the facet ids of each chunk, the same in every stream
-    spans = [(start, min(start + _CHUNK, m)) for start in range(0, m, _CHUNK)]
-    ids = [_pack(array("q", range(start, stop))) for start, stop in spans]
     keys = []
     for codes in _subset_codes(c, size):
-        for (start, stop), id_lanes in zip(spans, ids):
-            keys += _unpack(_pack(codes[start:stop]) << fb | id_lanes, stop - start)
-    del ids
+        keys += _with_ids(codes, fb, (c.n_vertices + 1) ** size)
     keys.sort()
     keys = array("q", keys)
     mask = (1 << fb) - 1
@@ -428,11 +456,7 @@ def _lane_incidence(c: Complex, size: int, fb: int):
     for start in range(1, len(keys), _CHUNK):
         stop = min(start + _CHUNK, len(keys))
         count = stop - start
-        prev, cur = _pack(view[start - 1:stop - 1]), _pack(view[start:stop])
-        # a lane of 1 where the XOR has a code bit set, by the guard bit of
-        # XOR + 2**62 - 1 - mask
-        guard = _splat(_GUARD, count)
-        above = ((prev ^ cur) + _splat(_GUARD - 1 - mask, count)) & guard
+        cur, above = _lanes_above(view, start, stop, mask)
         starts = _unpack(above >> 62, count)
         low = cur & _splat(mask, count)
         fids[start:stop] = _unpack(low, count)
@@ -441,6 +465,38 @@ def _lane_incidence(c: Complex, size: int, fb: int):
         codes.fromlist(list(compress(_unpack((cur ^ low) >> fb, count), starts)))
     offsets.append(len(keys))
     return codes, offsets, fids
+
+
+def _lanes_above(view, start: int, stop: int, mask: int):
+    """The lanes of view[start:stop], and the guard bit set in each lane
+    whose value differs from the one before it above the mask bits.
+
+    view is a memoryview of ascending values that lanes hold, and start is
+    at least 1; a lane's XOR with its predecessor has a bit above the mask
+    exactly where XOR + 2**62 - 1 - mask sets the guard bit.
+    """
+    count = stop - start
+    prev, cur = _pack(view[start - 1:stop - 1]), _pack(view[start:stop])
+    return cur, ((prev ^ cur) + _splat(_GUARD - 1 - mask, count)) & _splat(_GUARD, count)
+
+
+def _repeats(entries, mask: int):
+    """The positions i >= 1 of ascending nonnegative entries where entry i
+    agrees with entry i - 1 above the mask bits.  Where lanes hold the
+    entries, a chunk without such a position costs a few big-int
+    operations."""
+    if not _fits_lanes((entries,), entries[-1] + 1 if len(entries) else 0):
+        return compress(count(1), map(le, map(xor, islice(entries, 1, None), entries), repeat(mask)))
+    repeats = []
+    view = memoryview(entries)
+    for start in range(1, len(entries), _CHUNK):
+        stop = min(start + _CHUNK, len(entries))
+        _, above = _lanes_above(view, start, stop, mask)
+        # a guard bit left clear marks a repeat
+        same = (above ^ _splat(_GUARD, stop - start)) >> 62
+        if same:
+            repeats += compress(range(start, stop), _unpack(same, stop - start))
+    return repeats
 
 
 def face_columns(c: Complex, k: int) -> list:
@@ -466,23 +522,33 @@ def dual_graph(c: Complex) -> tuple[tuple[int, ...], ...]:
 
     The rows are symmetric and loop-free, each edge in both of its rows
     once.  Each pair of facets in one incidence row is appended to both
-    rows, and each row is sorted once.  The facet ids of a row are distinct, so no row
-    holds its own node; two distinct facets share at most one ridge, and
-    Complex keeps its facets distinct, so no pair is appended twice.
+    rows, and each row is sorted once.  The facet ids of a row are
+    distinct, so no row holds its own node; two distinct facets share at
+    most one ridge, and Complex keeps its facets distinct, so no pair is
+    appended twice.  Every row holding a node holds the same int object,
+    so a row costs a pointer per neighbour.
     """
     inc = c.incidence
     fids, widths = inc.fids, inc.widths()
-    nbrs = [[] for _ in range(c.facet_count)]
+    # one int object per node, which every row holding it shares
+    node = list(range(c.facet_count))
+    nbrs = [[] for _ in node]
     for w in set(widths) - {1}:
         # the first entry of every row of width w, then each pair of columns
         starts = array("q", compress(inc.offsets, map(eq, widths, repeat(w))))
         for a, b in combinations(range(w), 2):
-            us = map(fids.__getitem__, map(add, starts, repeat(a)))
-            vs = map(fids.__getitem__, map(add, starts, repeat(b)))
+            us = map(node.__getitem__, map(fids.__getitem__, map(add, starts, repeat(a))))
+            vs = map(node.__getitem__, map(fids.__getitem__, map(add, starts, repeat(b))))
             for u, v in zip(us, vs):
                 nbrs[u].append(v)
                 nbrs[v].append(u)
-    return tuple(map(tuple, map(sorted, nbrs)))
+    del node
+    # each row becomes its tuple as it is sorted, so the lists and the
+    # tuples are never all alive at once
+    for u, row in enumerate(nbrs):
+        row.sort()
+        nbrs[u] = tuple(row)
+    return tuple(nbrs)
 
 
 def is_pseudomanifold(c: Complex) -> bool:

@@ -215,6 +215,25 @@ def ref_first_pattern_collision(c, colors):
     return None
 
 
+def ref_intersecting_clash(c, colors):
+    """The pair of intersecting ridges that refinement refuses, or None.
+
+    Scans the vertices in ascending order and, at each, the patterns of the
+    ridges through it in ascending order; the first pattern held by two of
+    them gives its two smallest ridges, in lexicographic ridge order.
+    """
+    ridges = [r for r, _ in ref_ridges(c)]
+    for v in range(1, c.n_vertices + 1):
+        holders = {}
+        for r in ridges:
+            if v in r:
+                holders.setdefault(tuple(sorted(colors[u - 1] for u in r)), []).append(r)
+        for pattern in sorted(holders):
+            if len(holders[pattern]) > 1:
+                return tuple(holders[pattern][:2])
+    return None
+
+
 def ref_lll_target_colors(t, S, d, e):
     """Smallest c2 >= 1 with e(2tS + 1) <= c2^(d-1), by linear search from 1.
 

@@ -1,10 +1,12 @@
 import argparse
 import json
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import corridors
 from corridors import pipeline, read_coloring, read_complex
 from corridors.bounds import E
 from corridors.cli import build_parser, main
@@ -77,6 +79,26 @@ class TestBuild:
         assert code == 2 and stdout == ""
         assert err.splitlines() == [f"error: vertex count must be below 2**63, got {2**63}"]
         assert not out.exists()
+
+    def test_vertex_count_past_memory_exit_2(self, tmp_path):
+        # a count below 2**63 whose columns do not fit in memory, run in a
+        # child whose address space is capped at 512 MiB, where the column
+        # allocation fails within seconds
+        code = (
+            "import resource, sys; "
+            "resource.setrlimit(resource.RLIMIT_AS, (2**29, 2**29)); "
+            "sys.path.insert(0, sys.argv[1]); "
+            "from corridors.cli import main; "
+            "sys.exit(main(sys.argv[2:]))"
+        )
+        src = str(Path(corridors.__file__).resolve().parent.parent)
+        argv = ["build", "corridor", "--n", str(2**63 - 1), "--dim", "3", "--out", "x.cplx"]
+        done = subprocess.run(
+            [sys.executable, "-c", code, src, *argv],
+            cwd=tmp_path, capture_output=True, text=True, timeout=60,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (2, "", "error: out of memory\n")
+        assert not (tmp_path / "x.cplx").exists()
 
 
 @pytest.fixture

@@ -19,6 +19,7 @@ from corridors import (
     NoLegalColor,
     PreconditionViolated,
     ResampleCapExceeded,
+    boundary_corridor,
     coloring_from_text,
     coloring_to_text,
     first_stage_class_cap,
@@ -32,13 +33,14 @@ from corridors import (
     verify_unique_ridge_patterns,
     write_coloring,
 )
-from corridors import coloring
+from corridors import coloring, complex_core
 from corridors.bounds import E
 from corridors.coloring import (
     _require_greedy_params,
     _ridges_by_vertex,
     _ridges_through,
     class_sizes,
+    default_window,
     pattern_codes,
 )
 from corridors.complex_core import face_columns, ridges_of
@@ -55,6 +57,7 @@ from naive_reference import (
     all_faces,
     ref_first_pattern_collision,
     ref_greedy_window_coloring,
+    ref_intersecting_clash,
     ref_is_proper,
     ref_lll_target_colors,
     ref_pattern_codes,
@@ -71,6 +74,20 @@ def refinement_colors(product, c2):
     """The refinement coloring read back from a product coloring on c1 * c2
     colors: product color (f - 1) c2 + g has g = (h - 1) mod c2 + 1."""
     return tuple((h - 1) % c2 + 1 for h in product.colors)
+
+
+def random_proper_coloring(c, rng, palette):
+    """A coloring in which no facet repeats a color: vertices in random
+    order take a random color that no vertex of a shared facet holds,
+    from 1..palette while one is free and a fresh color past it otherwise."""
+    colors = [0] * c.n_vertices
+    order = list(range(1, c.n_vertices + 1))
+    rng.shuffle(order)
+    for v in order:
+        taken = {colors[u - 1] for F in c.facets if v in F for u in F}
+        free = [k for k in range(1, palette + 1) if k not in taken]
+        colors[v - 1] = rng.choice(free) if free else max(colors) + 1
+    return Coloring(tuple(colors), max(colors, default=1))
 
 
 def periodic_coloring(n, period):
@@ -555,17 +572,29 @@ class TestMoserTardosRefine:
         assert str(info.value) == "a ridge class has size 1 > S = 0"
 
     @given(
-        st.sampled_from([(3, 13), (4, 19)]),
+        st.sampled_from([("corridor", 3, 13), ("corridor", 4, 19), ("boundary", 3, 13)]),
         st.integers(8, 120),
         st.integers(0, 2**32),
-        st.integers(1, 6),
+        st.one_of(st.integers(1, 6), st.just(2**28)),
+        st.booleans(),
     )
-    @settings(max_examples=60, deadline=None)
-    def test_matches_bucket_list_reference(self, shape, n, seed, c2):
-        # few refinement colors force long resampling runs, and some hit the cap
-        d, c1 = shape
-        c = sc(n, d)
-        f = greedy_window_coloring(c, c1, seed)
+    @settings(max_examples=80, deadline=None)
+    def test_matches_bucket_list_reference(self, shape, n, seed, c2, wide):
+        # few refinement colors force long resampling runs, and some hit the
+        # cap.  c2 = 2**28, or a stage-one coloring that declares 2**62
+        # colors but uses the same few (the product colors and the expected
+        # run stay as they are), takes the pattern codes past 64 bits, where
+        # refinement keeps them in int lists
+        kind, d, c1 = shape
+        if kind == "corridor":
+            c = sc(n, d)
+            f = greedy_window_coloring(c, c1, seed)
+        else:
+            # the boundary of SC(n, d + 1), colored as the pipeline colors it
+            c = boundary_corridor(n, d)
+            f = greedy_window_coloring(c, c1, seed, default_window(d + 1))
+        if wide:
+            f = Coloring(f.colors, 2**62)
         s = max(face_classes(c, f, 1).values())
         expected = ref_refine(c, f.colors, c2, seed + 1, 200)
         if expected is None:
@@ -577,6 +606,43 @@ class TestMoserTardosRefine:
         result = moser_tardos_refine(c, f, s, c2, seed + 1, max_resamples=200)
         g = refinement_colors(result.coloring, c2)
         assert (result.coloring.colors, g, result.resamples) == expected
+
+    @given(st.integers(0, 2**32), st.integers(2, 5))
+    @settings(max_examples=150, deadline=None)
+    def test_clash_named_as_a_vertex_scan_names_it(self, seed, block):
+        # a block of 2 to 5 vertices makes the merge of the vertex index
+        # cross many block boundaries on these small complexes
+        rng = random.Random(seed)
+        c = random_complex(rng)
+        f = random_proper_coloring(c, rng, rng.randint(2, 6))
+        expected = ref_intersecting_clash(c, f.colors)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(coloring, "_VERTEX_BLOCK", block)
+            if expected is None:
+                # with 2**40 refinement colors a collision is all but impossible
+                result = moser_tardos_refine(c, f, len(f.colors) ** 4, 2**40, seed)
+                assert verify_unique_ridge_patterns(c, result.coloring)
+                return
+            with pytest.raises(PreconditionViolated) as info:
+                moser_tardos_refine(c, f, len(f.colors) ** 4, 2**40, seed)
+        first, second = expected
+        assert str(info.value) == f"intersecting ridges {first} and {second} share a pattern"
+
+    def test_lanes_match_the_boxed_path(self, monkeypatch):
+        # over 4096 ridges, so the lane kernels span chunks, and few
+        # refinement colors, so many patterns collide from the start
+        c = sc(3000, 3)
+        f = greedy_window_coloring(c, 13, 4)
+        s = max(face_classes(c, f, 1).values())
+
+        def outcome():
+            result = moser_tardos_refine(c, f, s, 32, 5)
+            return result.coloring, result.resamples
+
+        lanes = outcome()
+        monkeypatch.setattr(complex_core, "_fits_lanes", lambda columns, top: False)
+        assert outcome() == lanes
+        assert lanes[1] > 100
 
     @pytest.mark.parametrize(
         "S,c2,max_resamples,message",
@@ -685,10 +751,12 @@ class TestColoringFormat:
 @given(st.integers(0, 10_000))
 @settings(max_examples=80, deadline=None)
 def test_vertex_lookup_matches_the_reference(seed):
-    # the ridges through v, column by column, are {i : v in ridge i}
-    c = random_complex(random.Random(seed))
-    index = _ridges_by_vertex(c.incidence.columns())
+    # the ridges through v, whatever their classes, are {i : v in ridge i}
+    rng = random.Random(seed)
+    c = random_complex(rng)
     ridges = [r for r, _ in ref_ridges(c)]
+    classes = [rng.randrange(3) for _ in ridges]
+    index = _ridges_by_vertex(c.incidence.columns(), classes, c.n_vertices, 3)
     for v in range(c.n_vertices + 2):
         through = list(_ridges_through(index, v))
         assert len(through) == len(set(through))

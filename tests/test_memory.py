@@ -1,13 +1,24 @@
-"""Heap held by the built complexes, and transient peaks of the two stages
-that set a verified run's memory, and of the ridge enumeration both read.
+"""Heap held by the built complexes and the quotient's dual graph, and
+transient peaks of the stages that set a verified run's memory, and of the
+ridge enumeration they read.
 
 SC(2*10^4, 3) at pipeline seed 1 is staged as run_pipeline stages it: stage
 one, refinement, the quotient, then the boundary-preservation check with the
 quotient's incidence already built, as the pipeline's earlier verifiers
-leave it.  Each measured call runs under tracemalloc started just before it,
-so the peak is what the call itself allocates on top of the heap it finds.
-The bounds are per incidence entry and per ridge: a per-entry set or dict
-costs well above them, flat arrays and one sorted list stay below.
+leave it, and the quotient's dual graph.  Each measured call runs under
+tracemalloc started just before it, so the peak is what the call itself
+allocates on top of the heap it finds.  The bounds are per incidence entry,
+per ridge and per facet: a per-entry set or dict costs well above them,
+flat arrays and one sorted list stay below.
+
+Refinement keeps its per-ridge state in array('q'): the ridge columns, the
+vertex index, the current pattern codes and the sorted initial ones; its
+peak is one boxed list of a column's or the codes' sort keys on top of
+those.  A dict from pattern to ridge, or a boxed list of every code, costs
+well above its bound.  The dual graph's rows share one int per node, so a
+row costs a pointer per neighbour, and each row's list is dropped as its
+tuple is made; an int per row entry costs well above the held bound, and
+all the lists beside all the tuples above the peak one.
 
 ridges_of holds its d keys per facet as one sorted list of boxed ints and
 then as an array('q'), and builds and splits them in lanes of bounded
@@ -34,14 +45,16 @@ from corridors import (
     straight_corridor,
     verify_boundary_preservation,
 )
-from corridors.complex_core import ridges_of
+from corridors.complex_core import dual_graph, ridges_of
 from corridors.pipeline import DEFAULT_RETRIES, _derive_seed, _first_stage
 
 N, DIM, C1, EPSILON, SEED = 20000, 3, 13, 0.2, 1
 CHECK_BYTES_PER_ENTRY = 80
-REFINE_BYTES_PER_RIDGE = 260
+REFINE_BYTES_PER_RIDGE = 170
 RIDGES_BYTES_PER_FACET = 200
 HELD_BYTES_PER_FACET = 40
+DUAL_PEAK_BYTES_PER_FACET = 200
+DUAL_HELD_BYTES_PER_FACET = 110
 
 
 def traced_peak(fn, *args):
@@ -87,16 +100,22 @@ def staged():
     q.quotient.incidence
     preserved, check_peak = traced_peak(verify_boundary_preservation, corridor, q)
     assert preserved
-    return corridor.incidence, refine_peak, check_peak, quotient, quotient_held
+    _, dual_peak = traced_peak(dual_graph, q.quotient)
+    rows, dual_held = traced_held(dual_graph, q.quotient)
+    assert len(rows) == q.quotient.facet_count
+    return (
+        corridor.incidence, refine_peak, check_peak, quotient, quotient_held,
+        dual_peak, dual_held,
+    )
 
 
 def test_boundary_check_peak_per_entry(staged):
-    inc, _, check_peak, _, _ = staged
+    inc, _, check_peak, *_ = staged
     assert check_peak <= CHECK_BYTES_PER_ENTRY * len(inc.fids)
 
 
 def test_refine_peak_per_ridge(staged):
-    inc, refine_peak, _, _, _ = staged
+    inc, refine_peak, *_ = staged
     assert refine_peak <= REFINE_BYTES_PER_RIDGE * len(inc)
 
 
@@ -114,5 +133,15 @@ def test_corridor_held_per_facet():
 
 
 def test_quotient_held_per_facet(staged):
-    *_, quotient, held = staged
+    _, _, _, quotient, held, *_ = staged
     assert held <= HELD_BYTES_PER_FACET * quotient.facet_count
+
+
+def test_quotient_dual_graph_peak_per_facet(staged):
+    _, _, _, quotient, _, peak, _ = staged
+    assert peak <= DUAL_PEAK_BYTES_PER_FACET * quotient.facet_count
+
+
+def test_quotient_dual_graph_held_per_facet(staged):
+    _, _, _, quotient, _, _, held = staged
+    assert held <= DUAL_HELD_BYTES_PER_FACET * quotient.facet_count

@@ -9,6 +9,7 @@ import pytest
 
 from corridors import coloring, complex_core, constructions, pipeline
 from corridors import (
+    Complex,
     InvalidSpec,
     NoLegalColor,
     ResampleCapExceeded,
@@ -155,6 +156,16 @@ class TestPseudomanifoldMode:
 
 # one small run per mode, which passes every check untampered
 TAMPERED_RUNS = [("simplicial", 60), ("pseudomanifold", 40)]
+# the flags that a quotient without its middle facet turns false
+DROPPED_FACET_FLAGS = {
+    "simplicial": [
+        "boundary_preserved", "connected", "diameter_expected", "diameter_within_upper_bound",
+    ],
+    "pseudomanifold": [
+        "boundary_preserved", "pseudomanifold_preserved", "pseudomanifold_quotient",
+        "fvector_identity", "dist_alpha_omega_meets_lower_bound", "diameter_within_upper_bound",
+    ],
+}
 
 
 class TestVerificationCanFail:
@@ -189,6 +200,26 @@ class TestVerificationCanFail:
         report = run_pipeline(mode, 3, n, 13, 0.2, 0)
         failed = [name for name, ok in report["verification"].items() if not ok]
         assert failed == ["boundary_preserved"]
+        assert report["ok"] is False
+
+
+    @pytest.mark.parametrize("mode,n", TAMPERED_RUNS)
+    def test_dropped_quotient_facet(self, monkeypatch, mode, n):
+        # the quotient loses its middle facet, which cuts a corridor's dual
+        # path and opens two ridges of a sphere; the maps are left as built
+        build = pipeline.pattern_complex
+
+        def dropped(c, f):
+            q = build(c, f)
+            m = q.quotient.facet_count
+            columns = [col[:m // 2] + col[m // 2 + 1:] for col in q.quotient.columns]
+            quotient = Complex._from_columns(q.quotient.dim_facet, q.quotient.n_vertices, columns)
+            return q._replace(quotient=quotient)
+
+        monkeypatch.setattr(pipeline, "pattern_complex", dropped)
+        report = run_pipeline(mode, 3, n, 13, 0.2, 0)
+        failed = [name for name, ok in report["verification"].items() if not ok]
+        assert failed == DROPPED_FACET_FLAGS[mode]
         assert report["ok"] is False
 
 
