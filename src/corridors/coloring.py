@@ -47,7 +47,8 @@ pair in one class is two neighbouring entries with one key; the current
 pattern code of each ridge; and the initial codes packed with their ridge
 ids, ascending.  Only the colliding patterns and the ridges that moved off
 their starting pattern get a container.  The sorts that build these take
-boxed lists one column or one block of vertices at a time.
+boxed lists one column or one merge block (complex_core._merged_blocks)
+at a time.
 """
 
 from __future__ import annotations
@@ -74,6 +75,7 @@ from .complex_core import (
     _content_lines,
     _encode_columns,
     _header_ints,
+    _merged_blocks,
     _repeats,
     _scanned_fields,
     _store_codes,
@@ -420,11 +422,6 @@ def _sorted_entries(entries, top: int):
     return array("q", entries) if top <= 1 << 63 else entries
 
 
-# vertices per block of the merge in _ridges_by_vertex: each block's
-# entries are sorted on their own, so the transient list stays small
-_VERTEX_BLOCK = 4096
-
-
 def _ridges_by_vertex(columns, codes, n_vertices: int, shift: int):
     """The vertex index (entries, b, shift) of the ridges' vertex columns
     and their stage-one classes, each code below shift.
@@ -434,10 +431,9 @@ def _ridges_by_vertex(columns, codes, n_vertices: int, shift: int):
     The ridges through v are then one run of entries, and two ridges
     through v in one class are neighbouring entries with one key
     v * shift + code.  Each column's entries are sorted on their own (the
-    first column ascends, so its sort is one pass), and the columns are
-    then merged one block of _VERTEX_BLOCK vertices at a time, the block
-    starting at the smallest vertex not yet merged; in each column a block
-    is one run.
+    first column ascends, so its sort is one pass), and
+    complex_core._merged_blocks then merges the columns a bounded block at
+    a time.
     """
     b = max(len(codes) - 1, 0).bit_length()
     # code << b | rid, the part of an entry that every column shares
@@ -448,19 +444,10 @@ def _ridges_by_vertex(columns, codes, n_vertices: int, shift: int):
     runs = [_sorted_entries(_encode_columns((col, tail), shift << b, top), top) for col in columns]
     del tail
     store = partial(array, "q") if top <= 1 << 63 else list
-    entries, starts = store(), [0] * len(runs)
-    while True:
-        pending = [run[s] for run, s in zip(runs, starts) if s < len(run)]
-        if not pending:
-            return entries, b, shift
-        stop = ((min(pending) >> b) // shift + _VERTEX_BLOCK) * shift << b
-        block = []
-        for j, run in enumerate(runs):
-            end = bisect_left(run, stop, starts[j])
-            block += run[starts[j]:end]
-            starts[j] = end
-        block.sort()
+    entries = store()
+    for block in _merged_blocks(runs):
         entries += store(block)
+    return entries, b, shift
 
 
 def _ridges_through(index, v: int):

@@ -46,13 +46,15 @@ every reader (the diameter, distances, connectivity and the regular-graph
 bound) takes those rows; the node count is len(rows) and a degree a row's
 length.  The rows share one int object per node, so a row costs a pointer
 per neighbour.
-Exact diameters come from one algorithm, the fringe-pruned BFS search in
-`diameter_exact`.
+Exact diameters come from one function, `diameter_exact`: two BFS sweeps
+where the graph is a tree, as a straight corridor's dual is, and the
+fringe-pruned BFS search elsewhere.
 """
 
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_right
 from functools import cached_property, lru_cache
 from itertools import chain, combinations, compress, count, islice, repeat
 from operator import add, and_, eq, floordiv, le, lshift, lt, mod, mul, ne, or_, rshift, sub, xor
@@ -467,6 +469,38 @@ def _lane_incidence(c: Complex, size: int, fb: int):
     return codes, offsets, fids
 
 
+# values per sorted run, and per run in each block of _merged_blocks, where a
+# caller sorts a long array in runs: the boxed lists of a sort stay this
+# small whatever the input's size
+_RUN = 1 << 15
+_BLOCK = 1 << 12
+
+
+def _merged_blocks(runs):
+    """The values of ascending runs, all of them in ascending order, as a
+    stream of sorted lists.
+
+    Each block takes from every run its values up to the smallest of the
+    runs' _BLOCK-th pending values, so it holds at most _BLOCK values per
+    run, beyond repeats of its last value, and it finishes a run or moves
+    one on by _BLOCK.  A run is any sequence that bisect reads: an
+    array('q'), or an int list for values past 64 bits.
+    """
+    starts = [0] * len(runs)
+    while True:
+        ends = [run[min(s + _BLOCK, len(run)) - 1] for run, s in zip(runs, starts) if s < len(run)]
+        if not ends:
+            return
+        stop = min(ends)
+        block = []
+        for j, run in enumerate(runs):
+            end = bisect_right(run, stop, starts[j])
+            block += run[starts[j]:end]
+            starts[j] = end
+        block.sort()
+        yield block
+
+
 def _lanes_above(view, start: int, stop: int, mask: int):
     """The lanes of view[start:stop], and the guard bit set in each lane
     whose value differs from the one before it above the mask bits.
@@ -598,25 +632,35 @@ def _argmax(values):
 
 
 def diameter_exact(adj) -> int:
-    """Exact diameter of a connected graph given by its adjacency rows, by
-    fringe-pruned BFS (iFUB).
+    """Exact diameter of a connected graph given by its adjacency rows: two
+    BFS sweeps on a tree, and fringe-pruned BFS (iFUB) on any other graph.
 
-    Roots a BFS at the midpoint of a double-sweep path and processes its
-    fringe sets in decreasing depth; any pair realizing a distance above
-    2(i-1) has an endpoint at depth >= i, so the scan stops once the
-    certified lower bound reaches that threshold (Crescenzi et al., "On
-    computing the diameter of real-world undirected graphs", TCS 2013).
-    Long thin graphs such as corridor duals need only a few BFS passes.
-    Each pass keeps distances and visit order only: the midpoint is reached
-    by walking back from the far end through nodes one step closer to the
-    sweep's root, and each fringe is a run of the midpoint pass's visit
-    order.  The second sweep's root and the midpoint keep the eccentricities
-    their own passes measured, so a fringe holding them (on a path of odd
-    length, the deepest fringe is that root alone) costs no second pass.
+    The rows must be symmetric and loop-free, each edge once in both of its
+    rows, as dual_graph gives them; then rows holding 2(len(adj) - 1)
+    entries in all make a connected graph a tree.  On a tree the node
+    farthest from any node ends a longest path, so the eccentricity of the
+    first sweep's far end is the diameter (Bulterman et al., "On computing
+    a longest path in a tree", IPL 2002): the connectivity pass and that
+    sweep are the only passes.
+
+    Otherwise iFUB roots a BFS at the midpoint of a double-sweep path and
+    processes its fringe sets in decreasing depth; any pair realizing a
+    distance above 2(i-1) has an endpoint at depth >= i, so the scan stops
+    once the certified lower bound reaches that threshold (Crescenzi et
+    al., "On computing the diameter of real-world undirected graphs", TCS
+    2013).  Long thin graphs such as the duals of corridor boundaries need
+    only a few BFS passes.  Each pass keeps distances and visit order only:
+    the midpoint is reached by walking back from the far end through nodes
+    one step closer to the sweep's root, and each fringe is a run of the
+    midpoint pass's visit order.  The second sweep's root and the midpoint
+    keep the eccentricities their own passes measured, so a fringe holding
+    them costs no second pass.
     Raises DisconnectedGraph.
     """
     a = _argmax(_require_connected(adj))
     dist_a, _ = _bfs(adj, a)
+    if sum(map(len, adj)) == 2 * (len(adj) - 1):
+        return max(dist_a)
     b = _argmax(dist_a)
     mid = b
     for _ in range(dist_a[b] // 2):

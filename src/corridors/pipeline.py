@@ -172,13 +172,20 @@ def run_pipeline(
     product = refine.coloring
 
     q = pattern_complex(target, product)
-    quotient = q.quotient
-    n_prime = quotient.n_vertices
 
     # independent re-checks: none of these reuse a stage's own claims
     proper = verify_proper(target, product)
     ridge_unique = verify_unique_ridge_patterns(target, product)
     preserved = verify_boundary_preservation(target, q)
+    pm_source = is_pseudomanifold(target)
+
+    # the report reads nothing more of the source, its incidence, the
+    # colorings or the ridge map, so they go before the quotient's dual
+    # graph is built; holding them set the peak memory of large runs
+    quotient, facet_map, facets_injective = q.quotient, q.facet_map, q.facets_injective
+    resamples = refine.resamples
+    del target, q, product, refine, first_coloring, best
+    n_prime = quotient.n_vertices
 
     qgraph = dual_graph(quotient)
     try:
@@ -187,7 +194,6 @@ def run_pipeline(
         diameter = diameter_method = None
     connected = diameter is not None
 
-    pm_source = is_pseudomanifold(target)
     pm_quotient = is_pseudomanifold(quotient)
 
     verification = {
@@ -203,7 +209,7 @@ def run_pipeline(
         "facet_count": quotient.facet_count,
         "diameter": diameter,
         "diameter_method": diameter_method,
-        "resamples": refine.resamples,
+        "resamples": resamples,
         "greedy_attempts": attempts,
         "greedy_retries": attempts - 1,
         "histogram_max": histogram_max,
@@ -240,9 +246,9 @@ def run_pipeline(
         dist_ao = None
         regular_ok = False
         regular_bound = None
-        if connected and q.facets_injective:
+        if connected and facets_injective:
             # alpha and omega are the boundary's first and last facets
-            dist_ao = pair_distance(qgraph, q.facet_map[0], q.facet_map[-1])
+            dist_ao = pair_distance(qgraph, facet_map[0], facet_map[-1])
             try:
                 bound = bounds_mod.check_regular_graph_bound(qgraph)
                 regular_ok = diameter <= bound

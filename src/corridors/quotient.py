@@ -22,16 +22,17 @@ ridges are decoded by its own Incidence.columns.  The facet map
 is one quotient facet index per source facet, shared where patterns
 collide, and the ridge map one quotient ridge code per source ridge row,
 both flat integer sequences.  The preservation check codes every matrix
-entry as one integer, sorts the moved source entries once and compares
-them in step with the quotient's, which its incidence yields ascending; no
-set is built.  Quotient vertices are the used colors renumbered in color
-order, so the pattern code of a face (coloring.pattern_codes, base n'+1)
-is the code of its image in the quotient's incidence: the quotient facets
-are the distinct facet codes, ascending and decoded once here, and no
-pattern tuple is built.  Those facet codes and the comparison of the
-quotient's ridge codes with ridge_map are the module's only uses of the
-code format.  Codes order faces as tuples do, so the quotient's facet
-order is the one a tuple sort would give.
+entry as one integer, sorts the moved source entries in bounded runs
+merged a block at a time and compares them in step with the quotient's,
+which its incidence yields ascending; no set is built.  Quotient vertices
+are the used colors renumbered in color order, so the pattern code of a
+face (coloring.pattern_codes, base n'+1) is the code of its image in the
+quotient's incidence: the quotient facets are the distinct facet codes,
+ascending and decoded once here, and no pattern tuple is built.  Those
+facet codes and the comparison of the quotient's ridge codes with
+ridge_map are the module's only uses of the code format.  Codes order
+faces as tuples do, so the quotient's facet order is the one a tuple sort
+would give.
 """
 
 from __future__ import annotations
@@ -42,8 +43,11 @@ from itertools import chain, repeat
 from operator import add, eq, mul
 
 from .complex_core import (
+    _RUN,
     Complex,
     _decode_codes,
+    _encode_columns,
+    _merged_blocks,
     _store_codes,
     diameter_exact,
     dual_graph,
@@ -138,8 +142,8 @@ def verify_boundary_preservation(c: Complex, q: QuotientResult) -> bool:
     enumerated from the quotient's own facets.  Each entry of a matrix is
     coded as (ridge code) * (facet count) + facet.  Source row i takes the
     ridge code ridge_map[i] and its facets their images under facet_map,
-    which must all lie in the quotient's facet range; the moved
-    entry codes, sorted once, must then match the quotient's element by
+    which must all lie in the quotient's code and facet ranges; the moved
+    entry codes, sorted, must then match the quotient's element by
     element.  The quotient's incidence yields its codes ascending (rows in
     code order, facets ascending within a row), so equal sorted lists of
     equal length mean equal multisets of entries, and the quotient's are
@@ -149,19 +153,39 @@ def verify_boundary_preservation(c: Complex, q: QuotientResult) -> bool:
     checks below already fail on it: it leaves the quotient fewer ridges or
     facets than the source.  The length and range checks also reject a map
     that was not made for this quotient.
+
+    The moved codes are built in lanes from two per-entry array('q')
+    columns, the ridge codes and the facet images, then sorted in runs of
+    complex_core._RUN and merged a block at a time, so no boxed list of
+    every entry is built; the quotient's side is a lazy stream.  Where
+    lanes cannot hold the entry codes, as past 62 bits or with ridge codes
+    past 64 bits, one sort of boxed ints orders them.
     """
     src, dst = c.incidence, q.quotient.incidence
-    facet_map, m = q.facet_map, q.quotient.facet_count
+    facet_map, ridge_map, m = q.facet_map, q.ridge_map, q.quotient.facet_count
+    codes_top = (q.quotient.n_vertices + 1) ** dst.size
     if (
-        not len(q.ridge_map) == len(src) == len(dst)
+        not len(ridge_map) == len(src) == len(dst)
         or not c.facet_count == len(facet_map) == m
         or len(src.fids) != len(dst.fids)
         or (m and (min(facet_map) < 0 or max(facet_map) >= m))
+        or (len(dst) and (min(ridge_map) < 0 or max(ridge_map) >= codes_top))
     ):
         return False
-    moved_codes = chain.from_iterable(map(repeat, q.ridge_map, src.widths()))
-    image = map(facet_map.__getitem__, src.fids)
-    moved = sorted(map(add, map(mul, moved_codes, repeat(m)), image))
+    codes = chain.from_iterable(map(repeat, ridge_map, src.widths()))
+    if type(ridge_map) is array:
+        codes = array("q", codes)
+    image = array("q", map(facet_map.__getitem__, src.fids))
+    # every moved entry code is below codes_top * m
+    moved = _encode_columns((codes, image), m, codes_top * m)
+    del codes, image
+    if type(moved) is array:
+        runs = [
+            array("q", sorted(moved[start:start + _RUN])) for start in range(0, len(moved), _RUN)
+        ]
+        moved = chain.from_iterable(_merged_blocks(runs))
+    else:
+        moved = sorted(moved)
     dst_codes = chain.from_iterable(map(repeat, dst.codes, dst.widths()))
     expected = map(add, map(mul, dst_codes, repeat(m)), dst.fids)
     return all(map(eq, moved, expected))

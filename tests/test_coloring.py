@@ -610,14 +610,14 @@ class TestMoserTardosRefine:
     @given(st.integers(0, 2**32), st.integers(2, 5))
     @settings(max_examples=150, deadline=None)
     def test_clash_named_as_a_vertex_scan_names_it(self, seed, block):
-        # a block of 2 to 5 vertices makes the merge of the vertex index
-        # cross many block boundaries on these small complexes
+        # blocks of 2 to 5 entries per column make the merge of the vertex
+        # index cross many block boundaries on these small complexes
         rng = random.Random(seed)
         c = random_complex(rng)
         f = random_proper_coloring(c, rng, rng.randint(2, 6))
         expected = ref_intersecting_clash(c, f.colors)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(coloring, "_VERTEX_BLOCK", block)
+            patch.setattr(complex_core, "_BLOCK", block)
             if expected is None:
                 # with 2**40 refinement colors a collision is all but impossible
                 result = moser_tardos_refine(c, f, len(f.colors) ** 4, 2**40, seed)

@@ -26,6 +26,7 @@ from corridors.complex_core import (
     Incidence,
     _columns_valid,
     _encode_columns,
+    _merged_blocks,
     _store_codes,
     double_sweep_lower_bound,
     face_columns,
@@ -344,6 +345,30 @@ def mutate(rng, n, facets, kind):
     return tuple(facets)
 
 
+@given(
+    st.lists(st.lists(st.integers(0, 30), max_size=12), max_size=5),
+    st.integers(1, 4),
+    st.booleans(),
+)
+@settings(max_examples=150, deadline=None)
+def test_merged_blocks_sort_in_bounded_blocks(runs, block, wide):
+    # repeats within and across runs, empty runs, and values past 64 bits
+    # in int lists
+    offset = 1 << 70 if wide else 0
+    runs = [sorted(v + offset for v in run) for run in runs]
+    if not wide:
+        runs = [array("q", run) for run in runs]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(complex_core, "_BLOCK", block)
+        blocks = list(_merged_blocks(runs))
+    assert [v for b in blocks for v in b] == sorted(v for run in runs for v in run)
+    assert all(blocks)
+    # each block holds at most _BLOCK values per run beside repeats of its
+    # last value, and finishes a run or moves one on by _BLOCK
+    assert all(sum(v != b[-1] for v in b) < block * len(runs) for b in blocks)
+    assert len(blocks) <= sum(map(len, runs)) // block + len(runs)
+
+
 @given(st.integers(0, 10_000), st.sampled_from(MUTATIONS))
 @settings(max_examples=200, deadline=None)
 def test_column_storage_matches_the_reference(seed, kind):
@@ -559,23 +584,35 @@ def test_diameter_exact_under_node_relabelling(seed):
         assert diameter_exact(graph_from_edges(len(g), edges)) == exact
 
 
-@pytest.mark.parametrize("n,passes", [(100, 3), (101, 3)])
+@pytest.mark.parametrize("n,passes", [(100, 2), (101, 2)])
 def test_bfs_passes_per_diameter_on_a_path(monkeypatch, n, passes):
-    # the dual of sc(n, 3) is a path of diameter D = n - 3: the connectivity
-    # pass, the sweep and the midpoint pass; for odd D the one deepest fringe
-    # node is the sweep's root, whose eccentricity its own pass measured
+    # the dual of sc(n, 3) is a path of diameter D = n - 3, a tree: the
+    # connectivity pass and the sweep from its far end, for either parity
     g = dual_graph(sc(n, 3))
     sources = record_calls(monkeypatch, "_bfs")
     assert diameter_exact(g) == n - 3
     assert len(sources) == passes
 
 
-def random_connected_graph(rng, max_nodes=24):
+@pytest.mark.parametrize("n,passes", [(100, 8), (101, 5)])
+def test_bfs_passes_per_diameter_on_a_boundary(monkeypatch, n, passes):
+    # a boundary dual has cycles, so iFUB measures it, in as many passes as
+    # before trees took their own branch
+    g = dual_graph(boundary_corridor(n, 3))
+    assert sum(map(len, g)) > 2 * (len(g) - 1)
+    sources = record_calls(monkeypatch, "_bfs")
+    assert diameter_exact(g) == ref_diameter(g)
+    assert len(sources) == passes
+
+
+def random_connected_graph(rng, max_nodes=24, tree=False):
+    """A random spanning tree on 1 to max_nodes nodes, and unless tree is
+    set, up to as many extra edges as nodes."""
     n = rng.randint(1, max_nodes)
     edges = set()
     for v in range(1, n):
         edges.add((rng.randrange(v), v))
-    extra = rng.randint(0, n)
+    extra = 0 if tree else rng.randint(0, n)
     for _ in range(extra):
         u, v = rng.randrange(n), rng.randrange(n)
         if u != v:
@@ -590,6 +627,24 @@ def test_diameter_methods_agree_on_random_graphs(seed):
     exact = ref_diameter(g)
     assert diameter_exact(g) == exact
     assert double_sweep_lower_bound(g) <= exact
+
+
+@given(st.integers(0, 10_000), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_diameter_matches_the_reference_on_trees_and_others(seed, tree):
+    # trees take the two-sweep branch and every other graph iFUB
+    g = random_connected_graph(random.Random(seed), max_nodes=40, tree=tree)
+    if tree:
+        assert sum(map(len, g)) == 2 * (len(g) - 1)
+    assert diameter_exact(g) == ref_diameter(g)
+
+
+def test_disconnected_graph_with_tree_edge_count_raises():
+    # a triangle beside an isolated node has n - 1 edges but is no tree
+    g = graph_from_edges(4, [(0, 1), (1, 2), (0, 2)])
+    assert sum(map(len, g)) == 2 * (len(g) - 1)
+    with pytest.raises(DisconnectedGraph, match=r"^graph is not connected$"):
+        diameter_exact(g)
 
 
 class TestNaiveReferenceAgreement:

@@ -9,7 +9,9 @@ import pytest
 
 from corridors import coloring, complex_core, constructions, pipeline
 from corridors import (
+    Coloring,
     Complex,
+    ImproperColoring,
     InvalidSpec,
     NoLegalColor,
     ResampleCapExceeded,
@@ -220,6 +222,53 @@ class TestVerificationCanFail:
         report = run_pipeline(mode, 3, n, 13, 0.2, 0)
         failed = [name for name, ok in report["verification"].items() if not ok]
         assert failed == DROPPED_FACET_FLAGS[mode]
+        assert report["ok"] is False
+
+
+    @pytest.mark.parametrize("mode,n", TAMPERED_RUNS)
+    def test_improper_product_refused(self, monkeypatch, mode, n):
+        # one color for every vertex: pattern_complex refuses the product
+        # before any flag is computed, so `proper` is never false in a report
+        monkeypatch.setattr(
+            pipeline,
+            "moser_tardos_refine",
+            lambda c, f, *rest: RefineResult(Coloring((1,) * c.n_vertices, 1), 0),
+        )
+        with pytest.raises(ImproperColoring, match="^two adjacent vertices share a color$"):
+            run_pipeline(mode, 3, n, 13, 0.2, 0)
+
+    @pytest.mark.parametrize("mode,n", TAMPERED_RUNS)
+    def test_product_over_the_color_budget(self, monkeypatch, mode, n):
+        # refine returns a color per vertex, which is proper and separates
+        # every ridge, but uses more than c1 * c2 = 26 colors
+        monkeypatch.setattr(
+            pipeline,
+            "moser_tardos_refine",
+            lambda c, f, *rest: RefineResult(
+                Coloring(tuple(range(1, c.n_vertices + 1)), c.n_vertices), 0
+            ),
+        )
+        report = run_pipeline(mode, 3, n, 13, 0.2, 0, c2=2)
+        assert report["results"]["n_prime"] == n > 13 * 2
+        failed = [name for name, ok in report["verification"].items() if not ok]
+        assert failed == ["n_prime_within_budget"]
+        assert report["ok"] is False
+
+    @pytest.mark.parametrize("mode,n", TAMPERED_RUNS)
+    def test_pseudomanifold_flag_reads_the_source(self, monkeypatch, mode, n):
+        # the source's pseudomanifold test is read before the source is
+        # dropped: flipping its answer, and only its, fails the comparison
+        targets = []
+        for name in ("straight_corridor", "boundary_corridor"):
+            build = getattr(pipeline, name)
+            monkeypatch.setattr(
+                pipeline, name, lambda *args, build=build: targets.append(build(*args)) or targets[-1]
+            )
+        check = pipeline.is_pseudomanifold
+        monkeypatch.setattr(pipeline, "is_pseudomanifold", lambda c: check(c) != (c is targets[0]))
+        report = run_pipeline(mode, 3, n, 13, 0.2, 0)
+        failed = [name for name, ok in report["verification"].items() if not ok]
+        assert failed == ["pseudomanifold_preserved"]
         assert report["ok"] is False
 
 

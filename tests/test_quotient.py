@@ -31,6 +31,7 @@ from corridors import (
     verify_boundary_preservation,
     verify_unique_ridge_patterns,
 )
+from corridors import complex_core, quotient
 from corridors.complex_core import ridges_of
 from corridors.quotient import quotient_report
 from naive_reference import (
@@ -294,6 +295,43 @@ class TestBoundaryPreservation:
                 broken = q._replace(**{field: swap_two_images(mapping, rng)})
                 fast = verify_boundary_preservation(c, broken)
                 assert fast == ref_boundary_preserved(c, tuple_ridge_map(c, broken))
+
+    @given(
+        st.integers(0, len(CORPUS) - 1),
+        st.integers(0, 10_000),
+        st.integers(1, 7),
+        st.integers(1, 4),
+        st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_runs_and_blocks_match_dense_oracle(self, index, seed, run, block, lanes):
+        # runs of 1 to 7 entries merged in blocks of 1 to 4 per run cross
+        # many run and block boundaries on these small complexes, with the
+        # moved codes built in lanes and one at a time
+        c = CORPUS[index]
+        rng = random.Random(seed)
+        q = pattern_complex(c, random_proper_coloring(c, rng))
+        candidates = [q]
+        for field in ("facet_map", "ridge_map"):
+            if len(getattr(q, field)) > 1:
+                candidates.append(q._replace(**{field: swap_two_images(getattr(q, field), rng)}))
+        expected = [ref_boundary_preserved(c, tuple_ridge_map(c, x)) for x in candidates]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(quotient, "_RUN", run)
+            patch.setattr(complex_core, "_BLOCK", block)
+            if not lanes:
+                patch.setattr(complex_core, "_fits_lanes", lambda columns, top: False)
+            assert [verify_boundary_preservation(c, x) for x in candidates] == expected
+
+    def test_ridge_code_out_of_range_detected(self):
+        # base 6, ridges of two vertices: codes lie in 0..35
+        c = sc(5, 3)
+        q = pattern_complex(c, identity_coloring(5))
+        assert verify_boundary_preservation(c, q)
+        for bad in (-1, 36, 1 << 62):
+            ridge_map = copy.copy(q.ridge_map)
+            ridge_map[0] = bad
+            assert not verify_boundary_preservation(c, q._replace(ridge_map=ridge_map))
 
     @given(st.integers(0, len(CORPUS) - 1), st.integers(0, 10_000), st.integers(0, 2))
     @settings(max_examples=150, deadline=None)

@@ -5,14 +5,20 @@
 Each pair runs `perfbench/run.py --workload W --seed K --seconds S --trace 0`
 once in each checkout, each time in a fresh interpreter started there, and
 the side that goes first alternates from pair to pair, so a slow phase of a
-shared host tends to fall on both sides alike.  Only the JSON result line
-(the last line on stdout) is read.  The runs keep their records in their own
-`.bench_out/`, and this script writes no file itself.
+shared host tends to fall on both sides alike.  The JSON result line (the
+last line on stdout) gives the end-to-end metrics.  The runs keep their
+records in their own `.bench_out/`, and this script writes no file itself;
+after each run it reads that run's record for two more figures.
 
 For every end-to-end metric of CHANGE_DIR's BENCHMARK.json it prints the
 first quartile, median and third quartile of each side, and in how many
 pairs the change was strictly better (lower or higher, as the metric
-declares).  The exit code is 1 when a run fails its gate or exits nonzero.
+declares).  Under them come the same quartiles of each record's raw time,
+the sum of its measured (not rescaled) cell medians, and of its speed
+probe's median kernel time.  The rescaled times divide by the probe's
+speed, so a change that makes the probe run faster or slower beside it
+moves them with no change in the raw time.  The exit code is 1 when a run
+fails its gate or exits nonzero.
 """
 
 import argparse
@@ -35,6 +41,15 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float):
         return None
     result = json.loads(lines[-1])
     return result if result.get("correct") else None
+
+
+def record_figures(checkout: Path, workload: str, seed: int):
+    """(raw seconds, probe kernel seconds) of the last untraced run's record
+    in `checkout`: the sum of its measured cell medians, and its speed
+    probe's median kernel time."""
+    path = checkout / ".bench_out" / f"result-{workload}-seed{seed}-trace0.json"
+    details = json.loads(path.read_text())["details"]
+    return sum(details["measured_cell_median_s"]), details["probe_kernel_median_s"]
 
 
 def quartiles(values):
@@ -69,20 +84,26 @@ def main(argv=None) -> int:
                       f"{sides[side] / '.bench_out'}", file=sys.stderr)
                 runs[side].append(None)
             else:
-                runs[side].append({n: result["metrics"][n]["value"] for n in lower})
+                values = {n: result["metrics"][n]["value"] for n in lower}
+                values["raw_s"], values["probe_s"] = record_figures(
+                    sides[side], args.workload, args.seed
+                )
+                runs[side].append(values)
         print(f"pair {pair + 1}/{args.pairs} done ({order[0]} first)", file=sys.stderr)
 
     both = [(a, b) for a, b in zip(runs["parent"], runs["change"]) if a and b]
     print(f"workload {args.workload}, {args.pairs} pairs of --seconds {args.seconds:g}")
     print(f"{'metric':<14}{'side':<8}{'q1':>12}{'median':>12}{'q3':>12}  change better")
-    for name, is_lower in lower.items():
+    # the probe's time has no better side: beside the raw time it tells a
+    # probe effect from a change in the program
+    for name, is_lower in [*lower.items(), ("raw_s", True), ("probe_s", None)]:
         for side in sides:
             vals = [run[name] for run in runs[side] if run]
             if not vals:
                 continue
             q1, med, q3 = quartiles(vals)
             wins = ""
-            if side == "change":
+            if side == "change" and is_lower is not None:
                 won = sum((b[name] < a[name]) if is_lower else (b[name] > a[name])
                           for a, b in both)
                 wins = f"  {won}/{len(both)}"
