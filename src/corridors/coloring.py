@@ -24,17 +24,18 @@ the order they fire.  Index draws use rejection sampling on getrandbits, so
 colorings are reproducible bit-for-bit across platforms and Python versions.
 Past its first `window` vertices the greedy stage always draws from
 c1 - window colors, so it takes those draws in one batch (_draw_indices)
-without changing one: a draw from at most 256 options is the top bits of
-one 32-bit word, and getrandbits(32 j) returns j successive words, least
-significant first, as CPython's _randommodule.c fills them.  PRNG_ID and
-the pinned streams are unchanged.
+without changing one, and the refinement takes its initial sample through
+the same helper, a chunk of vertices a batch: a draw from at most 256
+options is the top bits of one 32-bit word, and getrandbits(32 j) returns j
+successive words, least significant first, as CPython's _randommodule.c
+fills them.  PRNG_ID and the pinned streams are unchanged.
 
 A face's pattern, the sorted tuple of its colors, is handled as one integer
 (pattern_codes): the tuple read as base-(c+1) digits for colors 1..c.  For
 faces of one size, equal codes are equal patterns and code order is tuple
 order, so the resampling order (smallest colliding pattern first) is that
-of the tuples, and so is the draw schedule.  The uniqueness check only
-compares the number of distinct codes with the number of ridges.
+of the tuples, and so is the draw schedule.  The uniqueness check sorts
+the codes and looks for two equal neighbours.
 Counting classes needs no order and uses the cheaper additive key of
 class_sizes.
 
@@ -46,9 +47,9 @@ so the ridges through a vertex are one bisect run and an intersecting
 pair in one class is two neighbouring entries with one key; the current
 pattern code of each ridge; and the initial codes packed with their ridge
 ids, ascending.  Only the colliding patterns and the ridges that moved off
-their starting pattern get a container.  The sorts that build these take
-boxed lists one column or one merge block (complex_core._merged_blocks)
-at a time.
+their starting pattern get a container.  The vertex index, the initial
+codes and the uniqueness check all sort through complex_core._sorted_runs,
+which holds one bounded run or merge block boxed at a time.
 """
 
 from __future__ import annotations
@@ -59,25 +60,25 @@ from array import array
 from bisect import bisect_left, insort
 from collections import Counter, namedtuple
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache
 from heapq import heapify, heappop, heappush
-from itertools import chain, combinations, repeat
+from itertools import chain, combinations, repeat, tee
 from math import ceil, comb
 from operator import add, and_, eq, itemgetter, mul, sub
 from pathlib import Path
 
 from .bounds import E
 from .complex_core import (
-    _CHUNK,
     Complex,
     Incidence,
     _body_ints,
+    _chunks,
     _content_lines,
     _encode_columns,
     _header_ints,
-    _merged_blocks,
     _repeats,
     _scanned_fields,
+    _sorted_runs,
     _store_codes,
     _with_ids,
 )
@@ -384,12 +385,20 @@ def verify_proper(c: Complex, f: Coloring) -> bool:
 
 
 def verify_unique_ridge_patterns(c: Complex, f: Coloring) -> bool:
-    """True iff no two ridges share a pattern: as many distinct pattern
-    codes as ridges (the count argument of the quotient module docstring).
+    """True iff no two ridges share a pattern, that is, a pattern code.
+
+    The codes are computed a chunk of ridges at a time and sorted through
+    complex_core._sorted_runs, so no boxed list or set of every code is
+    built; equal codes are then neighbours in the merged stream.
     """
     _require_total(c, f)
-    codes = pattern_codes((0, *f.colors), c.incidence.columns(), f.c + 1)
-    return len(set(codes)) == len(codes)
+    inc, color_of, base = c.incidence, (0, *f.colors), f.c + 1
+    rows = (range(start, stop) for start, stop in _chunks(0, len(inc)))
+    codes = chain.from_iterable(pattern_codes(color_of, inc.columns(r), base) for r in rows)
+    # each code beside the one after it, one pair at a time
+    merged, following = tee(chain.from_iterable(_sorted_runs(codes, base ** min(inc.size, 64))))
+    next(following, None)
+    return not any(map(eq, merged, following))
 
 
 class RefineResult(namedtuple("RefineResult", ("coloring", "resamples"))):
@@ -409,17 +418,10 @@ def _store_pattern_codes(color_of, columns, base: int):
     """
     size = len(columns)
     codes = _store_codes((), base - 1, size)
-    for start in range(0, len(columns[0]) if columns else 0, _CHUNK):
-        chunk = [col[start:start + _CHUNK].tolist() for col in columns]
+    for start, stop in _chunks(0, len(columns[0]) if columns else 0):
+        chunk = [col[start:stop].tolist() for col in columns]
         codes += _store_codes(pattern_codes(color_of, chunk, base), base - 1, size)
     return codes
-
-
-def _sorted_entries(entries, top: int):
-    """The entries, ascending: an array('q') when top, a bound on every
-    entry, fits in 63 bits, and an int list otherwise."""
-    entries = sorted(entries)
-    return array("q", entries) if top <= 1 << 63 else entries
 
 
 def _ridges_by_vertex(columns, codes, n_vertices: int, shift: int):
@@ -430,10 +432,9 @@ def _ridges_by_vertex(columns, codes, n_vertices: int, shift: int):
     ridge rid, ascending, b being the bit length of the largest ridge id.
     The ridges through v are then one run of entries, and two ridges
     through v in one class are neighbouring entries with one key
-    v * shift + code.  Each column's entries are sorted on their own (the
-    first column ascends, so its sort is one pass), and
-    complex_core._merged_blocks then merges the columns a bounded block at
-    a time.
+    v * shift + code.  The columns' entries, one column after another, are
+    sorted through complex_core._sorted_runs, so no sort holds more than a
+    bounded run or block of them boxed.
     """
     b = max(len(codes) - 1, 0).bit_length()
     # code << b | rid, the part of an entry that every column shares
@@ -441,13 +442,10 @@ def _ridges_by_vertex(columns, codes, n_vertices: int, shift: int):
     if type(tail) is not array:
         tail = list(tail)
     top = (n_vertices + 1) * shift << b
-    runs = [_sorted_entries(_encode_columns((col, tail), shift << b, top), top) for col in columns]
+    entries = (_encode_columns((col, tail), shift << b, top) for col in columns)
+    blocks = chain.from_iterable(_sorted_runs(chain.from_iterable(entries), top))
     del tail
-    store = partial(array, "q") if top <= 1 << 63 else list
-    entries = store()
-    for block in _merged_blocks(runs):
-        entries += store(block)
-    return entries, b, shift
+    return (array("q", blocks) if top <= 1 << 63 else list(blocks)), b, shift
 
 
 def _ridges_through(index, v: int):
@@ -530,7 +528,9 @@ class _PatternClasses:
     def _rebase(self):
         """Take every ridge's current pattern as its starting one, which
         leaves no ridge moved."""
-        self.first = _sorted_entries(_with_ids(self.keys, self.b, self.top), self.top << self.b)
+        top = self.top << self.b
+        blocks = chain.from_iterable(_sorted_runs(_with_ids(self.keys, self.b, self.top), top))
+        self.first = array("q", blocks) if top <= 1 << 63 else list(blocks)
         self.moved: dict[int, list[int]] = {}
 
     def move(self, rid, new):
@@ -614,11 +614,15 @@ def moser_tardos_refine(
     index = _require_refinable(inc, columns, f, S)
 
     rng = random.Random(seed)
-    draws = (_draw_index(rng, c2) + 1 for _ in range(c.n_vertices))
+    # the initial sample, a chunk of vertices a batch: one list of every
+    # vertex's draw left the heap fragmented and the later stages' peaks
+    # higher
+    draws = chain.from_iterable(_draw_indices(rng, c2, b - a) for a, b in _chunks(0, c.n_vertices))
 
-    # product color of every vertex, kept current as vertices are
-    # resampled; h[v] is vertex v's, so it serves pattern_codes as it stands
-    h = [0, *map(add, map(mul, map(sub, colors, repeat(1)), repeat(c2)), draws)]
+    # product color (color - 1) c2 + draw + 1 of every vertex, kept current
+    # as vertices are resampled; h[v] is vertex v's, so it serves
+    # pattern_codes as it stands
+    h = [0, *map(add, map(sub, map(mul, colors, repeat(c2)), repeat(c2 - 1)), draws)]
     base = f.c * c2 + 1
     keys = _store_pattern_codes(h, columns, base)
     del columns

@@ -34,11 +34,17 @@ lanes of one int (SIMD within a register, the lane helpers below) wherever
 every value is known to fit in 62 bits, and so do the sort entries that
 coloring's refinement packs with _encode_columns and _with_ids and scans
 with _repeats: one big-int operation then does the arithmetic of a whole
-chunk.  A chunk is 4096 values, so each lane
+chunk.  A chunk is 4096 values (_chunks gives their bounds), so each lane
 temporary stays at 32 KB; a whole-array int, with the ints derived from
 it, would add several times the array to the peak heap.  Where a value may
 not fit (ridge keys of SC(10^7, 3) and of d = 4 at 10^5, codes past 64
 bits), the boxed path computes the same values one int at a time.
+
+Long sequences of per-ridge or per-entry values are sorted by one helper,
+_sorted_runs, in bounded runs that _merged_blocks merges a block at a time;
+refinement, the uniqueness check and the boundary check read it.
+ridges_of keeps one sort of its keys, whose streams arrive nearly
+ascending.
 
 A dual graph is its adjacency rows: `dual_graph` reads the incidence
 rows and returns every node's ascending neighbour tuple, built once, and
@@ -203,6 +209,12 @@ _CHUNK = 4096
 _GUARD = 1 << 62
 
 
+def _chunks(start: int, stop: int):
+    """(begin, end) of each chunk of start..stop-1: _CHUNK values each,
+    the last one possibly fewer."""
+    return zip(range(start, stop, _CHUNK), chain(range(start + _CHUNK, stop, _CHUNK), (stop,)))
+
+
 def _fits_lanes(columns, top: int) -> bool:
     """Whether lanes may carry these columns: each is an array('q'), and
     top, a bound on every value computed from them, is at most 2**62."""
@@ -237,8 +249,7 @@ def _less(a, b, lanes: bool) -> bool:
     """
     if not lanes:
         return all(map(lt, a, b))
-    for start in range(0, len(a), _CHUNK):
-        stop = min(start + _CHUNK, len(a))
+    for start, stop in _chunks(0, len(a)):
         x, y = _pack(a[start:stop]), _pack(b[start:stop])
         guard = _splat(_GUARD, stop - start)
         if (x | y) & guard * 3 or (y + guard - (guard >> 62) - x) & guard != guard:
@@ -310,8 +321,7 @@ def _encode_columns(columns, base: int, top: int | None = None):
         top = base ** min(len(columns), 64)
     if _fits_lanes(columns, top):
         codes = array("q")
-        for start in range(0, len(first), _CHUNK):
-            stop = min(start + _CHUNK, len(first))
+        for start, stop in _chunks(0, len(first)):
             code = _pack(first[start:stop])
             for column in rest:
                 code = code * base + _pack(column[start:stop])
@@ -345,8 +355,7 @@ def _with_ids(values, b: int, top: int):
     if not _fits_lanes((values,), top << b):
         return map(or_, map(lshift, values, repeat(b)), count())
     out = array("q")
-    for start in range(0, len(values), _CHUNK):
-        stop = min(start + _CHUNK, len(values))
+    for start, stop in _chunks(0, len(values)):
         out += _unpack(_pack(values[start:stop]) << b | _ids(start, stop), stop - start)
     return out
 
@@ -455,8 +464,7 @@ def _lane_incidence(c: Complex, size: int, fb: int):
     fids[0] = keys[0] & mask
     codes.append(keys[0] >> fb)
     view = memoryview(keys)
-    for start in range(1, len(keys), _CHUNK):
-        stop = min(start + _CHUNK, len(keys))
+    for start, stop in _chunks(1, len(keys)):
         count = stop - start
         cur, above = _lanes_above(view, start, stop, mask)
         starts = _unpack(above >> 62, count)
@@ -469,11 +477,29 @@ def _lane_incidence(c: Complex, size: int, fb: int):
     return codes, offsets, fids
 
 
-# values per sorted run, and per run in each block of _merged_blocks, where a
-# caller sorts a long array in runs: the boxed lists of a sort stay this
-# small whatever the input's size
+# values per sorted run of _sorted_runs, and per run in each block of
+# _merged_blocks: the boxed lists of a sort stay this small whatever the
+# input's size
 _RUN = 1 << 15
 _BLOCK = 1 << 12
+
+
+def _sorted_runs(values, top: int):
+    """The values, nonnegative ints below top, in ascending order, as a
+    stream of sorted lists.
+
+    The values, any iterable, are cut into runs of _RUN, and each run is
+    sorted into an array('q') when top fits in 63 bits and into an int list
+    otherwise; _merged_blocks then merges the runs a block at a time.  The
+    runs are sorted before the first block is asked for, so a caller may
+    drop the values' source once this returns.
+    """
+    values, runs = iter(values), []
+    while run := sorted(islice(values, _RUN)):
+        runs.append(array("q", run) if top <= 1 << 63 else run)
+        # dropped before the next run is sorted, so one boxed run is alive
+        del run
+    return _merged_blocks(runs)
 
 
 def _merged_blocks(runs):
@@ -483,8 +509,11 @@ def _merged_blocks(runs):
     Each block takes from every run its values up to the smallest of the
     runs' _BLOCK-th pending values, so it holds at most _BLOCK values per
     run, beyond repeats of its last value, and it finishes a run or moves
-    one on by _BLOCK.  A run is any sequence that bisect reads: an
-    array('q'), or an int list for values past 64 bits.
+    one on by _BLOCK.  On ascending runs the run that sets that bound
+    gives the block at least one value; a block that takes none means a
+    run does not ascend, and raises ValueError rather than loop.  A run is
+    any sequence that bisect reads: an array('q'), or an int list for
+    values past 64 bits.
     """
     starts = [0] * len(runs)
     while True:
@@ -497,6 +526,8 @@ def _merged_blocks(runs):
             end = bisect_right(run, stop, starts[j])
             block += run[starts[j]:end]
             starts[j] = end
+        if not block:
+            raise ValueError("merged runs must ascend")
         block.sort()
         yield block
 
@@ -523,8 +554,7 @@ def _repeats(entries, mask: int):
         return compress(count(1), map(le, map(xor, islice(entries, 1, None), entries), repeat(mask)))
     repeats = []
     view = memoryview(entries)
-    for start in range(1, len(entries), _CHUNK):
-        stop = min(start + _CHUNK, len(entries))
+    for start, stop in _chunks(1, len(entries)):
         _, above = _lanes_above(view, start, stop, mask)
         # a guard bit left clear marks a repeat
         same = (above ^ _splat(_GUARD, stop - start)) >> 62
@@ -586,9 +616,10 @@ def dual_graph(c: Complex) -> tuple[tuple[int, ...], ...]:
 
 
 def is_pseudomanifold(c: Complex) -> bool:
-    """True iff every ridge lies in exactly two facets."""
-    widths = c.incidence.widths()
-    return widths.count(2) == len(widths)
+    """True iff every ridge lies in exactly two facets: the incidence's
+    offsets are 0, 2, ..., 2 len(incidence), compared at C level."""
+    offsets = c.incidence.offsets
+    return offsets == array("q", range(0, 2 * len(offsets) - 1, 2))
 
 
 def is_strongly_connected(c: Complex) -> bool:

@@ -22,11 +22,12 @@ ridges are decoded by its own Incidence.columns.  The facet map
 is one quotient facet index per source facet, shared where patterns
 collide, and the ridge map one quotient ridge code per source ridge row,
 both flat integer sequences.  The preservation check codes every matrix
-entry as one integer, sorts the moved source entries in bounded runs
-merged a block at a time and compares them in step with the quotient's,
-which its incidence yields ascending; no set is built.  Quotient vertices
-are the used colors renumbered in color order, so the pattern code of a
-face (coloring.pattern_codes, base n'+1) is the code of its image in the
+entry as one integer, sorts the moved source entries through
+complex_core._sorted_runs, in bounded runs merged a block at a time, and
+compares them in step with the quotient's, which its incidence yields
+ascending; no set is built.  Quotient vertices are the used colors
+renumbered in color order, so the pattern code of a face
+(coloring.pattern_codes, base n'+1) is the code of its image in the
 quotient's incidence: the quotient facets are the distinct facet codes,
 ascending and decoded once here, and no pattern tuple is built.  Those
 facet codes and the comparison of the quotient's ridge codes with
@@ -43,11 +44,10 @@ from itertools import chain, repeat
 from operator import add, eq, mul
 
 from .complex_core import (
-    _RUN,
     Complex,
     _decode_codes,
     _encode_columns,
-    _merged_blocks,
+    _sorted_runs,
     _store_codes,
     diameter_exact,
     dual_graph,
@@ -155,11 +155,11 @@ def verify_boundary_preservation(c: Complex, q: QuotientResult) -> bool:
     that was not made for this quotient.
 
     The moved codes are built in lanes from two per-entry array('q')
-    columns, the ridge codes and the facet images, then sorted in runs of
-    complex_core._RUN and merged a block at a time, so no boxed list of
-    every entry is built; the quotient's side is a lazy stream.  Where
-    lanes cannot hold the entry codes, as past 62 bits or with ridge codes
-    past 64 bits, one sort of boxed ints orders them.
+    columns, the ridge codes and the facet images, or one at a time where
+    lanes cannot hold them, as past 62 bits or with ridge codes past 64
+    bits.  complex_core._sorted_runs sorts them in bounded runs merged a
+    block at a time, so no boxed list of every entry is built; the
+    quotient's side is a lazy stream.
     """
     src, dst = c.incidence, q.quotient.incidence
     facet_map, ridge_map, m = q.facet_map, q.ridge_map, q.quotient.facet_count
@@ -179,13 +179,7 @@ def verify_boundary_preservation(c: Complex, q: QuotientResult) -> bool:
     # every moved entry code is below codes_top * m
     moved = _encode_columns((codes, image), m, codes_top * m)
     del codes, image
-    if type(moved) is array:
-        runs = [
-            array("q", sorted(moved[start:start + _RUN])) for start in range(0, len(moved), _RUN)
-        ]
-        moved = chain.from_iterable(_merged_blocks(runs))
-    else:
-        moved = sorted(moved)
+    moved = chain.from_iterable(_sorted_runs(moved, codes_top * m))
     dst_codes = chain.from_iterable(map(repeat, dst.codes, dst.widths()))
     expected = map(add, map(mul, dst_codes, repeat(m)), dst.fids)
     return all(map(eq, moved, expected))

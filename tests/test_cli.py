@@ -290,6 +290,24 @@ class TestColoringCommands:
             "error: coloring covers 61 vertices, complex has 60"
         ]
 
+    def test_verify_fails_on_a_disconnected_complex(self, tmp_path, capsys):
+        # two facets that share no ridge: the dual graph has two components
+        path = tmp_path / "two.cplx"
+        path.write_text("dim 3 vertices 6\n1 2 3\n4 5 6\n")
+        code, out, err = run(capsys, "verify", "--in", str(path))
+        assert code == 1 and err == ""
+        assert out.splitlines() == [
+            "connected: FAIL (required)",
+            "pseudomanifold: FAIL (reported)",
+        ]
+        code, out, err = run(capsys, "verify", "--in", str(path), "--json")
+        assert code == 1 and err == ""
+        assert json.loads(out) == {
+            "checks": {"connected": False, "pseudomanifold": False},
+            "required": ["connected"],
+            "ok": False,
+        }
+
     def test_refine_rejects_a_short_coloring(self, built, capsys):
         # counting the classes for S would index past the coloring
         tmp_path, sc_path = built

@@ -500,16 +500,14 @@ class TestMoserTardosRefine:
         assert result.coloring.c == 13 * c2
 
     def test_adversarial_constant_start(self, monkeypatch):
-        # the initial sample draws once per vertex; forcing those ten draws
-        # to color 1 without consuming randomness starts from the constant
-        # refinement, and every resample draws from the untouched stream
-        draw = coloring._draw_index
-        forced = iter(range(10))
+        # the initial sample is one batch of draws, one per vertex; forcing
+        # that batch to color 1 without consuming randomness starts from the
+        # constant refinement, and every resample draws from the untouched
+        # stream
+        def constant_start(rng, k, count):
+            return [0] * count
 
-        def constant_start(rng, k):
-            return 0 if next(forced, None) is not None else draw(rng, k)
-
-        monkeypatch.setattr(coloring, "_draw_index", constant_start)
+        monkeypatch.setattr(coloring, "_draw_indices", constant_start)
         c = sc(10, 3)
         result = moser_tardos_refine(c, periodic_coloring(10, 5), 2, 40, 3)
         assert result.resamples == 2
@@ -607,16 +605,18 @@ class TestMoserTardosRefine:
         g = refinement_colors(result.coloring, c2)
         assert (result.coloring.colors, g, result.resamples) == expected
 
-    @given(st.integers(0, 2**32), st.integers(2, 5))
+    @given(st.integers(0, 2**32), st.integers(1, 7), st.integers(2, 5))
     @settings(max_examples=150, deadline=None)
-    def test_clash_named_as_a_vertex_scan_names_it(self, seed, block):
-        # blocks of 2 to 5 entries per column make the merge of the vertex
-        # index cross many block boundaries on these small complexes
+    def test_clash_named_as_a_vertex_scan_names_it(self, seed, run, block):
+        # runs of 1 to 7 entries merged in blocks of 2 to 5 entries per run
+        # make the sorts of the vertex index and of the pattern classes cross
+        # many run and block boundaries on these small complexes
         rng = random.Random(seed)
         c = random_complex(rng)
         f = random_proper_coloring(c, rng, rng.randint(2, 6))
         expected = ref_intersecting_clash(c, f.colors)
         with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(complex_core, "_RUN", run)
             patch.setattr(complex_core, "_BLOCK", block)
             if expected is None:
                 # with 2**40 refinement colors a collision is all but impossible

@@ -27,6 +27,7 @@ from corridors.complex_core import (
     _columns_valid,
     _encode_columns,
     _merged_blocks,
+    _sorted_runs,
     _store_codes,
     double_sweep_lower_bound,
     face_columns,
@@ -367,6 +368,43 @@ def test_merged_blocks_sort_in_bounded_blocks(runs, block, wide):
     # last value, and finishes a run or moves one on by _BLOCK
     assert all(sum(v != b[-1] for v in b) < block * len(runs) for b in blocks)
     assert len(blocks) <= sum(map(len, runs)) // block + len(runs)
+
+
+def test_merged_blocks_fail_on_a_run_that_does_not_ascend():
+    # the block's bound, the run's last value, lies below its first, so
+    # the block takes nothing and the merge raises instead of looping
+    with time_limit(1), pytest.raises(ValueError, match="merged runs must ascend"):
+        list(_merged_blocks([array("q", [5, 6, 0])]))
+
+
+@given(st.lists(st.lists(st.integers(0, 30), max_size=12), max_size=5), st.integers(1, 4))
+@settings(max_examples=150, deadline=None)
+def test_merged_blocks_end_on_any_runs(runs, block):
+    # every block takes a value or raises, so the merge ends whether or
+    # not the runs ascend, and a merge that ends gives every value once
+    runs = [array("q", run) for run in runs]
+    with pytest.MonkeyPatch.context() as patch, time_limit(5):
+        patch.setattr(complex_core, "_BLOCK", block)
+        try:
+            merged = [v for b in _merged_blocks(runs) for v in b]
+        except ValueError as exc:
+            assert str(exc) == "merged runs must ascend"
+        else:
+            assert sorted(merged) == sorted(v for run in runs for v in run)
+
+
+@given(st.lists(st.integers(0, 1 << 70), max_size=40), st.integers(1, 7), st.integers(1, 4))
+@settings(max_examples=150, deadline=None)
+def test_sorted_runs_sort_any_values(values, run, block):
+    # runs of 1 to 7 values, stored in arrays below 2**63 and in int lists
+    # past it
+    top = max(values, default=0) + 1
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(complex_core, "_RUN", run)
+        patch.setattr(complex_core, "_BLOCK", block)
+        blocks = list(_sorted_runs(iter(values), top))
+    assert [v for b in blocks for v in b] == sorted(values)
+    assert all(blocks)
 
 
 @given(st.integers(0, 10_000), st.sampled_from(MUTATIONS))

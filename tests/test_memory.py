@@ -3,28 +3,31 @@ transient peaks of the stages that set a verified run's memory, of the
 ridge enumeration they read, and of a whole run.
 
 SC(2*10^4, 3) at pipeline seed 1 is staged as run_pipeline stages it: stage
-one, refinement, the quotient, then the boundary-preservation check with the
-quotient's incidence already built, as the pipeline's earlier verifiers
-leave it, the quotient's dual graph and its diameter.  Each measured call
-runs under tracemalloc started just before it, so the peak is what the call
-itself allocates on top of the heap it finds.  The lane helpers' caches of
-complex_core (_splat, _iota) are emptied before each traced call, so a
-figure does not depend on which entries an earlier call left in them.  The
-bounds are per incidence entry, per ridge and per facet: a per-entry set or
-dict costs well above them, flat arrays and bounded sorted runs stay below.
+one, refinement, the uniqueness check, the quotient, then the
+boundary-preservation check with the quotient's incidence already built, as
+the pipeline's earlier verifiers leave it, the quotient's dual graph and its
+diameter.  Each measured call runs under tracemalloc started just before
+it, so the peak is what the call itself allocates on top of the heap it
+finds.  The lane helpers' caches of complex_core (_splat, _iota) are
+emptied before each traced call, so a figure does not depend on which
+entries an earlier call left in them.  The bounds are per incidence entry,
+per ridge and per facet: a per-entry set or dict costs well above them,
+flat arrays and bounded sorted runs stay below.
 
-The boundary check sorts its moved entries as array('q') runs merged a
-block at a time; one boxed list of every entry costs above its bound.  On
-the quotient's dual, a tree, the diameter takes two BFS passes with one
-distance list alive at a time; a third pass beside the second costs above
-its bound.  A whole pseudomanifold run on the boundary of SC(2*10^4, 4)
-drops the source, its incidence and the colorings before the quotient's
-dual graph is built; holding them there costs above the whole-run bound,
-per source facet.
+Refinement, the uniqueness check and the boundary check sort through one
+helper, complex_core._sorted_runs: array('q') runs of bounded size, merged
+a block at a time.  One boxed list of every moved entry costs above the
+boundary check's bound, and a boxed list and a set of every pattern code
+above the uniqueness check's.  On the quotient's dual, a tree, the diameter
+takes two BFS passes with one distance list alive at a time; a third pass
+beside the second costs above its bound.  A whole pseudomanifold run on the
+boundary of SC(2*10^4, 4) drops the source, its incidence and the colorings
+before the quotient's dual graph is built; holding them there costs above
+the whole-run bound, per source facet.
 
 Refinement keeps its per-ridge state in array('q'): the ridge columns, the
 vertex index, the current pattern codes and the sorted initial ones; its
-peak is one boxed list of a column's or the codes' sort keys on top of
+peak is one boxed run of the index's or the codes' sort keys on top of
 those.  A dict from pattern to ridge, or a boxed list of every code, costs
 well above its bound.  The dual graph's rows share one int per node, so a
 row costs a pointer per neighbour, and each row's list is dropped as its
@@ -58,6 +61,7 @@ from corridors import (
     run_pipeline,
     straight_corridor,
     verify_boundary_preservation,
+    verify_unique_ridge_patterns,
 )
 from corridors import complex_core
 from corridors.complex_core import dual_graph, ridges_of
@@ -66,6 +70,7 @@ from corridors.pipeline import DEFAULT_RETRIES, _derive_seed, _first_stage
 N, DIM, C1, EPSILON, SEED = 20000, 3, 13, 0.2, 1
 CHECK_BYTES_PER_ENTRY = 45
 REFINE_BYTES_PER_RIDGE = 170
+UNIQUE_BYTES_PER_RIDGE = 60
 RIDGES_BYTES_PER_FACET = 200
 HELD_BYTES_PER_FACET = 40
 DUAL_PEAK_BYTES_PER_FACET = 200
@@ -118,6 +123,8 @@ def staged():
     refine, refine_peak = traced_peak(
         moser_tardos_refine, corridor, f, s, c2, _derive_seed(master)
     )
+    unique, unique_peak = traced_peak(verify_unique_ridge_patterns, corridor, refine.coloring)
+    assert unique
     quotient, quotient_held = traced_held(quotient_complex, corridor, refine.coloring)
     q = pattern_complex(corridor, refine.coloring)
     assert q.quotient == quotient
@@ -131,7 +138,7 @@ def staged():
     assert diameter == N - DIM
     return (
         corridor.incidence, refine_peak, check_peak, quotient, quotient_held,
-        dual_peak, dual_held, diameter_peak,
+        dual_peak, dual_held, diameter_peak, unique_peak,
     )
 
 
@@ -143,6 +150,11 @@ def test_boundary_check_peak_per_entry(staged):
 def test_refine_peak_per_ridge(staged):
     inc, refine_peak, *_ = staged
     assert refine_peak <= REFINE_BYTES_PER_RIDGE * len(inc)
+
+
+def test_uniqueness_check_peak_per_ridge(staged):
+    inc, *_, unique_peak = staged
+    assert unique_peak <= UNIQUE_BYTES_PER_RIDGE * len(inc)
 
 
 def test_ridges_of_peak_per_facet():
@@ -169,12 +181,12 @@ def test_quotient_dual_graph_peak_per_facet(staged):
 
 
 def test_quotient_dual_graph_held_per_facet(staged):
-    _, _, _, quotient, _, _, held, _ = staged
+    _, _, _, quotient, _, _, held, *_ = staged
     assert held <= DUAL_HELD_BYTES_PER_FACET * quotient.facet_count
 
 
 def test_quotient_diameter_peak_per_facet(staged):
-    _, _, _, quotient, _, _, _, peak = staged
+    _, _, _, quotient, _, _, _, peak, _ = staged
     assert peak <= DIAMETER_BYTES_PER_FACET * quotient.facet_count
 
 

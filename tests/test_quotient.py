@@ -31,7 +31,7 @@ from corridors import (
     verify_boundary_preservation,
     verify_unique_ridge_patterns,
 )
-from corridors import complex_core, quotient
+from corridors import complex_core
 from corridors.complex_core import ridges_of
 from corridors.quotient import quotient_report
 from naive_reference import (
@@ -317,7 +317,7 @@ class TestBoundaryPreservation:
                 candidates.append(q._replace(**{field: swap_two_images(getattr(q, field), rng)}))
         expected = [ref_boundary_preserved(c, tuple_ridge_map(c, x)) for x in candidates]
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(quotient, "_RUN", run)
+            patch.setattr(complex_core, "_RUN", run)
             patch.setattr(complex_core, "_BLOCK", block)
             if not lanes:
                 patch.setattr(complex_core, "_fits_lanes", lambda columns, top: False)

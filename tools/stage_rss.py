@@ -5,7 +5,7 @@
 
 The script runs run_pipeline once, in the interpreter it starts, and prints
 one row per stage call: the seconds the call took and the process's
-getrusage ru_maxrss in MB (Linux reports KiB) when it returned.  A stage is
+getrusage ru_maxrss in MiB (Linux reports KiB) when it returned.  A stage is
 any function that corridors.pipeline calls through its own module
 namespace, directly or through a corridors module it imports (bounds), and
 complex_core.ridges_of, which a complex's first `incidence` access runs
@@ -28,7 +28,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def max_rss_mb() -> float:
+def max_rss_mib() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
@@ -48,7 +48,7 @@ def wrap(namespace: dict, name: str, rows: list, depth: list) -> None:
             return fn(*args, **kwargs)
         finally:
             depth[0] -= 1
-            rows[slot] = (depth[0], name, time.perf_counter() - start, max_rss_mb())
+            rows[slot] = (depth[0], name, time.perf_counter() - start, max_rss_mib())
 
     namespace[name] = stage
 
@@ -67,7 +67,7 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(args.src))
     from corridors import complex_core, pipeline
 
-    start_rss = max_rss_mb()
+    start_rss = max_rss_mib()
     rows, depth = [], [0]
     # the functions pipeline imports, those of the corridors modules it
     # imports whole, and ridges_of, where Complex.incidence looks it up
@@ -86,7 +86,7 @@ def main(argv=None) -> int:
         args.mode, args.dim, args.n, args.c1, args.epsilon, args.seed
     )
 
-    print(f"{'stage':<36} {'seconds':>8} {'max_rss_mb':>11}")
+    print(f"{'stage':<36} {'seconds':>8} {'max_rss_mib':>11}")
     print(f"{'(imports)':<36} {'':>8} {start_rss:11.1f}")
     for level, name, seconds, rss in rows:
         print(f"{'  ' * level + name:<36} {seconds:8.3f} {rss:11.1f}")
